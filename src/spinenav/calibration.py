@@ -27,6 +27,7 @@ from .errors import (
     TooFewPoints,
     TooFewPoses,
 )
+from .fileio import atomic_write
 from .geom import RigidTransform
 from .registration import FiducialSet, RegistrationResult, register_points
 
@@ -368,13 +369,12 @@ def write_projection_image(image: SyntheticProjectionImage, path) -> None:
     sidecar '<path>.json' carrying the detector geometry."""
     path = Path(path)
     h, w = image.pixels.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        f.write(image.pixels.astype(">u2").tobytes())
+    atomic_write(path, f"P5\n{w} {h}\n65535\n".encode("ascii")
+                 + image.pixels.astype(">u2").tobytes())
     sidecar = {"view": image.view_label,
                "mm_per_pixel": image.mm_per_pixel,
                "origin_mm": [float(v) for v in image.origin_mm]}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar), encoding="utf-8")
+    atomic_write(Path(str(path) + ".json"), json.dumps(sidecar))
 
 
 def read_projection_image(path) -> SyntheticProjectionImage:

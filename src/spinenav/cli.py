@@ -28,6 +28,7 @@ from .calibration import (
     register_patient_2d,
     reprojection_rms,
 )
+from .fileio import atomic_write
 from .geom import RigidTransform, transform_from_dict, transform_to_dict
 from .planning import (
     breach_depth,
@@ -48,7 +49,6 @@ from .simharness import (
     DEFAULT_SEED,
     PhantomSpec,
     StudyConfig,
-    _atomic_write,
     generate_phantom,
     run_placement_study,
     run_study,
@@ -103,13 +103,13 @@ def _provenance(seed: int, config: dict | None = None) -> dict:
 def _write_json(path: Path, payload: dict, seed: int,
                 config: dict | None = None) -> None:
     payload = {"provenance": _provenance(seed, config), **payload}
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _write_csv(path: Path, body: str, seed: int, config: dict | None = None) -> None:
     prov = _provenance(seed, config)
     header = "".join(f"# {k}={prov[k]}\n" for k in sorted(prov))
-    _atomic_write(path, header + body)
+    atomic_write(path, header + body)
 
 
 def _load_json(path) -> dict:
@@ -326,7 +326,7 @@ def cmd_report(args) -> int:
         lines.append(",".join([m["label"], m["modality"], str(pooled["n"]),
                                repr(pooled["mean_mm"]), repr(pooled["sd_mm"]),
                                repr(pooled["ci95_mu_plus_1p96sigma_mm"])]))
-    _atomic_write(out_dir / "study_results.csv", "\n".join(lines) + "\n")
+    atomic_write(out_dir / "study_results.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -1,0 +1,43 @@
+"""Atomic file output shared by the CLI, the simulation harness and the
+workflow session store."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import tempfile
+from pathlib import Path
+
+from .errors import IOFailure
+
+# mkstemp creates files readable by the owner only; finished outputs get the
+# permissions a plain open() would give them
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write text (as UTF-8) or bytes to path so that readers see the old
+    file or the new one, never a partial one.
+
+    The data goes to a uniquely named temporary file in the target directory,
+    which then replaces path. On any failure the temporary file is removed
+    and path is left as it was; OS errors surface as IOFailure.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                                   dir=path.parent)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.chmod(tmp, 0o666 & ~_UMASK)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise IOFailure(str(err)) from err

@@ -13,6 +13,7 @@ fiducial configuration and d_k is the distance of the target from that axis.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .geom import (
 )
 
 _COLLINEAR_SV_RATIO = 1e-6
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -355,48 +357,80 @@ def verify_registration(result: RegistrationResult,
 # -- surface registration ----------------------------------------------------
 
 def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel,
-                           chunk: int = 256):
-    """Closest point on the mesh for each query point (linear triangle scan).
+                           chunk: int = 128):
+    """Closest point on the mesh for each query point (exact branch and bound).
 
-    Returns (closest (N, 3), distance (N,), triangle index (N,)).
+    Every triangle lies inside the sphere about its centroid c_t of radius
+    r_t, so no point of it is closer to p than |p - c_t| - r_t. The exact
+    distance to the triangle with the nearest centroid bounds the answer
+    from above; only triangles whose lower bound does not exceed it (plus a
+    rounding slack) reach the Voronoi-region kernel. The result equals a
+    scan of every triangle bit for bit, ties going to the lowest triangle
+    index. Queries run in chunks, so at most chunk x T pairs are live: at
+    the default, queries that keep every triangle (the centre of a sphere)
+    peak below an all-pairs scan of 256 queries.
+
+    Returns (closest (N, 3), distance (N,), triangle index (N,)). Raises
+    ValueError for non-finite query points.
     """
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     v = surface.vertices
     tri = surface.triangles
     a = v[tri[:, 0]]
     ab = v[tri[:, 1]] - a
     ac = v[tri[:, 2]] - a
+    centroids = (a + v[tri[:, 1]] + v[tri[:, 2]]) / 3.0
+    radii = np.sqrt(np.max(np.sum((v[tri] - centroids[:, None, :]) ** 2, axis=2), axis=1))
+    tree = cKDTree(centroids)
+    r_max = radii.max()
+    extent = np.linalg.norm(v, axis=1).max()
     out_pts = np.empty_like(pts)
     out_dist = np.empty(len(pts))
     out_tri = np.empty(len(pts), dtype=np.int64)
     for start in range(0, len(pts), chunk):
         p = pts[start:start + chunk]
-        cp = _closest_point_triangles(p, a, ab, ac)  # (P, T, 3)
-        d2 = np.sum((cp - p[:, None, :]) ** 2, axis=2)
-        best = np.argmin(d2, axis=1)
-        rows = np.arange(len(p))
-        out_pts[start:start + chunk] = cp[rows, best]
-        out_dist[start:start + chunk] = np.sqrt(d2[rows, best])
-        out_tri[start:start + chunk] = best
+        _, nearest = tree.query(p)
+        upper = np.sqrt(_closest_point_triangles(p, a[nearest], ab[nearest],
+                                                 ac[nearest])[1])
+        # slack far above the rounding of the bounds, far below any real gap
+        upper += _PRUNE_SLACK * (upper + np.linalg.norm(p, axis=1) + extent)
+        balls = tree.query_ball_point(p, upper + r_max, return_sorted=True)
+        counts = np.fromiter(map(len, balls), dtype=np.int64, count=len(p))
+        q = np.repeat(np.arange(len(p)), counts)
+        t = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                        count=counts.sum())
+        keep = np.linalg.norm(p[q] - centroids[t], axis=1) - radii[t] <= upper[q]
+        q, t = q[keep], t[keep]
+        cp, d2 = _closest_point_triangles(p[q], a[t], ab[t], ac[t])
+        # per query, the smallest d2 and among equals the lowest index (rows
+        # are sorted by query, then triangle, and lexsort is stable)
+        order = np.lexsort((d2, q))
+        best = order[np.searchsorted(q[order], np.arange(len(p)))]
+        out_pts[start:start + chunk] = cp[best]
+        out_dist[start:start + chunk] = np.sqrt(d2[best])
+        out_tri[start:start + chunk] = t[best]
     return out_pts, out_dist, out_tri
 
 
 def _closest_point_triangles(p: np.ndarray, a: np.ndarray, ab: np.ndarray,
-                             ac: np.ndarray) -> np.ndarray:
-    """Closest points on triangles (a, a+ab, a+ac) for each p; (P, T, 3).
+                             ac: np.ndarray):
+    """Closest point on triangle (a, a+ab, a+ac) to p, row by row: all
+    arguments (K, 3). Returns (closest (K, 3), squared distance (K,)).
 
     Vectorized Voronoi-region case analysis; masks are applied in reverse of
     the sequential precedence so vertex regions win over edges over interior
     (ties on region boundaries produce identical points either way)."""
-    ap = p[:, None, :] - a[None, :, :]
-    d1 = np.einsum("tj,ptj->pt", ab, ap)
-    d2 = np.einsum("tj,ptj->pt", ac, ap)
-    bp = ap - ab[None, :, :]
-    d3 = np.einsum("tj,ptj->pt", ab, bp)
-    d4 = np.einsum("tj,ptj->pt", ac, bp)
-    cp_ = ap - ac[None, :, :]
-    d5 = np.einsum("tj,ptj->pt", ab, cp_)
-    d6 = np.einsum("tj,ptj->pt", ac, cp_)
+    ap = p - a
+    d1 = np.einsum("kj,kj->k", ab, ap)
+    d2 = np.einsum("kj,kj->k", ac, ap)
+    bp = ap - ab
+    d3 = np.einsum("kj,kj->k", ab, bp)
+    d4 = np.einsum("kj,kj->k", ac, bp)
+    cp_ = ap - ac
+    d5 = np.einsum("kj,kj->k", ab, cp_)
+    d6 = np.einsum("kj,kj->k", ac, cp_)
 
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
@@ -438,7 +472,8 @@ def _closest_point_triangles(p: np.ndarray, a: np.ndarray, ab: np.ndarray,
     v_res = np.where(mask, 0.0, v_res)
     w_res = np.where(mask, 0.0, w_res)
 
-    return a[None, :, :] + v_res[:, :, None] * ab[None, :, :] + w_res[:, :, None] * ac[None, :, :]
+    closest = a + v_res[:, None] * ab + w_res[:, None] * ac
+    return closest, np.sum((closest - p) ** 2, axis=1)
 
 
 def _vertex_normals(surface: SurfaceModel) -> np.ndarray:
@@ -517,8 +552,7 @@ def icp_register(probed, surface: SurfaceModel,
     prev_rms = np.inf
     converged = False
     for _ in range(max_iter):
-        mapped = t.apply(probed)
-        closest, dist, _ = closest_points_on_mesh(mapped, surface)
+        closest, dist, tri_idx = closest_points_on_mesh(t.apply(probed), surface)
         rms = float(np.sqrt(np.mean(dist ** 2)))
         if residual_history is not None:
             residual_history.append(rms)
@@ -527,9 +561,9 @@ def icp_register(probed, surface: SurfaceModel,
             break
         prev_rms = rms
         t = fit_rigid(closest, probed)
+    else:  # the last fit moved t: correspond once more for the residuals
+        closest, dist, tri_idx = closest_points_on_mesh(t.apply(probed), surface)
 
-    mapped = t.apply(probed)
-    closest, dist, tri_idx = closest_points_on_mesh(mapped, surface)
     if _pose_observability_deficient(surface, closest, tri_idx):
         raise DegenerateGeometry("surface sampling leaves the pose ambiguous")
     return RegistrationResult(t, float(np.sqrt(np.mean(dist ** 2))),

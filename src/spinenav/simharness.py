@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration as cal
-from .errors import DegenerateSpec, GuardFailed, IOFailure, SpineNavError
+from .errors import DegenerateSpec, GuardFailed, SpineNavError
+from .fileio import atomic_write
 from .geom import RigidTransform, compose, invert
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
@@ -85,6 +86,10 @@ class NoiseModel:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("tracker_sigma0", "depth_anisotropy", "distance_ref",
+                     "distance_growth", "detector_sigma", "kinematic_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("tracker_sigma0", "depth_anisotropy", "detector_sigma",
                      "kinematic_sigma"):
             if getattr(self, name) < 0.0:
@@ -712,15 +717,6 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
 # -- reports ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = Path(str(path) + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError as err:
-        raise IOFailure(str(err)) from err
-
-
 def config_hash(config: StudyConfig) -> str:
     blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -784,6 +780,6 @@ def summarize(result: StudyResult, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"csv": out_dir / "study_results.csv",
              "json": out_dir / "study_results.json"}
-    _atomic_write(paths["csv"], study_csv(result))
-    _atomic_write(paths["json"], study_json(result))
+    atomic_write(paths["csv"], study_csv(result))
+    atomic_write(paths["json"], study_json(result))
     return paths

@@ -27,6 +27,7 @@ from .errors import (
     LayerViolation,
     SchemaVersionMismatch,
 )
+from .fileio import atomic_write
 from .kinematics import Trajectory
 from .planning import PlanValidation, ScrewPlan
 from .registration import RegistrationResult, verify_registration
@@ -543,11 +544,7 @@ def session_from_dict(d: dict) -> SessionState:
 
 
 def save_session(session: SessionState, path) -> None:
-    try:
-        Path(path).write_text(json.dumps(session_to_dict(session), sort_keys=True),
-                              encoding="utf-8")
-    except OSError as err:
-        raise IOFailure(str(err)) from err
+    atomic_write(path, json.dumps(session_to_dict(session), sort_keys=True))
 
 
 def load_session(path) -> SessionState:
@@ -564,27 +561,34 @@ def load_session(path) -> SessionState:
 
 def save_event_trace(session: SessionState, path) -> None:
     """One JSON event per line, replayable with replay_events."""
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps({"mode": session.mode.value,
-                                "modality": session.modality.value,
-                                "registration_threshold_mm":
-                                    session.registration_threshold_mm,
-                                "schema_version": SCHEMA_VERSION}) + "\n")
-            for e in session.events:
-                f.write(json.dumps(_event_to_dict(e), sort_keys=True) + "\n")
-    except OSError as err:
-        raise IOFailure(str(err)) from err
+    lines = [json.dumps({"mode": session.mode.value,
+                         "modality": session.modality.value,
+                         "registration_threshold_mm": session.registration_threshold_mm,
+                         "schema_version": SCHEMA_VERSION})]
+    lines += [json.dumps(_event_to_dict(e), sort_keys=True) for e in session.events]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def replay_events(path) -> SessionState:
-    """Rebuild a session by replaying a JSONL event trace from scratch."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = json.loads(lines[0])
-    if header.get("schema_version") != SCHEMA_VERSION:
+    """Rebuild a session by replaying a JSONL event trace from scratch.
+
+    Raises IOFailure if the file cannot be read, SchemaVersionMismatch if it
+    is empty, holds a line that is not JSON, or has an unknown schema."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except OSError as err:
+        raise IOFailure(str(err)) from err
+    if not lines:
+        raise SchemaVersionMismatch("empty event trace")
+    try:
+        records = [json.loads(line) for line in lines]
+    except json.JSONDecodeError as err:
+        raise SchemaVersionMismatch(f"unreadable event trace: {err}") from err
+    header = records[0]
+    if not isinstance(header, dict) or header.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch("trace written with an unknown schema")
     session = new_session(Mode(header["mode"]), Modality(header["modality"]),
                           header["registration_threshold_mm"])
-    for line in lines[1:]:
-        session = advance(session, _event_from_dict(json.loads(line)))
+    for record in records[1:]:
+        session = advance(session, _event_from_dict(record))
     return session

@@ -8,6 +8,7 @@ from spinenav.registration import (
     FiducialSet,
     RegistrationResult,
     SurfaceModel,
+    _closest_point_triangles,
     closest_points_on_mesh,
     fit_rigid,
     fit_rigid_batch,
@@ -254,6 +255,22 @@ def test_icp_recovers_translation():
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
 
+@pytest.mark.parametrize("angle", [0.05, 0.15])
+def test_icp_from_rotated_start_never_increases_residual(angle):
+    surf = _test_surface()
+    rng = np.random.default_rng(5)
+    direction = rng.normal(size=3)
+    truth = RigidTransform.from_axis_angle(rng.normal(size=3), angle,
+                                           3.0 * direction / np.linalg.norm(direction))
+    probed = truth.apply(sample_surface_points(surf, 200, rng))
+    history = []
+    res = icp_register(probed, surf, residual_history=history)
+    assert len(history) >= 2
+    assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+    assert res.fre_rms <= history[-1] + 1e-12
+    assert res.fre_rms < 0.5 * history[0]
+
+
 def test_icp_sphere_is_ambiguous():
     sphere = icosphere(3, 25.0)
     rng = np.random.default_rng(3)
@@ -279,6 +296,43 @@ def test_closest_points_on_mesh_against_dense_vertex_oracle():
         oracle = np.min(np.linalg.norm(samples - q, axis=1))
         assert d <= oracle + 1e-9
         assert d >= oracle - 0.5  # dense sampling gap
+
+
+def _all_pairs_closest(queries, surf, block=32):
+    """Every query against every triangle through the same kernel, then
+    argmin (ties to the lowest triangle index); blocks bound the memory."""
+    v, t = surf.vertices, surf.triangles
+    a, ab, ac = v[t[:, 0]], v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
+    out = []
+    for start in range(0, len(queries), block):
+        p = queries[start:start + block]
+        cp, d2 = _closest_point_triangles(np.repeat(p, len(t), axis=0), np.tile(a, (len(p), 1)),
+                                          np.tile(ab, (len(p), 1)), np.tile(ac, (len(p), 1)))
+        cp = cp.reshape(len(p), len(t), 3)
+        d2 = d2.reshape(len(p), len(t))
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(p))
+        out.append((cp[rows, best], np.sqrt(d2[rows, best]), best))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+@pytest.mark.parametrize("surf", [bumpy_ellipsoid(np.random.default_rng(8)),
+                                  icosphere(2, 25.0)], ids=["bumpy", "icosphere"])
+def test_closest_points_on_mesh_pruning_is_exact(surf):
+    rng = np.random.default_rng(6)
+    v, t = surf.vertices, surf.triangles
+    on_surface = sample_surface_points(surf, 60, rng)
+    queries = np.vstack([
+        on_surface,
+        v,                                    # shared vertices: ties
+        0.5 * (v[t[:, 0]] + v[t[:, 1]])[:80],  # edge midpoints: ties
+        40.0 * on_surface,                    # far away: most triangles kept
+        np.zeros((1, 3)),
+    ])
+    got = closest_points_on_mesh(queries, surf, chunk=50)
+    want = _all_pairs_closest(queries, surf)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 # -- verify_registration -------------------------------------------------------

@@ -254,6 +254,21 @@ def test_placement_rejects_bad_screw_counts():
         run_placement_study(cfg, PH5, 99)
 
 
+@pytest.mark.parametrize("field", ["tracker_sigma0", "depth_anisotropy", "distance_ref",
+                                   "distance_growth", "detector_sigma", "kinematic_sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_noise_model_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseModel(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["tracker_sigma0", "depth_anisotropy", "detector_sigma",
+                                   "kinematic_sigma"])
+def test_noise_model_rejects_negative_magnitudes(field):
+    with pytest.raises(ValueError, match=">= 0"):
+        NoiseModel(**{field: -0.1})
+
+
 # -- reports ------------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from spinenav.errors import (
     DuplicateName,
     GuardFailed,
     IllegalTransition,
+    IOFailure,
     LayerViolation,
     SchemaVersionMismatch,
 )
@@ -424,6 +425,60 @@ def test_corrupted_session_rejected(tmp_path):
     path.write_text(json.dumps({"schema_version": 99}), encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch):
         load_session(path)
+
+
+def test_replay_empty_trace_rejected(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n", encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch):
+        replay_events(path)
+
+
+def test_replay_malformed_line_rejected(tmp_path):
+    s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
+    path = tmp_path / "events.jsonl"
+    save_event_trace(s, path)
+    path.write_text(path.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch):
+        replay_events(path)
+
+
+def test_replay_unreadable_file_is_io_failure(tmp_path):
+    with pytest.raises(IOFailure):
+        replay_events(tmp_path / "missing.jsonl")
+    with pytest.raises(IOFailure):
+        replay_events(tmp_path)  # a directory
+
+
+@pytest.mark.parametrize("save", [save_session, save_event_trace])
+def test_failed_save_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, save):
+    path = tmp_path / "out.json"
+    path.write_text("old contents", encoding="utf-8")
+    s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    with pytest.raises(IOFailure):
+        save(s, path)
+    assert path.read_text(encoding="utf-8") == "old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_saved_session_has_plain_file_permissions(tmp_path):
+    plain = tmp_path / "plain.json"
+    plain.write_text("{}", encoding="utf-8")
+    path = tmp_path / "session.json"
+    save_session(new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED), path)
+    assert path.stat().st_mode == plain.stat().st_mode
+
+
+def test_save_into_missing_directory_is_io_failure(tmp_path):
+    s = new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED)
+    with pytest.raises(IOFailure):
+        save_session(s, tmp_path / "missing" / "session.json")
+    assert not list(tmp_path.iterdir())
 
 
 def test_schema_version_checked_in_dict():
