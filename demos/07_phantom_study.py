@@ -9,7 +9,7 @@ point-based pre-op CT method pools to 0.99 mm.
 import numpy as np
 
 from spinenav import PhantomSpec, StudyConfig, calibrate_tracker_sigma0, generate_phantom, run_placement_study, run_study
-from spinenav.simharness import study_csv
+from spinenav.simharness import study_csv, study_report
 
 phantom = generate_phantom(PhantomSpec(), seed=42)
 print(f"phantom: {len(phantom.fiducials)} fiducials over "
@@ -27,7 +27,7 @@ for m in result.methods:
           f"mu+1.96sd {p.ci95:.2f}  n {p.n}")
 
 print("\nCSV report:")
-print(study_csv(result))
+print(study_csv(study_report(result)))
 
 # placement study: grade distributions degrade as the noise scale rises
 ph5 = generate_phantom(PhantomSpec(levels=5), seed=42)

@@ -205,6 +205,17 @@ def project(model: ProjectionModel, p):
     return uv[0] if single else uv
 
 
+def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
+    """Homogeneous similarity (k+1, k+1) moving points (N, k) to centroid 0
+    and mean distance sqrt(k) from it (Hartley 1997)."""
+    k = pts.shape[1]
+    c = pts.mean(axis=0)
+    s = np.sqrt(k) / np.mean(np.linalg.norm(pts - c, axis=1))
+    t = np.diag([s] * k + [1.0])
+    t[:k, k] = -s * c
+    return t
+
+
 def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionModel:
     """Estimate a 3x4 projection from labeled 3D-2D correspondences.
 
@@ -225,23 +236,8 @@ def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionM
     if sv[2] / sv[0] < 1e-6:
         raise CoplanarPoints("calibration points are coplanar")
 
-    # Hartley normalization: centroid to origin, mean distance sqrt(dim)
-    def _norm_3d(pts):
-        c = pts.mean(axis=0)
-        s = np.sqrt(3.0) / np.mean(np.linalg.norm(pts - c, axis=1))
-        t = np.diag([s, s, s, 1.0])
-        t[:3, 3] = -s * c
-        return t
-
-    def _norm_2d(pts):
-        c = pts.mean(axis=0)
-        s = np.sqrt(2.0) / np.mean(np.linalg.norm(pts - c, axis=1))
-        t = np.diag([s, s, 1.0])
-        t[:2, 2] = -s * c
-        return t
-
-    t3 = _norm_3d(x)
-    t2 = _norm_2d(uv)
+    t3 = _hartley_normalization(x)
+    t2 = _hartley_normalization(uv)
     xh = np.hstack([x, np.ones((len(x), 1))]) @ t3.T
     uvh = np.hstack([uv, np.ones((len(uv), 1))]) @ t2.T
 

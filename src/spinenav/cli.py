@@ -11,9 +11,9 @@ partial outputs. Exit codes: 0 success, 2 bad input, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .calibration import (
     register_patient_2d,
     reprojection_rms,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, csv_with_provenance, provenance
 from .geom import RigidTransform, transform_from_dict, transform_to_dict
 from .planning import (
     breach_depth,
@@ -52,6 +52,7 @@ from .simharness import (
     generate_phantom,
     run_placement_study,
     run_study,
+    study_csv,
     summarize,
 )
 
@@ -94,22 +95,14 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
-def _provenance(seed: int, config: dict | None = None) -> dict:
-    blob = json.dumps(config or {}, sort_keys=True).encode("utf-8")
-    return {"tool": "spinenav", "version": __version__, "seed": seed,
-            "config_hash": hashlib.sha256(blob).hexdigest()[:16]}
-
-
 def _write_json(path: Path, payload: dict, seed: int,
                 config: dict | None = None) -> None:
-    payload = {"provenance": _provenance(seed, config), **payload}
+    payload = {"provenance": provenance(seed, config), **payload}
     atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _write_csv(path: Path, body: str, seed: int, config: dict | None = None) -> None:
-    prov = _provenance(seed, config)
-    header = "".join(f"# {k}={prov[k]}\n" for k in sorted(prov))
-    atomic_write(path, header + body)
+    atomic_write(path, csv_with_provenance(provenance(seed, config), body))
 
 
 def _load_json(path) -> dict:
@@ -231,15 +224,12 @@ def cmd_plan_validate(args) -> int:
     return EXIT_OK
 
 
-def _study_config(args) -> StudyConfig:
-    raw = _load_json(args.config) if args.config else {}
-    raw = _apply_overrides(raw, args.set)
+def _study_config(raw: dict, args) -> StudyConfig:
+    """StudyConfig from a config dict, with --seed and --threads applied."""
     config = StudyConfig.from_dict(raw)
     if args.seed is not None:
-        from dataclasses import replace
         config = replace(config, noise=replace(config.noise, seed=args.seed))
     if args.threads:
-        from dataclasses import replace
         config = replace(config, threads=args.threads)
     return config
 
@@ -247,8 +237,9 @@ def _study_config(args) -> StudyConfig:
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    raw = _apply_overrides(_load_json(args.config) if args.config else {}, args.set)
     if args.what == "study":
-        config = _study_config(args)
+        config = _study_config(raw, args)
         phantom = generate_phantom(PhantomSpec(), seed=args.phantom_seed)
         result = run_study(config, phantom)
         summarize(result, out_dir)
@@ -259,18 +250,13 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     # session: placement study with radiation accounting
-    raw = _load_json(args.config) if args.config else {}
-    raw = _apply_overrides(raw, args.set)
     allowed = {"screws", "noise_multiplier", "study"}
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown session config keys {sorted(unknown)}")
     screws = int(raw.get("screws", 2))
     multiplier = float(raw.get("noise_multiplier", 1.0))
-    config = StudyConfig.from_dict(raw.get("study", {}))
-    if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, noise=replace(config.noise, seed=args.seed))
+    config = _study_config(raw.get("study", {}), args)
     levels = max((screws + 1) // 2, 1)
     phantom = generate_phantom(PhantomSpec(levels=levels), seed=args.phantom_seed)
     result = run_placement_study(config, phantom, screws, multiplier)
@@ -317,16 +303,7 @@ def cmd_grade(args) -> int:
 def cmd_report(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = _load_json(args.results)
-    lines = [f"# {k}={payload['provenance'][k]}"
-             for k in sorted(payload["provenance"])]
-    lines.append("method,modality,n,mean_mm,sd_mm,ci95_mm")
-    for m in payload["methods"]:
-        pooled = m["pooled"]
-        lines.append(",".join([m["label"], m["modality"], str(pooled["n"]),
-                               repr(pooled["mean_mm"]), repr(pooled["sd_mm"]),
-                               repr(pooled["ci95_mu_plus_1p96sigma_mm"])]))
-    atomic_write(out_dir / "study_results.csv", "\n".join(lines) + "\n")
+    atomic_write(out_dir / "study_results.csv", study_csv(_load_json(args.results)))
     return EXIT_OK
 
 

@@ -1,13 +1,17 @@
-"""Atomic file output shared by the CLI, the simulation harness and the
-workflow session store."""
+"""Report output shared by the CLI, the simulation harness and the
+workflow session store: atomic writes, provenance records and the CSV
+provenance header."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
 
+from . import __version__
 from .errors import IOFailure
 
 # mkstemp creates files readable by the owner only; finished outputs get the
@@ -41,3 +45,17 @@ def atomic_write(path, data: str | bytes) -> None:
             raise
     except OSError as err:
         raise IOFailure(str(err)) from err
+
+
+def provenance(seed: int, config: dict | None = None) -> dict:
+    """Provenance record of a report: tool, version, seed, and the first 16
+    hex digits of the SHA-256 of the config as key-sorted JSON."""
+    blob = json.dumps(config or {}, sort_keys=True).encode("utf-8")
+    return {"tool": "spinenav", "version": __version__, "seed": seed,
+            "config_hash": hashlib.sha256(blob).hexdigest()[:16]}
+
+
+def csv_with_provenance(prov: dict, body: str) -> str:
+    """CSV body under one '# key=value' comment line per provenance key, in
+    key order."""
+    return "".join(f"# {k}={prov[k]}\n" for k in sorted(prov)) + body

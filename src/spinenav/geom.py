@@ -36,16 +36,43 @@ _ORTHO_TOL = 1e-9
 _REORTHO_TRIGGER = 1e-12
 
 
-def _orthonormality_residual(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r.T @ r - np.eye(3))))
+def _orthonormality_residual(r: np.ndarray):
+    """max |R^T R - I| of a 3x3 matrix, or of each matrix in a (..., 3, 3)
+    stack."""
+    return np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
 
 
 def _polar_orthonormalize(r: np.ndarray) -> np.ndarray:
+    """Nearest rotation (polar factor with det +1) to each 3x3 matrix."""
     u, _, vt = np.linalg.svd(r)
     out = u @ vt
-    if np.linalg.det(out) < 0.0:
-        out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    flip = np.linalg.det(out) < 0.0
+    out[flip] = u[flip] @ np.diag([1.0, 1.0, -1.0]) @ vt[flip]
     return out
+
+
+def snap_rotation(r: np.ndarray) -> np.ndarray:
+    """r with round-off drift removed: a rotation, or each rotation of a
+    (..., 3, 3) stack, whose orthonormality residual exceeds 1e-12 is
+    replaced by its polar orthonormalization; the others pass unchanged."""
+    drift = _orthonormality_residual(r) > _REORTHO_TRIGGER
+    if drift.any():
+        r = np.where(drift[..., None, None], _polar_orthonormalize(r), r)
+    return r
+
+
+def axis_basis(direction) -> tuple:
+    """Right-handed orthonormal basis (x, y, z) with z along direction.
+
+    x is perpendicular to a helper axis: world x, or world y when direction
+    lies within about 26 degrees of world x.
+    """
+    z = np.asarray(direction, dtype=float)
+    z = z / np.linalg.norm(z)
+    up = np.array([1.0, 0.0, 0.0]) if abs(z[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    x = np.cross(up, z)
+    x /= np.linalg.norm(x)
+    return x, np.cross(z, x), z
 
 
 @dataclass(frozen=True)
@@ -126,15 +153,11 @@ class RigidTransform:
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Transform mapping p -> a(b(p)).
 
-    Long compose chains accumulate floating drift; if the orthonormality
-    residual exceeds 1e-12 the rotation is snapped back via polar
-    decomposition.
+    Long compose chains accumulate floating drift, so the rotation goes
+    through snap_rotation.
     """
-    r = a.rotation @ b.rotation
-    t = a.rotation @ b.translation + a.translation
-    if _orthonormality_residual(r) > _REORTHO_TRIGGER:
-        r = _polar_orthonormalize(r)
-    return RigidTransform(r, t)
+    return RigidTransform(snap_rotation(a.rotation @ b.rotation),
+                          a.rotation @ b.translation + a.translation)
 
 
 def invert(t: RigidTransform) -> RigidTransform:

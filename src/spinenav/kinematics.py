@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation as _Rotation
 
 from .errors import LimitViolation, NoSafePath, Unreachable
-from .geom import RigidTransform, _polar_orthonormalize
+from .geom import RigidTransform, axis_basis, snap_rotation
 
 MAX_JOINT_STEP_RAD = 0.05
 
@@ -224,11 +224,8 @@ def fk_frames(model: RobotModel, q) -> list:
 def fk(model: RobotModel, q) -> RigidTransform:
     """Base->flange pose: the product of the six DH link transforms."""
     m = fk_frames(model, q)[-1]
-    r = m[:3, :3]
     # six chained float multiplies can drift past the constructor's 1e-9 gate
-    if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-12:
-        r = _polar_orthonormalize(r)
-    return RigidTransform(r, m[:3, 3])
+    return RigidTransform(snap_rotation(m[:3, :3]), m[:3, 3])
 
 
 def jacobian(model: RobotModel, q) -> np.ndarray:
@@ -348,15 +345,9 @@ def _quintic_s(tau: np.ndarray) -> np.ndarray:
 
 def _axis_frame(direction: np.ndarray, roll: float) -> np.ndarray:
     """Rotation with z along direction; roll spins about that free axis."""
-    z = direction / np.linalg.norm(direction)
-    up = np.array([1.0, 0.0, 0.0]) if abs(z[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    x = np.cross(up, z)
-    x /= np.linalg.norm(x)
-    y = np.cross(z, x)
-    cr, sr = np.cos(roll), np.sin(roll)
-    xr = cr * x + sr * y
-    yr = np.cross(z, xr)
-    return np.column_stack([xr, yr, z])
+    x, y, z = axis_basis(direction)
+    xr = np.cos(roll) * x + np.sin(roll) * y
+    return np.column_stack([xr, np.cross(z, xr), z])
 
 
 JOINT_SPEED_RAD_S = 0.5

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, LabelMismatch, TooFewPoints
-from .geom import (
-    RigidTransform,
-    _orthonormality_residual,
-    _polar_orthonormalize,
-    transform_from_dict,
-    transform_to_dict,
-)
+from .geom import RigidTransform, snap_rotation, transform_from_dict, transform_to_dict
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
@@ -254,40 +248,29 @@ def _check_not_collinear(points: np.ndarray, what: str) -> None:
 
 
 def fit_rigid(fixed: np.ndarray, moving: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform mapping moving points onto fixed points.
-
-    Closed form: centroid removal, cross-covariance SVD, determinant
-    correction to exclude reflections.
-    """
-    fixed = np.asarray(fixed, dtype=float)
-    moving = np.asarray(moving, dtype=float)
-    fc = fixed.mean(axis=0)
-    mc = moving.mean(axis=0)
-    h = (moving - mc).T @ (fixed - fc)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    # guard against accumulated round-off before the orthonormality assert
-    if _orthonormality_residual(r) > 1e-12:
-        r = _polar_orthonormalize(r)
-    return RigidTransform(r, fc - r @ mc)
+    """Least-squares rigid transform mapping moving points (N, 3) onto fixed
+    points: the one-stack case of fit_rigid_batch."""
+    r, t = fit_rigid_batch([fixed], [moving])
+    return RigidTransform(r[0], t[0])
 
 
 def fit_rigid_batch(fixed: np.ndarray, moving: np.ndarray):
-    """Vectorized fit_rigid over stacks (T, N, 3) -> rotations (T, 3, 3),
-    translations (T, 3). Same math as fit_rigid; kept in lockstep by tests."""
+    """Least-squares rigid transforms mapping moving points onto fixed
+    points, stack by stack: (T, N, 3) -> rotations (T, 3, 3), translations
+    (T, 3). Closed form (Arun, Huang & Blostein 1987): centroid removal,
+    cross-covariance SVD, determinant correction against reflections. Each
+    rotation goes through snap_rotation before its translation is taken."""
     fixed = np.asarray(fixed, dtype=float)
     moving = np.asarray(moving, dtype=float)
     fc = fixed.mean(axis=1)
     mc = moving.mean(axis=1)
-    h = np.einsum("tni,tnj->tij", moving - mc[:, None, :], fixed - fc[:, None, :])
+    h = (moving - mc[:, None, :]).transpose(0, 2, 1) @ (fixed - fc[:, None, :])
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(np.einsum("tij,tkj->tik", vt.transpose(0, 2, 1), u)))
-    corr = np.repeat(np.eye(3)[None, :, :], len(fixed), axis=0)
-    corr[:, 2, 2] = d
-    r = np.einsum("tij,tjk,tlk->til", vt.transpose(0, 2, 1), corr, u)
-    t = fc - np.einsum("tij,tj->ti", r, mc)
-    return r, t
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    corr = np.repeat(np.eye(3)[None, :, :], len(h), axis=0)
+    corr[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    r = snap_rotation(v @ corr @ ut)
+    return r, fc - (r @ mc[:, :, None])[:, :, 0]
 
 
 def register_points(fixed: FiducialSet, moving: FiducialSet) -> RegistrationResult:
@@ -346,7 +329,11 @@ def predict_tre(fiducials: FiducialSet, fle_rms: float, target) -> TrePrediction
 
 def verify_registration(result: RegistrationResult,
                         threshold_mm: float = 2.0) -> VerificationDecision:
-    """Accept iff fre_rms <= threshold (closed bound: equality accepts)."""
+    """Accept iff the fit converged and fre_rms <= threshold (closed bound:
+    equality accepts)."""
+    if not result.converged:
+        return VerificationDecision(False, result.fre_rms, threshold_mm,
+                                    "registration did not converge")
     if result.fre_rms <= threshold_mm:
         return VerificationDecision(True, result.fre_rms, threshold_mm)
     return VerificationDecision(False, result.fre_rms, threshold_mm,

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import calibration as cal
 from .errors import DegenerateSpec, GuardFailed, SpineNavError
-from .fileio import atomic_write
-from .geom import RigidTransform, compose, invert
+from .fileio import atomic_write, csv_with_provenance, provenance
+from .geom import RigidTransform, axis_basis, compose, invert
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
 from .planning import (
@@ -117,12 +117,7 @@ def _tracker_noise(noise: NoiseModel, n: int, distance: float, view_axis,
                    rng: np.random.Generator, multiplier: float = 1.0) -> np.ndarray:
     """(n, 3) anisotropic tracker noise: per-axis sigma(d), scaled by
     depth_anisotropy along the viewing axis."""
-    axis = np.asarray(view_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    up = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(up, axis)
-    u /= np.linalg.norm(u)
-    v = np.cross(axis, u)
+    u, v, axis = axis_basis(view_axis)
     sigma = noise.tracker_sigma_at(distance) * multiplier
     g = rng.normal(size=(n, 3))
     return sigma * (g[:, :1] * u + g[:, 1:2] * v
@@ -287,10 +282,15 @@ class StudyConfig:
     def __post_init__(self):
         if self.samples_per_method < 1:
             raise ValueError("samples_per_method must be >= 1")
+        if not math.isfinite(self.view_jitter_deg):
+            raise ValueError("view_jitter_deg must be finite")
         for name in ("user_groups", "tool_angles_deg", "tracker_distances_mm",
                      "detector_distances_mm"):
-            if not tuple(getattr(self, name)):
+            values = tuple(getattr(self, name))
+            if not values:
                 raise ValueError(f"{name} must be non-empty")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} entries must be finite")
 
     def cells(self, modality: Modality) -> list:
         """Balanced factor grid; detector distance applies to 2D imaging only."""
@@ -717,39 +717,18 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
 # -- reports ---------------------------------------------------------------------------
 
 
-def config_hash(config: StudyConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _provenance(config: StudyConfig) -> dict:
-    from . import __version__
-    return {"tool": "spinenav", "version": __version__,
-            "seed": config.noise.seed, "config_hash": config_hash(config)}
-
-
-def study_csv(result: StudyResult) -> str:
-    """Fixed column set; floats via repr so identical runs are identical
-    bytes. Provenance rides in leading comment lines."""
-    prov = _provenance(result.config)
-    lines = [f"# {k}={prov[k]}" for k in sorted(prov)]
-    lines.append("method,modality,n,mean_mm,sd_mm,ci95_mm")
-    for m in result.methods:
-        lines.append(",".join([m.method.label, m.method.modality.value,
-                               str(m.pooled.n), repr(m.pooled.mean),
-                               repr(m.pooled.sd), repr(m.pooled.ci95)]))
-    return "\n".join(lines) + "\n"
-
-
-def study_json(result: StudyResult) -> str:
+def study_report(result: StudyResult) -> dict:
+    """The study_results.json document: provenance, config, and per method
+    the pooled and per-cell statistics, trial RMSEs and failures."""
     def stats_dict(s: StudyStats) -> dict:
         return {"mean_mm": s.mean, "sd_mm": s.sd, "n": s.n,
                 "ci_mu_plus_1sigma_mm": s.ci_mu_plus_1sigma(),
                 "ci95_mu_plus_1p96sigma_mm": s.ci95}
 
-    payload = {
-        "provenance": _provenance(result.config),
-        "config": result.config.to_dict(),
+    config = result.config.to_dict()
+    report = {
+        "provenance": provenance(result.config.noise.seed, config),
+        "config": config,
         "methods": [{
             "label": m.method.label,
             "modality": m.method.modality.value,
@@ -767,8 +746,21 @@ def study_json(result: StudyResult) -> str:
     nav_values = [t.rmse_mm for m in result.methods if not m.method.robot_assisted
                   for t in m.trials if t.ok]
     if nav_values:
-        payload["navigation_pooled"] = stats_dict(StudyStats.from_values(nav_values))
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        report["navigation_pooled"] = stats_dict(StudyStats.from_values(nav_values))
+    return report
+
+
+def study_csv(report: dict) -> str:
+    """study_results.csv from a study_report document (or the parsed JSON
+    file): a fixed column set, floats via repr so identical runs are
+    identical bytes, provenance in leading comment lines."""
+    lines = ["method,modality,n,mean_mm,sd_mm,ci95_mm"]
+    for m in report["methods"]:
+        pooled = m["pooled"]
+        lines.append(",".join([m["label"], m["modality"], str(pooled["n"]),
+                               repr(pooled["mean_mm"]), repr(pooled["sd_mm"]),
+                               repr(pooled["ci95_mu_plus_1p96sigma_mm"])]))
+    return csv_with_provenance(report["provenance"], "\n".join(lines) + "\n")
 
 
 def summarize(result: StudyResult, out_dir) -> dict:
@@ -780,6 +772,7 @@ def summarize(result: StudyResult, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"csv": out_dir / "study_results.csv",
              "json": out_dir / "study_results.json"}
-    atomic_write(paths["csv"], study_csv(result))
-    atomic_write(paths["json"], study_json(result))
+    report = study_report(result)
+    atomic_write(paths["csv"], study_csv(report))
+    atomic_write(paths["json"], json.dumps(report, sort_keys=True, indent=1) + "\n")
     return paths

@@ -573,7 +573,9 @@ def replay_events(path) -> SessionState:
     """Rebuild a session by replaying a JSONL event trace from scratch.
 
     Raises IOFailure if the file cannot be read, SchemaVersionMismatch if it
-    is empty, holds a line that is not JSON, or has an unknown schema."""
+    is empty, holds a line that is not JSON or a malformed header or event
+    line, or has an unknown schema. Errors from advance (an illegal or
+    guarded transition) propagate unchanged."""
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as err:
@@ -587,8 +589,16 @@ def replay_events(path) -> SessionState:
     header = records[0]
     if not isinstance(header, dict) or header.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch("trace written with an unknown schema")
-    session = new_session(Mode(header["mode"]), Modality(header["modality"]),
-                          header["registration_threshold_mm"])
-    for record in records[1:]:
-        session = advance(session, _event_from_dict(record))
+    try:
+        session = new_session(Mode(header["mode"]), Modality(header["modality"]),
+                              header["registration_threshold_mm"])
+    except (KeyError, ValueError) as err:
+        raise SchemaVersionMismatch(f"malformed trace header: {err!r}") from err
+    for line_no, record in enumerate(records[1:], start=2):
+        try:
+            event = _event_from_dict(record)
+        except (KeyError, TypeError, ValueError) as err:
+            raise SchemaVersionMismatch(
+                f"malformed event on line {line_no}: {err!r}") from err
+        session = advance(session, event)
     return session

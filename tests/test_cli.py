@@ -90,6 +90,24 @@ def test_register_icp_files(tmp_path):
         assert report["converged"] is True
 
 
+def test_register_icp_unconverged_is_not_accepted(tmp_path):
+    from spinenav.meshes import bumpy_ellipsoid, sample_surface_points
+    rng = np.random.default_rng(1)
+    surface = bumpy_ellipsoid(rng)
+    offset = RigidTransform.from_axis_angle(rng.normal(size=3), 0.15, [3.0, 0.0, 0.0])
+    probed = offset.apply(sample_surface_points(surface, 200, rng))
+    (tmp_path / "surface.json").write_text(json.dumps(surface.to_dict()),
+                                           encoding="utf-8")
+    (tmp_path / "probed.json").write_text(
+        json.dumps({"points_mm": probed.tolist()}), encoding="utf-8")
+    code = main(["register", "icp", "--probed", str(tmp_path / "probed.json"),
+                 "--surface", str(tmp_path / "surface.json"), "--out", str(tmp_path)])
+    assert code == 0
+    report = _read_json(tmp_path / "registration_report.json")
+    assert report["fre_rms_mm"] <= report["threshold_mm"]
+    assert report["accepted"] == report["converged"]
+
+
 def test_register_label_mismatch_is_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad_moving.json"
     moving = _read_json(DATA / "fiducials_moving.json")
@@ -189,6 +207,18 @@ def test_simulate_study_unknown_key_rejected(tmp_path, capsys):
     code = main(["simulate", "study", "--out", str(tmp_path),
                  "--set", "not_a_real_knob=1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("override", ["view_jitter_deg=NaN", "view_jitter_deg=Infinity",
+                                      "user_groups=[NaN]", "tool_angles_deg=[0, NaN]",
+                                      "tracker_distances_mm=[-Infinity]",
+                                      "detector_distances_mm=[300, NaN]"])
+def test_simulate_study_non_finite_config_is_bad_input(tmp_path, capsys, override):
+    code = main(["simulate", "study", "--out", str(tmp_path), "--set", override])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert override.split("=")[0] in err["message"]
 
 
 def test_simulate_session_radiation_mean_three(tmp_path):

@@ -7,15 +7,17 @@ from spinenav.errors import CycleDetected, NoPath
 from spinenav.geom import (
     FrameGraph,
     RigidTransform,
+    axis_basis,
     compose,
     invert,
     resolve,
+    snap_rotation,
     transform_from_json,
     transform_point,
     transform_to_json,
 )
 
-from _helpers import random_rigid
+from _helpers import random_rigid, random_rotation
 
 RZ90 = RigidTransform.from_axis_angle((0, 0, 1), np.pi / 2)
 
@@ -89,6 +91,35 @@ def test_rotation_stays_orthonormal_over_long_chains():
         t = compose(t, step)
     assert np.max(np.abs(t.rotation.T @ t.rotation - np.eye(3))) < 1e-9
     assert abs(np.linalg.det(t.rotation) - 1.0) < 1e-9
+
+
+def test_snap_rotation_snaps_each_drifted_matrix_alone():
+    rng = np.random.default_rng(11)
+    rots = np.array([random_rotation(rng) for _ in range(4)])
+    rotation = rots[0]
+    assert snap_rotation(rotation) is rotation
+    drifted = rots.copy()
+    drifted[1] *= 1.0 + 1e-7
+    drifted[3] *= -(1.0 + 1e-7)  # a drifted reflection snaps to a rotation
+    out = snap_rotation(drifted)
+    assert np.array_equal(out[[0, 2]], rots[[0, 2]])
+    for i in (1, 3):
+        assert np.array_equal(out[i], snap_rotation(drifted[i]))
+        assert np.max(np.abs(out[i].T @ out[i] - np.eye(3))) < 1e-12
+        assert np.linalg.det(out[i]) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(out[1], rots[1], atol=1e-12)
+
+
+def test_axis_basis_is_right_handed_along_direction():
+    rng = np.random.default_rng(12)
+    directions = np.vstack([rng.normal(size=(200, 3)), np.eye(3), -np.eye(3),
+                            [[0.9, 0.1, 0.0], [0.95, 0.0, 0.1]]])
+    for d in directions:
+        x, y, z = axis_basis(d)
+        r = np.column_stack([x, y, z])
+        assert np.allclose(z, d / np.linalg.norm(d), atol=1e-15)
+        assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
+        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_invalid_rotation_rejected():

@@ -113,8 +113,8 @@ def test_fit_rigid_batch_matches_single():
     r, t = fit_rigid_batch(fixed, moving)
     for i in range(64):
         single = fit_rigid(fixed[i], moving[i])
-        assert np.max(np.abs(r[i] - single.rotation)) < 1e-11
-        assert np.max(np.abs(t[i] - single.translation)) < 1e-9
+        assert np.array_equal(r[i], single.rotation)
+        assert np.array_equal(t[i], single.translation)
 
 
 @pytest.mark.parametrize("n", [4, 6, 10])
@@ -355,6 +355,15 @@ def test_verify_rejects_above_threshold():
 
 def test_verify_boundary_accepts():
     assert verify_registration(_result_with_fre(2.0), 2.0).accepted
+
+
+def test_verify_rejects_unconverged_fit():
+    res = np.full(4, 0.1)
+    unconverged = RegistrationResult(RigidTransform.identity(), 0.1, tuple(res), 4,
+                                     converged=False)
+    decision = verify_registration(unconverged, 2.0)
+    assert not decision.accepted
+    assert "converge" in decision.reason
 
 
 # -- serialization ------------------------------------------------------------

@@ -18,7 +18,7 @@ from spinenav.simharness import (
     run_trial,
     sample_noisy_measurement,
     study_csv,
-    study_json,
+    study_report,
     summarize,
 )
 
@@ -69,6 +69,21 @@ def test_study_config_round_trip():
                       noise=NoiseModel(tracker_sigma0=0.4, seed=5))
     back = StudyConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_study_config_rejects_non_finite_jitter(value):
+    with pytest.raises(ValueError, match="view_jitter_deg"):
+        StudyConfig(view_jitter_deg=value)
+
+
+@pytest.mark.parametrize("name", ["user_groups", "tool_angles_deg",
+                                  "tracker_distances_mm", "detector_distances_mm"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_study_config_rejects_non_finite_factor(name, value):
+    values = (*getattr(StudyConfig(), name), value)
+    with pytest.raises(ValueError, match=name):
+        StudyConfig(**{name: values})
 
 
 # -- noise model --------------------------------------------------------------------
@@ -294,16 +309,15 @@ def test_summarize_byte_identical_reruns(tmp_path):
 def test_csv_schema_fixed():
     cfg = StudyConfig(samples_per_method=6)
     res = run_study(cfg, PHANTOM)
-    lines = [l for l in study_csv(res).splitlines() if not l.startswith("#")]
+    lines = [l for l in study_csv(study_report(res)).splitlines() if not l.startswith("#")]
     assert lines[0] == "method,modality,n,mean_mm,sd_mm,ci95_mm"
     assert len(lines) == 4
 
 
 def test_json_carries_both_ci_columns():
-    import json
     cfg = StudyConfig(samples_per_method=6)
     res = run_study(cfg, PHANTOM)
-    payload = json.loads(study_json(res))
+    payload = study_report(res)
     pooled = payload["methods"][0]["pooled"]
     assert "ci_mu_plus_1sigma_mm" in pooled
     assert "ci95_mu_plus_1p96sigma_mm" in pooled
@@ -311,9 +325,8 @@ def test_json_carries_both_ci_columns():
 
 
 def test_json_reports_pooled_navigation_row():
-    import json
     cfg = StudyConfig(samples_per_method=6)
     res = run_study(cfg, PHANTOM)
-    payload = json.loads(study_json(res))
+    payload = study_report(res)
     pooled = payload["navigation_pooled"]
     assert pooled["n"] == 12  # both navigation methods, no value asserted

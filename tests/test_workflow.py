@@ -141,6 +141,21 @@ def test_navigation_blocked_without_accepted_registration():
         advance(s, Event(K.BEGIN_NAVIGATION))
 
 
+def test_navigation_blocked_by_unconverged_registration():
+    unconverged = RegistrationResult(RigidTransform.identity(), 0.5,
+                                     (0.5, 0.5, 0.5, 0.5), 4, converged=False)
+    s = new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED)
+    for ev in [Event(K.ACQUIRE_PREOP_CT), Event(K.SUBMIT_PATIENT_DATA),
+               Event(K.APPROVE_PLAN, plan=_plan(), validation=GOOD_VALIDATION),
+               Event(K.FINISH_PLANNING), Event(K.PREPARE_OT),
+               Event(K.CALIBRATE_INSTRUMENTS), Event(K.ATTACH_DRB),
+               Event(K.MOUNT_CARM), Event(K.BEGIN_REGISTRATION),
+               Event(K.SUBMIT_REGISTRATION, registration=unconverged)]:
+        s = advance(s, ev)
+    with pytest.raises(GuardFailed, match="converge"):
+        advance(s, Event(K.BEGIN_NAVIGATION))
+
+
 def test_rejected_registration_loops_back():
     s = new_session(Mode.NAVIGATION_ONLY, Modality.INTRAOP_2D_AUTO_FIDUCIAL)
     for ev in [Event(K.ACQUIRE_PREOP_CT), Event(K.SUBMIT_PATIENT_DATA),
@@ -440,6 +455,48 @@ def test_replay_malformed_line_rejected(tmp_path):
     save_event_trace(s, path)
     path.write_text(path.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch):
+        replay_events(path)
+
+
+@pytest.mark.parametrize("line", [
+    "{}",
+    "[]",
+    '{"kind": "nope"}',
+    '{"kind": "approve_plan", "plan": {"level": "L1"}}',
+    '{"kind": "submit_registration", "registration": {"fre_rms_mm": 1.0}}',
+])
+def test_replay_malformed_event_rejected(tmp_path, line):
+    s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
+    path = tmp_path / "events.jsonl"
+    save_event_trace(s, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(2, line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match="line 3"):
+        replay_events(path)
+
+
+@pytest.mark.parametrize("header", [{"schema_version": 1},
+                                    {"schema_version": 1, "mode": "nope"}])
+def test_replay_malformed_header_rejected(tmp_path, header):
+    path = tmp_path / "events.jsonl"
+    path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match="header"):
+        replay_events(path)
+
+
+@pytest.mark.parametrize("event, error", [
+    ({"kind": "complete_session"}, IllegalTransition),
+    ({"kind": "finish_planning"}, GuardFailed),
+])
+def test_replay_propagates_advance_errors(tmp_path, event, error):
+    s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
+    path = tmp_path / "events.jsonl"
+    save_event_trace(s, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(3, json.dumps(event))  # after acquire_preop_ct, submit_patient_data
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(error):
         replay_events(path)
 
 
