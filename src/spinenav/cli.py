@@ -28,7 +28,7 @@ from .calibration import (
     register_patient_2d,
     reprojection_rms,
 )
-from .fileio import atomic_write, csv_with_provenance, provenance
+from .fileio import atomic_write, csv_with_provenance, provenance, write_json
 from .geom import RigidTransform, transform_from_dict, transform_to_dict
 from .planning import (
     breach_depth,
@@ -97,8 +97,7 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 def _write_json(path: Path, payload: dict, seed: int,
                 config: dict | None = None) -> None:
-    payload = {"provenance": provenance(seed, config), **payload}
-    atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_json(path, {"provenance": provenance(seed, config), **payload})
 
 
 def _write_csv(path: Path, body: str, seed: int, config: dict | None = None) -> None:
@@ -225,13 +224,9 @@ def cmd_plan_validate(args) -> int:
 
 
 def _study_config(raw: dict, args) -> StudyConfig:
-    """StudyConfig from a config dict, with --seed and --threads applied."""
+    """StudyConfig from a config dict, with --seed applied."""
     config = StudyConfig.from_dict(raw)
-    if args.seed is not None:
-        config = replace(config, noise=replace(config.noise, seed=args.seed))
-    if args.threads:
-        config = replace(config, threads=args.threads)
-    return config
+    return replace(config, noise=replace(config.noise, seed=args.seed))
 
 
 def cmd_simulate(args) -> int:
@@ -254,7 +249,9 @@ def cmd_simulate(args) -> int:
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown session config keys {sorted(unknown)}")
-    screws = int(raw.get("screws", 2))
+    screws = raw.get("screws", 2)
+    if isinstance(screws, bool) or not isinstance(screws, int):
+        raise ValueError(f"screws must be an integer, got {screws!r}")
     multiplier = float(raw.get("noise_multiplier", 1.0))
     config = _study_config(raw.get("study", {}), args)
     levels = max((screws + 1) // 2, 1)
@@ -365,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for what in ("study", "session"):
         pp = ps.add_parser(what, parents=[common])
         pp.add_argument("--threads", type=int, default=0,
-                        help="trial worker threads (simulate study)")
+                        help="accepted for compatibility; no longer changes "
+                             "execution (trials run serially)")
         pp.add_argument("--phantom-seed", type=int, default=42)
         pp.set_defaults(func=cmd_simulate)
 

@@ -1,6 +1,6 @@
 """Report output shared by the CLI, the simulation harness and the
-workflow session store: atomic writes, provenance records and the CSV
-provenance header."""
+workflow session store: atomic writes, the JSON report layout, provenance
+records and the CSV provenance header."""
 
 from __future__ import annotations
 
@@ -45,6 +45,11 @@ def atomic_write(path, data: str | bytes) -> None:
             raise
     except OSError as err:
         raise IOFailure(str(err)) from err
+
+
+def write_json(path, doc: dict) -> None:
+    """Atomic JSON report: keys sorted, one-space indent, trailing newline."""
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def provenance(seed: int, config: dict | None = None) -> dict:

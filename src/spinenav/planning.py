@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import LevelMismatch, NegativeBreach
 
-BREACH_SAMPLE_SPACING_MM = 0.25
 GRADE_ORDER = "ABCDE"
 
 
@@ -100,8 +99,7 @@ class PedicleModel:
 
     def radius_at(self, s):
         """Linear interpolation of the corridor radius at s (clamped)."""
-        svals = np.array([p[0] for p in self.radius_profile])
-        rvals = np.array([p[1] for p in self.radius_profile])
+        svals, rvals = zip(*self.radius_profile)
         return np.interp(np.clip(s, 0.0, 1.0), svals, rvals)
 
     def max_radius(self) -> float:
@@ -164,39 +162,46 @@ class PlanDeviation:
     tip_offset_mm: float
 
 
-def _screw_axis_samples(screw: ScrewPlan, pedicle: PedicleModel):
-    """Centerline samples at <= 0.25 mm spacing with their corridor-axis
-    projection s and perpendicular distance to the corridor axis."""
-    n = max(int(np.ceil(screw.length / BREACH_SAMPLE_SPACING_MM)), 1)
-    t = np.linspace(0.0, 1.0, n + 1)
-    pts = screw.entry[None, :] + (t * screw.length)[:, None] * screw.direction[None, :]
+def _max_depth(screw: ScrewPlan, pedicle: PedicleModel) -> tuple:
+    """(depth, enters): the signed maximum of rho + r_screw -
+    corridor_radius(s) over the in-pedicle part of the shaft (negative:
+    minus the smallest clearance), and whether the shaft enters [0, 1].
+
+    On each profile piece rho (the norm of an affine function) is convex and
+    the radius affine, so the depth peaks at a shaft end or a knot crossing
+    (s = 0 and 1 included), graded at the knot's own s so rounding cannot
+    drop it. A shaft wholly outside [0, 1] is graded at its end(s) closest
+    to the corridor, against the radius at the clamped s.
+    """
     axis = pedicle.p1 - pedicle.p0
-    ax_len_sq = float(axis @ axis)
-    s = (pts - pedicle.p0) @ axis / ax_len_sq
-    perp = pts - (pedicle.p0[None, :] + s[:, None] * axis[None, :])
-    rho = np.linalg.norm(perp, axis=1)
-    return s, rho
+    ends = screw.entry + np.array([[0.0], [screw.length]]) * screw.direction
+    s_ends = (ends - pedicle.p0) @ axis / float(axis @ axis)
+    knots = np.array([k for k, _ in pedicle.radius_profile])
+    knots = knots[(knots > s_ends.min()) & (knots < s_ends.max())]
+    t = (knots - s_ends[0]) / (s_ends[1] - s_ends[0])
+    pts = np.vstack([ends, screw.entry + (t * screw.length)[:, None] * screw.direction])
+    s = np.concatenate([s_ends, knots])
+    inside = (s >= 0.0) & (s <= 1.0)
+    enters = bool(np.any(inside))
+    if not enters:
+        gap = np.abs(np.clip(s_ends, 0.0, 1.0) - s_ends)
+        inside[:2] = gap == gap.min()
+    rho = np.linalg.norm(pts[inside] - (pedicle.p0 + s[inside, None] * axis), axis=1)
+    depth = np.max(rho + screw.diameter / 2.0 - pedicle.radius_at(s[inside]))
+    return float(depth), enters
 
 
 def breach_depth(screw: ScrewPlan, pedicle: PedicleModel) -> float:
     """Deepest radial protrusion of the screw surface beyond the corridor
     wall, over the in-pedicle portion of the shaft (mm, 0 when contained).
 
-    The screw surface sits diameter/2 outside its centerline, so each sample
-    contributes max(0, rho + r_screw - corridor_radius(s)). Samples whose
-    axis projection falls outside [0, 1] are not inside the pedicle; if the
-    whole shaft misses the corridor longitudinally, the clearance at the
-    closest approach (clamped s) is reported.
+    The screw surface sits diameter/2 outside its centerline, so this is the
+    exact maximum of max(0, rho + r_screw - corridor_radius(s)) over shaft
+    points whose axis projection s lies in [0, 1]; if the whole shaft misses
+    the corridor longitudinally, the clearance at the closest approach
+    (clamped s) is reported.
     """
-    s, rho = _screw_axis_samples(screw, pedicle)
-    r_screw = screw.diameter / 2.0
-    inside = (s >= 0.0) & (s <= 1.0)
-    if not np.any(inside):
-        k = int(np.argmin(np.abs(np.clip(s, 0.0, 1.0) - s)))
-        return float(max(0.0, rho[k] + r_screw - float(pedicle.radius_at(s[k]))))
-    r_corr = pedicle.radius_at(s[inside])
-    depth = rho[inside] + r_screw - r_corr
-    return float(max(0.0, float(np.max(depth))))
+    return max(0.0, _max_depth(screw, pedicle)[0])
 
 
 def grade_gertzbein(breach_mm: float) -> Grade:
@@ -230,17 +235,12 @@ def plan_deviation(plan: ScrewPlan, achieved: ScrewPlan) -> PlanDeviation:
 
 def validate_plan(plan: ScrewPlan, pedicle: PedicleModel,
                   safety_margin_mm: float = 0.5) -> PlanValidation:
-    """Accept iff the screw is fully contained and clears the corridor wall
-    by at least the safety margin everywhere inside the pedicle."""
-    breach = breach_depth(plan, pedicle)
-    s, rho = _screw_axis_samples(plan, pedicle)
-    inside = (s >= 0.0) & (s <= 1.0)
-    if np.any(inside):
-        clearance = pedicle.radius_at(s[inside]) - (rho[inside] + plan.diameter / 2.0)
-        min_clear = float(np.min(clearance))
-    else:
-        min_clear = -breach
-    accepted = breach == 0.0 and min_clear >= safety_margin_mm
+    """Accept iff the screw enters the pedicle, is fully contained and clears
+    the corridor wall by at least the safety margin everywhere inside it."""
+    depth, enters = _max_depth(plan, pedicle)
+    breach = max(0.0, depth)
+    min_clear = 0.0 - depth  # +0.0, not -0.0, at zero clearance
+    accepted = enters and breach == 0.0 and min_clear >= safety_margin_mm
     return PlanValidation(accepted, breach, min_clear)
 
 

@@ -9,15 +9,13 @@ per screw and grades the simulated outcomes, tallying C-arm exposures.
 
 Every operation is a pure function of (inputs, seed): trials draw from
 independent generators spawned per (method, trial) so results are identical
-across repeat runs and thread counts.
+across repeat runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import calibration as cal
 from .errors import DegenerateSpec, GuardFailed, SpineNavError
-from .fileio import atomic_write, csv_with_provenance, provenance
+from .fileio import atomic_write, csv_with_provenance, provenance, write_json
 from .geom import RigidTransform, axis_basis, compose, invert
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
@@ -143,6 +141,10 @@ class PhantomSpec:
     levels: int = 3
     fiducial_count: int = 6
     extent_mm: float = 160.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.extent_mm):
+            raise ValueError("extent_mm must be finite")
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,7 @@ class StudyConfig:
     samples_per_method: int = 150
     noise: NoiseModel = field(default_factory=NoiseModel)
     view_jitter_deg: float = 5.0
-    threads: int = 1
+    threads: int = 1  # accepted but unused: trials run serially
 
     def __post_init__(self):
         if self.samples_per_method < 1:
@@ -303,9 +305,8 @@ class StudyConfig:
                 for td in self.tracker_distances_mm for dd in det]
 
     def to_dict(self) -> dict:
-        # threads is an execution knob, not experiment identity: results are
-        # thread-count independent, so it stays out of serialized configs
-        # (and out of the provenance hash)
+        # threads is not experiment identity, so it stays out of serialized
+        # configs (and out of the provenance hash)
         return {"modality": self.modality.value,
                 "robot_assisted": self.robot_assisted,
                 "user_groups": list(self.user_groups),
@@ -510,19 +511,14 @@ def _trial_rng(study_seed: int, method_key: int, trial_idx: int) -> np.random.Ge
 def run_study(config: StudyConfig, phantom: Phantom,
               methods=DEFAULT_METHODS) -> StudyResult:
     """Exactly samples_per_method trials per method, balanced round-robin
-    over the factor cells; deterministic for a given config.noise.seed and
-    independent of the thread count."""
+    over the factor cells, run serially (config.threads is ignored: a thread
+    pool only slowed the study); deterministic for a given config.noise.seed."""
     out = []
     for method in methods:
         cells = config.cells(method.modality)
-        specs = [(phantom, method, cells[t % len(cells)], config,
-                  _trial_rng(config.noise.seed, method.stream_key(), t))
-                 for t in range(config.samples_per_method)]
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                trials = list(pool.map(lambda s: run_trial(*s), specs))
-        else:
-            trials = [run_trial(*s) for s in specs]
+        trials = [run_trial(phantom, method, cells[t % len(cells)], config,
+                            _trial_rng(config.noise.seed, method.stream_key(), t))
+                  for t in range(config.samples_per_method)]
         ok = [t for t in trials if t.ok]
         cell_stats = []
         for cell in cells:
@@ -774,5 +770,5 @@ def summarize(result: StudyResult, out_dir) -> dict:
              "json": out_dir / "study_results.json"}
     report = study_report(result)
     atomic_write(paths["csv"], study_csv(report))
-    atomic_write(paths["json"], json.dumps(report, sort_keys=True, indent=1) + "\n")
+    write_json(paths["json"], report)
     return paths

@@ -231,6 +231,17 @@ def test_simulate_session_radiation_mean_three(tmp_path):
     assert (tmp_path / "session_grades.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["Infinity", "2.7"])
+def test_simulate_session_non_integer_screws_is_bad_input(tmp_path, capsys, value):
+    code = main(["simulate", "session", "--out", str(tmp_path),
+                 "--set", f"screws={value}"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "screws" in err["message"]
+    assert not (tmp_path / "session_report.json").exists()
+
+
 def test_simulate_seed_echoed_in_outputs(tmp_path):
     code = main(["simulate", "study", "--out", str(tmp_path), "--seed", "777",
                  "--set", "samples_per_method=6"])

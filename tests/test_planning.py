@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinenav.errors import LevelMismatch, NegativeBreach
+from spinenav.geom import axis_basis
 from spinenav.planning import (
     PedicleModel,
     ScrewPlan,
+    _max_depth,
     breach_depth,
     grade_gertzbein,
     grade_report_csv,
@@ -127,6 +131,79 @@ def test_breach_far_screw_reports_full_clearance():
     assert b == pytest.approx(30.0 + 3.0 - 4.0, abs=1e-9)
 
 
+def test_breach_exact_at_knot_between_samples():
+    # the waist knot at s = 0.503 (20.12 mm) falls between 0.25 mm samples;
+    # the exact breach there is 3 - 1 = 2.0, which grades C, not B
+    pedicle = PedicleModel("L3-left", np.zeros(3), np.array([0.0, 0.0, AXIS_LEN]),
+                           ((0.0, 4.0), (0.503, 1.0), (1.0, 4.0)))
+    b = breach_depth(_screw(), pedicle)
+    assert b == 2.0
+    assert grade_gertzbein(b).value == "C"
+
+
+def test_breach_shaft_outside_corridor_grades_deeper_end_on_tie():
+    # perpendicular shaft below s = 0: both ends are equally close to the
+    # corridor, so the deeper one (30 mm off axis) is graded
+    screw = _screw(entry=(-10.0, 0.0, -5.0), direction=(1.0, 0.0, 0.0))
+    assert breach_depth(screw, _pedicle(waist=4.0)) == 30.0 + 3.0 - 4.0
+
+
+def _sampled_depth(screw, pedicle, spacing=0.25):
+    """Signed maximum depth over centerline samples at <= spacing mm, which
+    can only miss the exact maximum; a shaft wholly outside s in [0, 1] is
+    graded at its first closest sample, against the clamped radius."""
+    n = max(int(np.ceil(screw.length / spacing)), 1)
+    t = np.linspace(0.0, 1.0, n + 1)
+    pts = screw.entry + (t * screw.length)[:, None] * screw.direction
+    axis = pedicle.p1 - pedicle.p0
+    s = (pts - pedicle.p0) @ axis / float(axis @ axis)
+    rho = np.linalg.norm(pts - (pedicle.p0 + s[:, None] * axis), axis=1)
+    depth = rho + screw.diameter / 2.0 - pedicle.radius_at(s)
+    inside = (s >= 0.0) & (s <= 1.0)
+    if not np.any(inside):
+        return float(depth[np.argmin(np.abs(np.clip(s, 0.0, 1.0) - s))])
+    return float(np.max(depth[inside]))
+
+
+@st.composite
+def _screw_in_corridor(draw):
+    """A corridor with 1-3 interior knots and a screw within ~57 degrees of
+    its axis, entering anywhere from well before to well past it."""
+    def f(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    theta, phi = f(0.0, np.pi), f(0.0, 2.0 * np.pi)
+    axis_dir = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.cos(theta)])
+    u, v, _ = axis_basis(axis_dir)
+    knots = sorted(draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3,
+                                 unique=True)))
+    profile = ([(0.0, f(1.0, 6.0))] + [(k, f(1.0, 6.0)) for k in knots]
+               + [(1.0, f(1.0, 6.0))])
+    p0 = np.array([f(-20.0, 20.0) for _ in range(3)])
+    corridor = f(25.0, 50.0)
+    pedicle = PedicleModel("L", p0, p0 + corridor * axis_dir, tuple(profile))
+    tilt, spin = f(0.0, 1.0), f(0.0, 2.0 * np.pi)
+    lateral = np.cos(spin) * u + np.sin(spin) * v
+    d = np.cos(tilt) * axis_dir + np.sin(tilt) * lateral
+    entry = p0 + f(0.0, 6.0) * lateral + f(-60.0, 40.0) * axis_dir
+    screw = ScrewPlan("L", entry, d / np.linalg.norm(d), f(2.0, 10.0),
+                      f(20.0, 100.0))
+    return screw, pedicle
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_screw_in_corridor())
+def test_exact_depth_bounds_sampled_and_sets_clearance(case):
+    screw, pedicle = case
+    depth, _ = _max_depth(screw, pedicle)
+    assert depth >= _sampled_depth(screw, pedicle) - 1e-12
+    assert breach_depth(screw, pedicle) == max(0.0, depth)
+    v = validate_plan(screw, pedicle)
+    assert v.breach_mm == max(0.0, depth)
+    assert v.min_clearance_mm == -depth
+
+
 # -- grading ----------------------------------------------------------------------
 
 
@@ -210,6 +287,21 @@ def test_validate_rejects_touching_plan():
     assert not v.accepted
     assert v.breach_mm == 0.0
     assert v.min_clearance_mm == pytest.approx(0.0, abs=1e-9)
+
+
+def test_validate_zero_clearance_is_positive_zero():
+    v = validate_plan(_screw(), _pedicle(waist=3.0, ends=4.0), safety_margin_mm=0.5)
+    assert repr(v.min_clearance_mm) == "0.0"
+
+
+def test_validate_rejects_shaft_that_never_enters_pedicle():
+    # coaxial shaft 10-50 mm behind the entry: clearance 4 - 3 = 1 mm at its
+    # closest end, but no part of it is inside the pedicle
+    v = validate_plan(_screw(entry=(0.0, 0.0, -50.0)), _pedicle(waist=4.0),
+                      safety_margin_mm=0.5)
+    assert not v.accepted
+    assert v.breach_mm == 0.0
+    assert v.min_clearance_mm == 1.0
 
 
 def test_validate_rejects_breaching_plan_with_depth():

@@ -45,6 +45,12 @@ def test_phantom_rejects_degenerate_spec():
         generate_phantom(PhantomSpec(levels=0), seed=1)
 
 
+@pytest.mark.parametrize("extent", [float("nan"), float("inf"), float("-inf")])
+def test_phantom_spec_rejects_non_finite_extent(extent):
+    with pytest.raises(ValueError, match="extent_mm"):
+        PhantomSpec(extent_mm=extent)
+
+
 def test_phantom_default_extent_and_radii_over_100_seeds():
     for seed in range(100):
         ph = generate_phantom(PhantomSpec(), seed=seed)
