@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     CoplanarPoints,
@@ -426,6 +425,8 @@ def detect_fiducials(image: SyntheticProjectionImage, pattern,
     Raises TooFewBlobs (< 4 blobs) or PatternAmbiguous when more than one
     assignment is consistent within tolerance_mm.
     """
+    from scipy import ndimage  # imported here: no CLI command detects blobs
+
     labels = list(pattern.keys())
     expected = np.asarray([pattern[l] for l in labels], dtype=float)
 

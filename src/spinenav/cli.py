@@ -161,6 +161,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_register(args) -> int:
+    if not np.isfinite(args.threshold):
+        raise ValueError(f"--threshold must be finite, got {args.threshold!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.method == "points":
@@ -202,6 +204,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_plan_validate(args) -> int:
+    if not np.isfinite(args.margin):
+        raise ValueError(f"--margin must be finite, got {args.margin!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     plans = plans_from_json(Path(args.plans).read_text(encoding="utf-8"))

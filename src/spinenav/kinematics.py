@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _Rotation
 
 from .errors import LimitViolation, NoSafePath, Unreachable
 from .geom import RigidTransform, axis_basis, snap_rotation
@@ -228,25 +227,30 @@ def fk(model: RobotModel, q) -> RigidTransform:
     return RigidTransform(snap_rotation(m[:3, :3]), m[:3, 3])
 
 
+def _jacobian(frames: list) -> np.ndarray:
+    """Geometric Jacobian from the fk_frames of a configuration."""
+    joints = np.array(frames[:6])
+    z, p = joints[:, :3, 2], joints[:, :3, 3]
+    return np.vstack([np.cross(z, frames[-1][:3, 3] - p).T, z.T])
+
+
 def jacobian(model: RobotModel, q) -> np.ndarray:
     """Geometric Jacobian at q: rows 0-2 linear (mm/rad), 3-5 angular."""
-    frames = fk_frames(model, q)
-    p_end = frames[-1][:3, 3]
-    j = np.zeros((6, 6))
-    for i in range(6):
-        z = frames[i][:3, 2]
-        p = frames[i][:3, 3]
-        j[:3, i] = np.cross(z, p_end - p)
-        j[3:, i] = z
-    return j
+    return _jacobian(fk_frames(model, q))
 
 
-def _pose_error(current: np.ndarray, target: RigidTransform):
-    """Position error (mm) and rotation-vector error (rad) flange->target."""
-    pos_err = target.translation - current[:3, 3]
-    r_err = target.rotation @ current[:3, :3].T
-    rot_vec = _Rotation.from_matrix(r_err).as_rotvec()
-    return pos_err, rot_vec
+def _rotation_log(r: np.ndarray) -> np.ndarray:
+    """Rotation vector (axis times angle in [0, pi], rad) of rotation r."""
+    s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    cos = 0.5 * (np.trace(r) - 1.0)
+    angle = np.arctan2(np.linalg.norm(s), cos)
+    if cos > -0.5:  # below 120 deg, s = sin(angle) * axis is well conditioned
+        return s / np.sinc(angle / np.pi)
+    # near pi s vanishes: the symmetric part is (1 - cos) axis axis^T
+    b = 0.5 * (r + r.T) - cos * np.eye(3)
+    k = int(np.argmax(np.diag(b)))
+    axis = b[:, k] / np.linalg.norm(b[:, k])
+    return angle * axis if s[k] >= 0.0 else -angle * axis
 
 
 _ROT_SCALE_MM = 100.0  # characteristic length making rad comparable to mm
@@ -259,23 +263,26 @@ def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray,
     lam = damping
 
     def error(qv):
+        """Stacked error, position error (mm), rotation vector (rad), frames."""
         frames = fk_frames(model, qv)
-        pos_err, rot_vec = _pose_error(frames[-1], target)
-        return np.concatenate([pos_err, rot_vec * _ROT_SCALE_MM]), pos_err, rot_vec
+        pos_err = target.translation - frames[-1][:3, 3]
+        rot_vec = _rotation_log(target.rotation @ frames[-1][:3, :3].T)
+        return (np.concatenate([pos_err, rot_vec * _ROT_SCALE_MM]), pos_err,
+                rot_vec, frames)
 
-    e, pos_err, rot_vec = error(q)
+    e, pos_err, rot_vec, frames = error(q)
     for _ in range(max_iter):
         if np.linalg.norm(pos_err) < tol_mm and np.linalg.norm(rot_vec) < tol_rad:
             return q, True
-        j = jacobian(model, q)
+        j = _jacobian(frames)
         j[3:, :] *= _ROT_SCALE_MM
         jt = j.T
         for _ in range(40):  # adaptive damping: double until the step helps
             step = jt @ np.linalg.solve(j @ jt + lam ** 2 * np.eye(6), e)
             step = np.clip(step, -0.4, 0.4)
-            e_new, pos_new, rot_new = error(q + step)
-            if np.linalg.norm(e_new) < np.linalg.norm(e):
-                q, e, pos_err, rot_vec = q + step, e_new, pos_new, rot_new
+            trial = error(q + step)
+            if np.linalg.norm(trial[0]) < np.linalg.norm(e):
+                q, (e, pos_err, rot_vec, frames) = q + step, trial
                 lam = max(damping, lam / 1.5)
                 break
             lam *= 2.0
@@ -316,15 +323,10 @@ def ik(model: RobotModel, target: RigidTransform, seed: JointVector,
     solutions exist only outside the joint limits.
     """
     converged_any = False
-    q, ok = _dls_solve(model, target, seed.q, tol_mm, tol_rad, max_iter, damping)
-    if ok:
-        converged_any = True
-        q = _wrap_into_limits(model, q)
-        if model.within_limits(q):
-            return JointVector(q)
     rng = np.random.default_rng(restart_seed)
-    for _ in range(restarts):
-        q0 = rng.uniform(model.joint_limits[:, 0], model.joint_limits[:, 1])
+    for attempt in range(restarts + 1):
+        q0 = (seed.q if attempt == 0 else
+              rng.uniform(model.joint_limits[:, 0], model.joint_limits[:, 1]))
         q, ok = _dls_solve(model, target, q0, tol_mm, tol_rad, max_iter, damping)
         if ok:
             converged_any = True
@@ -473,27 +475,25 @@ def _world_capsules(model: RobotModel, q):
                              m[:3, :3] @ c.p1 + m[:3, 3], c.radius)
 
 
+def _clearances(model: RobotModel, scene: CollisionScene, q):
+    """Yields (link_index, obstacle_label, clearance_mm) for every pair."""
+    q = q.q if isinstance(q, JointVector) else np.asarray(q, dtype=float)
+    for link_idx, cap in _world_capsules(model, q):
+        for label, obs in scene.obstacles:
+            yield link_idx, label, capsule_distance(cap, obs)
+
+
 def check_collision(model: RobotModel, scene: CollisionScene, q) -> list:
     """All (link_index, obstacle_label, clearance_mm) pairs whose clearance
     falls below the scene's safety margin."""
-    q = q.q if isinstance(q, JointVector) else np.asarray(q, dtype=float)
-    hits = []
-    for link_idx, cap in _world_capsules(model, q):
-        for label, obs in scene.obstacles:
-            d = capsule_distance(cap, obs)
-            if d < scene.safety_margin:
-                hits.append((link_idx, label, d))
-    return hits
+    return [hit for hit in _clearances(model, scene, q)
+            if hit[2] < scene.safety_margin]
 
 
 def min_clearance(model: RobotModel, scene: CollisionScene, q) -> float:
     """Smallest clearance over all link/obstacle pairs (inf when empty)."""
-    q = q.q if isinstance(q, JointVector) else np.asarray(q, dtype=float)
-    best = np.inf
-    for _, cap in _world_capsules(model, q):
-        for _, obs in scene.obstacles:
-            best = min(best, capsule_distance(cap, obs))
-    return float(best)
+    return float(min((d for _, _, d in _clearances(model, scene, q)),
+                     default=np.inf))
 
 
 def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,

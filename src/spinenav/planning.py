@@ -31,6 +31,8 @@ class ScrewPlan:
     def __post_init__(self):
         e = np.array(self.entry, dtype=float).reshape(3)
         d = np.array(self.direction, dtype=float).reshape(3)
+        if not np.all(np.isfinite([e, d])):
+            raise ValueError("screw entry and direction must be finite")
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise ValueError("screw direction must be a unit vector")
         if not 2.0 <= self.diameter <= 10.0:
@@ -85,6 +87,8 @@ class PedicleModel:
     def __post_init__(self):
         p0 = np.array(self.p0, dtype=float).reshape(3)
         p1 = np.array(self.p1, dtype=float).reshape(3)
+        if not np.all(np.isfinite([p0, p1])):
+            raise ValueError("corridor endpoints p0 and p1 must be finite")
         prof = tuple((float(s), float(r)) for s, r in self.radius_profile)
         svals = [s for s, _ in prof]
         if svals[0] != 0.0 or svals[-1] != 1.0 or np.any(np.diff(svals) <= 0):

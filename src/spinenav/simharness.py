@@ -282,7 +282,10 @@ class StudyConfig:
     threads: int = 1  # accepted but unused: trials run serially
 
     def __post_init__(self):
-        if self.samples_per_method < 1:
+        n = self.samples_per_method
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"samples_per_method must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("samples_per_method must be >= 1")
         if not math.isfinite(self.view_jitter_deg):
             raise ValueError("view_jitter_deg must be finite")

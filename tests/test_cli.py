@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +10,25 @@ import pytest
 from spinenav.cli import main
 from spinenav.geom import RigidTransform, transform_to_dict
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
 
 
 def _read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def test_cli_import_loads_neither_scipy_spatial_nor_ndimage():
+    # every command pays for the CLI's imports on a cold start
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, spinenav.cli; print([m for m in "
+            "('scipy.spatial', 'scipy.ndimage') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- calibrate ---------------------------------------------------------------------
@@ -119,6 +136,29 @@ def test_register_label_mismatch_is_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+_REGISTER_POINTS = ["register", "points", "--fixed", str(DATA / "fiducials_fixed.json"),
+                    "--moving", str(DATA / "fiducials_moving.json")]
+_PLAN_VALIDATE = ["plan", "validate", "--plans", str(DATA / "achieved_screws.json"),
+                  "--pedicles", str(DATA / "pedicles.json")]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_REGISTER_POINTS, "--threshold", "nan"),
+    (_REGISTER_POINTS, "--threshold", "inf"),
+    (_PLAN_VALIDATE, "--margin", "nan"),
+    (_PLAN_VALIDATE, "--margin", "-inf"),
+])
+def test_non_finite_threshold_or_margin_is_bad_input(tmp_path, capsys, argv, flag,
+                                                     value):
+    out = tmp_path / "out"
+    code = main([*argv, f"{flag}={value}", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert flag in err["message"]
+    assert not out.exists()
+
+
 # -- plan validate / grade -----------------------------------------------------------
 
 
@@ -212,7 +252,9 @@ def test_simulate_study_unknown_key_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("override", ["view_jitter_deg=NaN", "view_jitter_deg=Infinity",
                                       "user_groups=[NaN]", "tool_angles_deg=[0, NaN]",
                                       "tracker_distances_mm=[-Infinity]",
-                                      "detector_distances_mm=[300, NaN]"])
+                                      "detector_distances_mm=[300, NaN]",
+                                      "samples_per_method=2.5",
+                                      "samples_per_method=Infinity"])
 def test_simulate_study_non_finite_config_is_bad_input(tmp_path, capsys, override):
     code = main(["simulate", "study", "--out", str(tmp_path), "--set", override])
     assert code == 2

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from spinenav.errors import LimitViolation, NoSafePath, Unreachable
 from spinenav.geom import RigidTransform
@@ -9,6 +12,8 @@ from spinenav.kinematics import (
     JointVector,
     RobotModel,
     Trajectory,
+    _jacobian,
+    _rotation_log,
     capsule_distance,
     check_collision,
     default_robot,
@@ -74,7 +79,6 @@ def test_fk_periodic_in_each_joint():
 
 def _numeric_pose_delta(q, dq):
     """Finite-difference twist: linear mm, angular rad (central differences)."""
-    from scipy.spatial.transform import Rotation
     h = 1e-6
     f_plus = fk(MODEL, q + h * dq)
     f_minus = fk(MODEL, q - h * dq)
@@ -97,6 +101,43 @@ def test_jacobian_matches_finite_differences():
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1.0)
         worst = max(worst, rel)
     assert worst <= 1e-5
+
+
+def test_jacobian_is_frames_jacobian_and_matches_column_loop():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        q = _random_q(rng)
+        frames = fk_frames(MODEL, q)
+        loop = np.zeros((6, 6))  # one column per joint, crossed one at a time
+        for i in range(6):
+            z, p = frames[i][:3, 2], frames[i][:3, 3]
+            loop[:3, i] = np.cross(z, frames[-1][:3, 3] - p)
+            loop[3:, i] = z
+        assert np.array_equal(jacobian(MODEL, q), _jacobian(frames))
+        assert np.array_equal(_jacobian(frames), loop)
+
+
+_ANGLES = st.one_of(
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 1e-6),                        # near 0
+    st.floats(np.pi - 1e-6, np.pi),              # near pi
+    st.just(np.pi),
+    st.floats(2.0 * np.pi / 3.0 - 1e-9, 2.0 * np.pi / 3.0 + 1e-9),  # branch switch
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 1e-3), _ANGLES)
+def test_rotation_log_matches_scipy(axis, angle):
+    axis = np.asarray(axis) / np.linalg.norm(axis)
+    r = Rotation.from_rotvec(angle * axis).as_matrix()
+    ref = Rotation.from_matrix(r).as_rotvec()
+    got = _rotation_log(r)
+    err = np.max(np.abs(got - ref))
+    if angle == np.pi:  # axis and -axis name the same half-turn
+        err = min(err, np.max(np.abs(got + ref)))
+    assert err <= 1e-12
 
 
 def test_jacobian_singular_at_wrist_singularity():

@@ -271,6 +271,25 @@ def test_plan_deviation_level_mismatch():
         plan_deviation(_screw(level="L3-left"), _screw(level="L4-left"))
 
 
+@pytest.mark.parametrize("field", ["entry", "direction"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_screw_plan_rejects_non_finite(field, bad):
+    values = {"entry": np.zeros(3), "direction": np.array([0.0, 0.0, 1.0])}
+    values[field][0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ScrewPlan("L3-left", values["entry"], values["direction"], 6.0, AXIS_LEN)
+
+
+@pytest.mark.parametrize("field", ["p0", "p1"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_pedicle_model_rejects_non_finite(field, bad):
+    values = {"p0": np.zeros(3), "p1": np.array([0.0, 0.0, AXIS_LEN])}
+    values[field][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PedicleModel("L3-left", values["p0"], values["p1"],
+                     ((0.0, 4.0), (1.0, 4.0)))
+
+
 # -- validate_plan ------------------------------------------------------------------
 
 
