@@ -2,10 +2,13 @@
 capsule-based collision checking.
 
 The robot is described by standard Denavit-Hartenberg rows; forward
-kinematics is the product of the six link transforms, inverse kinematics is
-damped least squares with adaptive damping and seeded restarts. Tool-axis
-targets are 5-DOF tasks (roll about the tool axis is free), and the planner
-exploits that free roll to steer around obstacles.
+kinematics is the product of the six link transforms, for one joint row or a
+stack of rows, and inverse kinematics is damped least squares with adaptive
+damping and seeded restarts. Tool-axis targets are 5-DOF tasks (roll about
+the tool axis is free), and the planner exploits that free roll to steer
+around obstacles. Collision checking fills one clearance table (rows x link
+capsules x obstacles) per trajectory; one-configuration queries are one-row
+views of it.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ class Capsule:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("capsule radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("capsule radius must be positive and finite")
         for name in ("p0", "p1"):
             v = np.array(getattr(self, name), dtype=float).reshape(3)
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"capsule {name} must be finite")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
@@ -55,16 +60,24 @@ class RobotModel:
     def __post_init__(self):
         dh = np.array(self.dh_rows, dtype=float).reshape(6, 4)
         lim = np.array(self.joint_limits, dtype=float).reshape(6, 2)
+        if not (np.all(np.isfinite(dh)) and np.all(np.isfinite(lim))):
+            raise ValueError("DH rows and joint limits must be finite")
         if np.any(lim[:, 0] >= lim[:, 1]):
             raise ValueError("joint limits must satisfy min < max")
         caps = tuple(tuple(c for c in link) for link in self.link_capsules)
         if len(caps) != 6:
             raise ValueError("link_capsules must have one entry per joint")
-        dh.setflags(write=False)
-        lim.setflags(write=False)
+        # rows 2 and 3 of each DH link transform, (0, sin a, cos a, d) and
+        # (0, 0, 0, 1), do not depend on q: built once here
+        links = np.zeros((6, 4, 4))
+        links[:, 2, 1], links[:, 2, 2] = np.sin(dh[:, 1]), np.cos(dh[:, 1])
+        links[:, 2, 3], links[:, 3, 3] = dh[:, 2], 1.0
+        for v in (dh, lim, links):
+            v.setflags(write=False)
         object.__setattr__(self, "dh_rows", dh)
         object.__setattr__(self, "joint_limits", lim)
         object.__setattr__(self, "link_capsules", caps)
+        object.__setattr__(self, "_dh_links", links)
 
     def clamp(self, q: np.ndarray) -> np.ndarray:
         return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
@@ -128,6 +141,8 @@ class Trajectory:
         q = np.array(self.joints, dtype=float).reshape(len(t), 6)
         if len(t) < 1:
             raise ValueError("trajectory needs at least one sample")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
+            raise ValueError("trajectory times and joints must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("trajectory times must strictly increase")
         t.setflags(write=False)
@@ -158,8 +173,14 @@ class Trajectory:
     @staticmethod
     def from_csv(text: str, planning_mode: str = "loaded",
                  collision_checked: bool = False) -> "Trajectory":
-        rows = [r for r in text.strip().splitlines()[1:] if r]
-        vals = np.array([[float(v) for v in r.split(",")] for r in rows])
+        rows = [r.split(",") for r in text.strip().splitlines()[1:] if r]
+        if not rows:
+            raise ValueError("trajectory CSV has no sample rows")
+        short = [k for k, fields in enumerate(rows, start=1) if len(fields) != 7]
+        if short:
+            raise ValueError(f"trajectory CSV sample row {short[0]} does not have "
+                             "7 fields (time_s, q1-q6)")
+        vals = np.array([[float(v) for v in fields] for fields in rows])
         return Trajectory(vals[:, 0], vals[:, 1:7], planning_mode, collision_checked)
 
 
@@ -179,8 +200,8 @@ class CollisionScene:
     base_frame: str = "RobotBase"
 
     def __post_init__(self):
-        if self.safety_margin < 0.0:
-            raise ValueError("safety margin cannot be negative")
+        if not (np.isfinite(self.safety_margin) and self.safety_margin >= 0.0):
+            raise ValueError("safety margin must be finite and non-negative")
         resolved = []
         for entry in self.obstacles:
             label, capsule = entry[0], entry[1]
@@ -199,25 +220,25 @@ class CollisionScene:
 # -- forward kinematics ---------------------------------------------------------
 
 
-def dh_transform(a: float, alpha: float, d: float, theta: float) -> np.ndarray:
-    ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return np.array([
-        [ct, -st * ca, st * sa, a * ct],
-        [st, ct * ca, -ct * sa, a * st],
-        [0.0, sa, ca, d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-
-
-def fk_frames(model: RobotModel, q) -> list:
-    """Homogeneous base->link_i transforms for i = 0..6 (0 is the base)."""
+def fk_frames(model: RobotModel, q) -> np.ndarray:
+    """Homogeneous base->link_i transforms for i = 0..6 (0 is the base):
+    (7, 4, 4) for one joint row q (6,), (N, 7, 4, 4) for rows q (N, 6)."""
     q = np.asarray(q, dtype=float)
-    frames = [np.eye(4)]
+    rows = q.reshape(-1, 6)
+    theta = rows + model.dh_rows[:, 3]
+    ct, st = np.cos(theta), np.sin(theta)
+    sa, ca = model._dh_links[:, 2, 1], model._dh_links[:, 2, 2]
+    a = model.dh_rows[:, 0]
+    links = np.repeat(model._dh_links[None], len(rows), axis=0)
+    links[..., 0, 0], links[..., 1, 0] = ct, st
+    links[..., 0, 1], links[..., 1, 1] = -st * ca, ct * ca
+    links[..., 0, 2], links[..., 1, 2] = st * sa, -ct * sa
+    links[..., 0, 3], links[..., 1, 3] = a * ct, a * st
+    frames = np.empty((len(rows), 7, 4, 4))
+    frames[:, 0] = np.eye(4)
     for i in range(6):
-        a, alpha, d, off = model.dh_rows[i]
-        frames.append(frames[-1] @ dh_transform(a, alpha, d, q[i] + off))
-    return frames
+        np.matmul(frames[:, i], links[:, i], out=frames[:, i + 1])
+    return frames.reshape(q.shape[:-1] + (7, 4, 4))
 
 
 def fk(model: RobotModel, q) -> RigidTransform:
@@ -227,10 +248,9 @@ def fk(model: RobotModel, q) -> RigidTransform:
     return RigidTransform(snap_rotation(m[:3, :3]), m[:3, 3])
 
 
-def _jacobian(frames: list) -> np.ndarray:
+def _jacobian(frames: np.ndarray) -> np.ndarray:
     """Geometric Jacobian from the fk_frames of a configuration."""
-    joints = np.array(frames[:6])
-    z, p = joints[:, :3, 2], joints[:, :3, 3]
+    z, p = frames[:6, :3, 2], frames[:6, :3, 3]
     return np.vstack([np.cross(z, frames[-1][:3, 3] - p).T, z.T])
 
 
@@ -426,38 +446,37 @@ def densify(traj: Trajectory,
 # -- collision ---------------------------------------------------------------------
 
 
+def _segment_distances(p0, p1, q0, q1) -> np.ndarray:
+    """Minimum distances between segments [p0, p1] and [q0, q1], endpoint
+    arrays (..., 3) broadcast against each other (Ericson, Real-Time
+    Collision Detection, 2004, 5.1.9). Either segment may be a point (squared
+    length at most 1e-12 mm^2)."""
+    def dot(u, v):  # stacked (1, 3) @ (3, 1): rounds as u @ v does for one pair
+        return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+    d1, d2, r = p1 - p0, q1 - q0, p0 - q0
+    a, e, b, c, f = dot(d1, d1), dot(d2, d2), dot(d1, d2), dot(d1, r), dot(d2, r)
+    point_p, point_q = a <= 1e-12, e <= 1e-12
+    a, e = np.where(point_p, 1.0, a), np.where(point_q, 1.0, e)
+    denom = a * e - b * b
+    skew = denom > 1e-12  # parallel segments start from s = 0
+    s = np.where(skew, np.clip((b * f - c * e) / np.where(skew, denom, 1.0),
+                               0.0, 1.0), 0.0)
+    t = (b * s + f) / e
+    # t off the second segment: clamp it and take s closest to that end
+    s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
+                 np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
+    s = np.where(point_p, 0.0, np.where(point_q, np.clip(-c / a, 0.0, 1.0), s))
+    t = np.where(point_q, 0.0, np.where(point_p, np.clip(f / e, 0.0, 1.0), t))
+    gap = (p0 + s[..., None] * d1) - (q0 + t[..., None] * d2)
+    return np.sqrt(dot(gap, gap))
+
+
 def segment_segment_distance(p0, p1, q0, q1) -> float:
     """Minimum distance between segments [p0, p1] and [q0, q1]."""
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    q0 = np.asarray(q0, float)
-    q1 = np.asarray(q1, float)
-    d1 = p1 - p0
-    d2 = q1 - q0
-    r = p0 - q0
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    if a <= 1e-12 and e <= 1e-12:
-        return float(np.linalg.norm(r))
-    if a <= 1e-12:
-        s, t = 0.0, np.clip(f / e, 0.0, 1.0)
-    else:
-        c = float(d1 @ r)
-        if e <= 1e-12:
-            t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
-        else:
-            b = float(d1 @ d2)
-            denom = a * e - b * b
-            s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-12 else 0.0
-            t = (b * s + f) / e
-            if t < 0.0:
-                t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
-            elif t > 1.0:
-                t, s = 1.0, np.clip((b - c) / a, 0.0, 1.0)
-    closest_p = p0 + s * d1
-    closest_q = q0 + t * d2
-    return float(np.linalg.norm(closest_p - closest_q))
+    return float(_segment_distances(*(np.asarray(v, dtype=float)
+                                      for v in (p0, p1, q0, q1))))
 
 
 def capsule_distance(a: Capsule, b: Capsule) -> float:
@@ -465,41 +484,61 @@ def capsule_distance(a: Capsule, b: Capsule) -> float:
     return segment_segment_distance(a.p0, a.p1, b.p0, b.p1) - a.radius - b.radius
 
 
+def _capsule_arrays(capsules):
+    """Endpoints p0 (K, 3), p1 (K, 3) and radii (K,) of K capsules."""
+    return (np.array([c.p0 for c in capsules]).reshape(-1, 3),
+            np.array([c.p1 for c in capsules]).reshape(-1, 3),
+            np.array([c.radius for c in capsules], dtype=float))
+
+
+def _world_axes(model: RobotModel, q):
+    """Link index (K,), world axis endpoints p0 and p1 (N, K, 3) and radii
+    (K,) of the model's K link capsules, in link order, at joint rows q."""
+    link = [i for i, cs in enumerate(model.link_capsules) for _ in cs]
+    p0, p1, radii = _capsule_arrays([c for cs in model.link_capsules for c in cs])
+    frames = fk_frames(model, np.reshape(q, (-1, 6)))
+    m = frames[:, np.array(link, dtype=int) + 1]              # (N, K, 4, 4)
+    rot, origin = m[..., :3, :3], m[..., :3, 3]
+    return (link, (rot @ p0[..., None])[..., 0] + origin,
+            (rot @ p1[..., None])[..., 0] + origin, radii)
+
+
 def _world_capsules(model: RobotModel, q):
     """Link capsules mapped through the fk chain; yields (link_index, Capsule)."""
-    frames = fk_frames(model, q)
-    for i, link in enumerate(model.link_capsules):
-        m = frames[i + 1]
-        for c in link:
-            yield i, Capsule(m[:3, :3] @ c.p0 + m[:3, 3],
-                             m[:3, :3] @ c.p1 + m[:3, 3], c.radius)
+    link, p0, p1, radii = _world_axes(model, q)
+    for k, i in enumerate(link):
+        yield i, Capsule(p0[0, k], p1[0, k], radii[k])
 
 
-def _clearances(model: RobotModel, scene: CollisionScene, q):
-    """Yields (link_index, obstacle_label, clearance_mm) for every pair."""
-    q = q.q if isinstance(q, JointVector) else np.asarray(q, dtype=float)
-    for link_idx, cap in _world_capsules(model, q):
-        for label, obs in scene.obstacles:
-            yield link_idx, label, capsule_distance(cap, obs)
+def _clearance_table(model: RobotModel, scene: CollisionScene, q):
+    """Clearance (mm) of each link capsule to each obstacle at joint rows q
+    (N, 6), or one row q: link index (K,) and the table (N, K, M)."""
+    q = q.q if isinstance(q, JointVector) else q
+    link, p0, p1, radii = _world_axes(model, q)
+    o0, o1, o_radii = _capsule_arrays([obs for _, obs in scene.obstacles])
+    dist = _segment_distances(p0[:, :, None], p1[:, :, None], o0, o1)
+    return link, dist - radii[:, None] - o_radii
 
 
 def check_collision(model: RobotModel, scene: CollisionScene, q) -> list:
     """All (link_index, obstacle_label, clearance_mm) pairs whose clearance
-    falls below the scene's safety margin."""
-    return [hit for hit in _clearances(model, scene, q)
-            if hit[2] < scene.safety_margin]
+    is not at least the scene's safety margin (a NaN clearance collides)."""
+    link, table = _clearance_table(model, scene, q)
+    return [(link[k], scene.obstacles[m][0], float(table[0, k, m]))
+            for k, m in zip(*np.nonzero(~(table[0] >= scene.safety_margin)))]
 
 
 def min_clearance(model: RobotModel, scene: CollisionScene, q) -> float:
     """Smallest clearance over all link/obstacle pairs (inf when empty)."""
-    return float(min((d for _, _, d in _clearances(model, scene, q)),
-                     default=np.inf))
+    table = _clearance_table(model, scene, q)[1]
+    return float(np.min(table)) if table.size else np.inf
 
 
 def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
               tool_axis_target, standoff_mm: float,
               ik_restart_seed: int = 0) -> Trajectory:
-    """plan_trajectory, densified and checked sample-wise; on collision the
+    """plan_trajectory, densified, with one clearance table over all of its
+    rows; when any row's clearance is not at least the safety margin, the
     approach is retried with up to 8 rolls about the free tool axis.
 
     Raises NoSafePath when every orientation collides (or is unreachable
@@ -513,9 +552,8 @@ def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
         except (Unreachable, LimitViolation):
             continue
         any_planned = True
-        collides = any(check_collision(model, scene, qrow)
-                       for qrow in traj.joints)
-        if not collides:
+        if np.all(_clearance_table(model, scene, traj.joints)[1]
+                  >= scene.safety_margin):
             return traj.with_collision_checked()
     if any_planned:
         raise NoSafePath("all candidate approach orientations collide")

@@ -90,10 +90,12 @@ class PedicleModel:
         if not np.all(np.isfinite([p0, p1])):
             raise ValueError("corridor endpoints p0 and p1 must be finite")
         prof = tuple((float(s), float(r)) for s, r in self.radius_profile)
+        if not np.all(np.isfinite(prof)):
+            raise ValueError("radius profile knots must be finite")
         svals = [s for s, _ in prof]
         if svals[0] != 0.0 or svals[-1] != 1.0 or np.any(np.diff(svals) <= 0):
             raise ValueError("radius profile s must increase strictly from 0 to 1")
-        if any(r <= 0.0 for _, r in prof):
+        if not all(r > 0.0 for _, r in prof):
             raise ValueError("corridor radii must be positive")
         p0.setflags(write=False)
         p1.setflags(write=False)

@@ -12,8 +12,10 @@ from spinenav.kinematics import (
     JointVector,
     RobotModel,
     Trajectory,
+    _clearance_table,
     _jacobian,
     _rotation_log,
+    _segment_distances,
     capsule_distance,
     check_collision,
     default_robot,
@@ -302,6 +304,164 @@ def test_segment_segment_distance_cases():
     # degenerate: point vs point
     assert segment_segment_distance([0, 0, 0], [0, 0, 0],
                                     [0, 3, 4], [0, 3, 4]) == pytest.approx(5.0)
+
+
+def _scalar_segment_distance(p0, p1, q0, q1) -> float:
+    """Reference: the branchy one-pair form of the segment-to-segment
+    distance (Ericson, 2004, 5.1.9) that the vectorized kernel replaced."""
+    p0, p1, q0, q1 = (np.asarray(v, float) for v in (p0, p1, q0, q1))
+    d1 = p1 - p0
+    d2 = q1 - q0
+    r = p0 - q0
+    a = float(d1 @ d1)
+    e = float(d2 @ d2)
+    f = float(d2 @ r)
+    if a <= 1e-12 and e <= 1e-12:
+        return float(np.linalg.norm(r))
+    if a <= 1e-12:
+        s, t = 0.0, np.clip(f / e, 0.0, 1.0)
+    else:
+        c = float(d1 @ r)
+        if e <= 1e-12:
+            t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
+        else:
+            b = float(d1 @ d2)
+            denom = a * e - b * b
+            s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-12 else 0.0
+            t = (b * s + f) / e
+            if t < 0.0:
+                t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
+            elif t > 1.0:
+                t, s = 1.0, np.clip((b - c) / a, 0.0, 1.0)
+    return float(np.linalg.norm((p0 + s * d1) - (q0 + t * d2)))
+
+
+_COORD = st.floats(-200.0, 200.0)
+_POINT = st.tuples(_COORD, _COORD, _COORD).map(np.array)
+_SEGMENT_KINDS = ("general", "point_point", "point_segment", "segment_point",
+                  "short_segment", "segment_short", "parallel", "crossing",
+                  "collinear_overlap")
+_TINY = st.tuples(*[st.floats(-5e-7, 5e-7)] * 3).map(np.array)  # length^2 < 1e-12
+
+
+@st.composite
+def _segment_pair(draw):
+    """Two segments of one of _SEGMENT_KINDS, with capsule radii."""
+    kind = draw(st.sampled_from(_SEGMENT_KINDS))
+    p0, p1, q0, q1 = (draw(_POINT) for _ in range(4))
+    lam, mu = draw(st.floats(-1.5, 1.5)), draw(st.floats(-0.5, 1.5))
+    if kind == "point_point":
+        p1, q1 = p0, q0
+    elif kind == "point_segment":
+        p1 = p0
+    elif kind == "segment_point":
+        q1 = q0
+    elif kind == "short_segment":  # a point to the kernel, not exactly one
+        p1 = p0 + draw(_TINY)
+    elif kind == "segment_short":
+        q1 = q0 + draw(_TINY)
+    elif kind == "parallel":
+        q1 = q0 + lam * (p1 - p0)
+    elif kind == "crossing":  # through the same point, then lifted apart
+        half, mid = 0.5 * (q1 - q0), p0 + (0.5 + 0.5 * mu) * (p1 - p0)
+        normal = np.cross(p1 - p0, half)
+        lift = lam * normal / max(np.linalg.norm(normal), 1.0)
+        q0, q1 = mid - half + lift, mid + half + lift
+    elif kind == "collinear_overlap":
+        q0, q1 = p0 + lam * (p1 - p0), p0 + mu * (p1 - p0)
+    radii = draw(st.floats(0.5, 60.0)), draw(st.floats(0.5, 60.0))
+    return p0, p1, q0, q1, radii
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_segment_pair(), min_size=1, max_size=8), st.floats(0.0, 20.0))
+def test_segment_distances_match_scalar_reference(pairs, margin):
+    # one vectorized call over a batch mixing every branch
+    p0, p1, q0, q1 = (np.array([pair[k] for pair in pairs]) for k in range(4))
+    radii = np.array([pair[4] for pair in pairs])
+    got = _segment_distances(p0, p1, q0, q1)
+    ref = np.array([_scalar_segment_distance(*pair[:4]) for pair in pairs])
+    # the same operations in the same order as the reference: equal, not close
+    # (the degenerate branches move only the last bits of near-points)
+    assert np.array_equal(got, ref)
+    clear_got = got - radii[:, 0] - radii[:, 1]
+    clear_ref = ref - radii[:, 0] - radii[:, 1]
+    assert np.array_equal(~(clear_got >= margin), clear_ref < margin)
+
+
+def test_fk_frames_of_a_stack_is_the_rows_stacked():
+    rows = np.array([_random_q(np.random.default_rng(k)) for k in range(40)])
+    stacked = np.stack([fk_frames(MODEL, q) for q in rows])
+    assert fk_frames(MODEL, rows).shape == (40, 7, 4, 4)
+    assert np.array_equal(fk_frames(MODEL, rows), stacked)
+
+
+def test_clearance_table_rows_are_check_collision_and_min_clearance():
+    scene = CollisionScene((("ball", sphere([210.0, 75.0, 300.0], 50.0)),
+                            ("rod", Capsule([300.0, -100.0, 200.0],
+                                            [450.0, 200.0, 350.0], 20.0))),
+                           safety_margin=45.0)
+    rows = np.array([_random_q(np.random.default_rng(k)) for k in range(20)])
+    link, table = _clearance_table(MODEL, scene, rows)
+    assert table.shape == (20, 7, 2)
+    for q, row in zip(rows, table):
+        assert min_clearance(MODEL, scene, q) == np.min(row)
+        expected = [(link[k], scene.obstacles[m][0], row[k, m])
+                    for k in range(7) for m in range(2) if row[k, m] < 45.0]
+        assert check_collision(MODEL, scene, q) == expected
+
+
+def test_nan_joints_collide_everywhere():
+    scene = CollisionScene((("ball", sphere([210.0, 75.0, 300.0], 50.0)),),
+                           safety_margin=2.0)
+    hits = check_collision(MODEL, scene, np.full(6, np.nan))
+    assert len(hits) == 7 and all(np.isnan(d) for _, _, d in hits)
+    assert np.isnan(min_clearance(MODEL, scene, np.full(6, np.nan)))
+
+
+def _robot_with(dh=None, limits=None):
+    return RobotModel(MODEL.dh_rows if dh is None else dh,
+                      MODEL.joint_limits if limits is None else limits,
+                      MODEL.link_capsules)
+
+
+def _with_entry(array, index, value):
+    out = np.array(array, dtype=float)
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Capsule([0, 0, 0], [1, 0, 0], np.nan),
+    lambda: Capsule([0, 0, 0], [1, 0, 0], np.inf),
+    lambda: Capsule([np.nan, 0, 0], [1, 0, 0], 5.0),
+    lambda: Capsule([0, 0, 0], [1, -np.inf, 0], 5.0),
+    lambda: _robot_with(dh=_with_entry(MODEL.dh_rows, (1, 0), np.nan)),
+    lambda: _robot_with(dh=_with_entry(MODEL.dh_rows, (3, 1), np.inf)),
+    lambda: _robot_with(limits=_with_entry(MODEL.joint_limits, (0, 0), -np.inf)),
+    lambda: _robot_with(limits=_with_entry(MODEL.joint_limits, (5, 1), np.inf)),
+    lambda: CollisionScene((), safety_margin=np.nan),
+    lambda: CollisionScene((), safety_margin=np.inf),
+    lambda: Trajectory([0.0, np.nan], np.zeros((2, 6))),
+    lambda: Trajectory([0.0, 1.0], _with_entry(np.zeros((2, 6)), (1, 2), np.nan)),
+    lambda: Trajectory([0.0, 1.0], _with_entry(np.zeros((2, 6)), (0, 5), np.inf)),
+], ids=["capsule-radius-nan", "capsule-radius-inf", "capsule-p0-nan",
+        "capsule-p1-inf", "dh-nan", "dh-inf", "limit-minus-inf", "limit-inf",
+        "margin-nan", "margin-inf", "times-nan", "joints-nan", "joints-inf"])
+def test_kinematics_constructors_reject_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("time_s,q1,q2,q3,q4,q5,q6\n", "no sample rows"),
+    ("", "no sample rows"),
+    ("time_s,q1,q2,q3,q4,q5,q6\n0,0,0,0,0,0,0\n1,0,0,0,0,0\n", "row 2 .*7 fields"),
+    ("time_s,q1,q2,q3,q4,q5,q6\n0,0,0,0,0,0,0,0\n", "row 1 .*7 fields"),
+])
+def test_trajectory_from_csv_names_the_problem(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        Trajectory.from_csv(text)
 
 
 def test_check_collision_empty_scene():

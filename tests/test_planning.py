@@ -290,6 +290,17 @@ def test_pedicle_model_rejects_non_finite(field, bad):
                      ((0.0, 4.0), (1.0, 4.0)))
 
 
+@pytest.mark.parametrize("profile", [
+    ((0.0, 4.0), (0.5, np.nan), (1.0, 4.0)),
+    ((0.0, 4.0), (0.5, np.inf), (1.0, 4.0)),
+    ((0.0, 4.0), (np.nan, 3.0), (1.0, 4.0)),
+    ((0.0, np.nan), (1.0, 4.0)),
+])
+def test_pedicle_model_rejects_non_finite_radius_profile(profile):
+    with pytest.raises(ValueError, match="finite"):
+        PedicleModel("L3-left", np.zeros(3), np.array([0.0, 0.0, AXIS_LEN]), profile)
+
+
 # -- validate_plan ------------------------------------------------------------------
 
 
