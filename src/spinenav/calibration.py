@@ -456,11 +456,14 @@ def detect_fiducials(image: SyntheticProjectionImage, pattern,
     return Detection2D.from_pairs(image.view_label, pairs)
 
 
+_MAX_SOLUTIONS = 2  # one assignment is a detection, a second an ambiguity
+
+
 def _match_signatures(blobs: np.ndarray, expected: np.ndarray,
-                      tol: float, max_solutions: int = 2) -> list:
-    """All maximum-cardinality injective blob->pattern assignments whose
-    pairwise distances agree within tol. Branch and bound over blobs; a blob
-    may also be skipped (dropped as spurious/unmatchable)."""
+                      tol: float) -> list:
+    """Up to _MAX_SOLUTIONS maximum-cardinality injective blob->pattern
+    assignments whose pairwise distances agree within tol. Branch and bound
+    over blobs; a blob may also be skipped (dropped as spurious/unmatchable)."""
     nb, ne = len(blobs), len(expected)
     d_blob = np.linalg.norm(blobs[:, None, :] - blobs[None, :, :], axis=2)
     d_exp = np.linalg.norm(expected[:, None, :] - expected[None, :, :], axis=2)
@@ -474,7 +477,7 @@ def _match_signatures(blobs: np.ndarray, expected: np.ndarray,
                 best["size"] = len(assign)
                 best["solutions"] = [dict(assign)]
             elif (len(assign) == best["size"] and len(assign) > 0
-                  and len(best["solutions"]) < max_solutions
+                  and len(best["solutions"]) < _MAX_SOLUTIONS
                   and dict(assign) not in best["solutions"]):
                 best["solutions"].append(dict(assign))
             return

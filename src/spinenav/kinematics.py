@@ -22,6 +22,13 @@ from .errors import LimitViolation, NoSafePath, Unreachable
 from .geom import RigidTransform, axis_basis, snap_rotation
 
 MAX_JOINT_STEP_RAD = 0.05
+# inverse kinematics: convergence tolerances, iteration cap, damping floor
+# and the number of random restarts after the seeded attempt
+IK_TOL_MM = 0.01
+IK_TOL_RAD = 1e-4
+IK_MAX_ITER = 200
+IK_DAMPING = 0.01
+IK_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -276,11 +283,10 @@ def _rotation_log(r: np.ndarray) -> np.ndarray:
 _ROT_SCALE_MM = 100.0  # characteristic length making rad comparable to mm
 
 
-def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray,
-               tol_mm: float, tol_rad: float, max_iter: int, damping: float):
+def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray):
     """Damped-least-squares iteration (unconstrained); returns (q, converged)."""
     q = np.asarray(q0, dtype=float).copy()
-    lam = damping
+    lam = IK_DAMPING
 
     def error(qv):
         """Stacked error, position error (mm), rotation vector (rad), frames."""
@@ -291,8 +297,9 @@ def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray,
                 rot_vec, frames)
 
     e, pos_err, rot_vec, frames = error(q)
-    for _ in range(max_iter):
-        if np.linalg.norm(pos_err) < tol_mm and np.linalg.norm(rot_vec) < tol_rad:
+    for _ in range(IK_MAX_ITER):
+        if (np.linalg.norm(pos_err) < IK_TOL_MM
+                and np.linalg.norm(rot_vec) < IK_TOL_RAD):
             return q, True
         j = _jacobian(frames)
         j[3:, :] *= _ROT_SCALE_MM
@@ -303,15 +310,15 @@ def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray,
             trial = error(q + step)
             if np.linalg.norm(trial[0]) < np.linalg.norm(e):
                 q, (e, pos_err, rot_vec, frames) = q + step, trial
-                lam = max(damping, lam / 1.5)
+                lam = max(IK_DAMPING, lam / 1.5)
                 break
             lam *= 2.0
             if lam > 1e6:
                 return q, False
         else:
             return q, False
-    converged = np.linalg.norm(pos_err) < tol_mm and np.linalg.norm(rot_vec) < tol_rad
-    return q, converged
+    return q, bool(np.linalg.norm(pos_err) < IK_TOL_MM
+                   and np.linalg.norm(rot_vec) < IK_TOL_RAD)
 
 
 def _wrap_into_limits(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -331,8 +338,6 @@ def _wrap_into_limits(model: RobotModel, q: np.ndarray) -> np.ndarray:
 
 
 def ik(model: RobotModel, target: RigidTransform, seed: JointVector,
-       tol_mm: float = 0.01, tol_rad: float = 1e-4, max_iter: int = 200,
-       damping: float = 0.01, restarts: int = 8,
        restart_seed: int = 0) -> JointVector:
     """Inverse kinematics by damped least squares with seeded restarts.
 
@@ -344,10 +349,10 @@ def ik(model: RobotModel, target: RigidTransform, seed: JointVector,
     """
     converged_any = False
     rng = np.random.default_rng(restart_seed)
-    for attempt in range(restarts + 1):
+    for attempt in range(IK_RESTARTS + 1):
         q0 = (seed.q if attempt == 0 else
               rng.uniform(model.joint_limits[:, 0], model.joint_limits[:, 1]))
-        q, ok = _dls_solve(model, target, q0, tol_mm, tol_rad, max_iter, damping)
+        q, ok = _dls_solve(model, target, q0)
         if ok:
             converged_any = True
             q = _wrap_into_limits(model, q)
@@ -426,20 +431,19 @@ def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
     return densify(traj)
 
 
-def densify(traj: Trajectory,
-            max_step_rad: float = MAX_JOINT_STEP_RAD) -> Trajectory:
-    """Linear joint-space subdivision until no step exceeds max_step_rad."""
-    times = [float(traj.times[0])]
-    joints = [traj.joints[0]]
-    for i in range(1, len(traj)):
-        t0, t1 = traj.times[i - 1], traj.times[i]
-        q0, q1 = traj.joints[i - 1], traj.joints[i]
-        n_sub = max(int(np.ceil(np.max(np.abs(q1 - q0)) / max_step_rad)), 1)
-        for k in range(1, n_sub + 1):
-            f = k / n_sub
-            times.append(float(t0 + f * (t1 - t0)))
-            joints.append(q0 + f * (q1 - q0))
-    return Trajectory(np.asarray(times), np.asarray(joints),
+def densify(traj: Trajectory) -> Trajectory:
+    """Linear joint-space subdivision until no step exceeds
+    MAX_JOINT_STEP_RAD: segment i is cut into n_sub[i] equal steps, sample
+    k of it at the fraction k / n_sub[i], k = 1 .. n_sub[i]."""
+    t, q = traj.times, traj.joints
+    n_sub = np.maximum(np.ceil(np.max(np.abs(np.diff(q, axis=0)), axis=1)
+                               / MAX_JOINT_STEP_RAD).astype(int), 1)
+    seg = np.repeat(np.arange(len(n_sub)), n_sub)
+    k = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    f = k / n_sub[seg]
+    t0, t1, q0, q1 = t[seg], t[seg + 1], q[seg], q[seg + 1]
+    return Trajectory(np.concatenate([t[:1], t0 + f * (t1 - t0)]),
+                      np.concatenate([q[:1], q0 + f[:, None] * (q1 - q0)]),
                       traj.planning_mode, traj.collision_checked)
 
 

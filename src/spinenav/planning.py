@@ -253,19 +253,25 @@ def validate_plan(plan: ScrewPlan, pedicle: PedicleModel,
 # -- report files -------------------------------------------------------------
 
 
+def grade_percent(letters) -> dict:
+    """Percentage of each grade A-E among the letters (all 0.0 when there
+    are none)."""
+    counts = {g: 0 for g in GRADE_ORDER}
+    for g in letters:
+        counts[g] += 1
+    total = max(sum(counts.values()), 1)
+    return {g: 100.0 * n / total for g, n in counts.items()}
+
+
 def grade_report_csv(rows) -> str:
     """CSV of (level, breach_mm, grade) rows plus per-grade percentages."""
     lines = ["level,breach_mm,grade"]
     rows = list(rows)
     for level, breach, grade in rows:
         lines.append(f"{level},{repr(float(breach))},{grade}")
-    counts = {g: 0 for g in GRADE_ORDER}
-    for _, _, grade in rows:
-        counts[grade] += 1
-    total = max(len(rows), 1)
     lines.append("grade,percent")
-    for g in GRADE_ORDER:
-        lines.append(f"{g},{repr(100.0 * counts[g] / total)}")
+    for g, percent in grade_percent(grade for _, _, grade in rows).items():
+        lines.append(f"{g},{repr(percent)}")
     return "\n".join(lines) + "\n"
 
 

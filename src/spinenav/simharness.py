@@ -28,11 +28,11 @@ from .geom import RigidTransform, axis_basis, compose, invert
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
 from .planning import (
-    GRADE_ORDER,
     PedicleModel,
     ScrewPlan,
     breach_depth,
     grade_gertzbein,
+    grade_percent,
     validate_plan,
 )
 from .registration import (
@@ -704,10 +704,7 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
         session = advance(session, Event(EventKind.COMPLETE_SESSION))
 
         report = radiation_report(session.acquisition_log, session.placed_screws)
-        counts = {g: 0 for g in GRADE_ORDER}
-        for _, _, g in grades:
-            counts[g] += 1
-        percent = {g: 100.0 * counts[g] / len(grades) for g in GRADE_ORDER}
+        percent = grade_percent(g for _, _, g in grades)
         arms.append(ArmResult(arm_name, mode, tuple(grades), percent,
                               report.mean_per_screw, report.to_csv()))
     return PlacementStudyResult(tuple(arms), screws_per_arm)

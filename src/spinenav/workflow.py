@@ -7,6 +7,10 @@ two robot phases exist only in robot-assisted mode. Guards are hard errors:
 navigation cannot start without an accepted registration, screw placement
 without a validated plan, robot positioning without a collision-checked
 trajectory. A rejected registration loops back to re-register.
+
+A session has one persisted form, its event log: a header line, then one
+JSON event per line. Loading replays the events through advance, so every
+guard runs again; the derived state is never read from a file.
 """
 
 from __future__ import annotations
@@ -497,108 +501,73 @@ def _event_from_dict(d: dict) -> Event:
 
 
 def session_to_dict(s: SessionState) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": s.mode.value,
-        "modality": s.modality.value,
-        "phase": s.phase.value,
-        "registration_threshold_mm": s.registration_threshold_mm,
-        "validated_plans": [p.to_dict() for p in s.validated_plans],
-        "last_registration": (s.last_registration.to_dict()
-                              if s.last_registration else None),
-        "registration_accepted": s.registration_accepted,
-        "placed_screws": [{"level": r.level, "screw_id": r.screw_id,
-                           "achieved": r.achieved.to_dict() if r.achieved else None}
-                          for r in s.placed_screws],
-        "acquisition_log": [{"scope": e.scope, "purpose": e.purpose.value,
-                             "view": e.view, "timestamp": e.timestamp}
-                            for e in s.acquisition_log.entries],
-        "events": [_event_to_dict(e) for e in s.events],
-    }
+    """The persisted form: the header and the events, no derived state."""
+    return {"mode": s.mode.value, "modality": s.modality.value,
+            "registration_threshold_mm": s.registration_threshold_mm,
+            "schema_version": SCHEMA_VERSION,
+            "events": [_event_to_dict(e) for e in s.events]}
 
 
 def session_from_dict(d: dict) -> SessionState:
+    """Replay the event log from new_session through advance. Raises
+    SchemaVersionMismatch for an unknown schema, a header with a missing,
+    extra or malformed key, or a malformed event; errors from advance (an
+    illegal or guarded transition) propagate unchanged."""
     if d.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"expected schema {SCHEMA_VERSION}, found {d.get('schema_version')!r}")
-    log = AcquisitionLog(tuple(
-        AcquisitionEntry(e["scope"], Purpose(e["purpose"]), e["view"],
-                         e.get("timestamp", 0.0))
-        for e in d["acquisition_log"]))
-    return SessionState(
-        mode=Mode(d["mode"]),
-        modality=Modality(d["modality"]),
-        phase=Phase(d["phase"]),
-        registration_threshold_mm=float(d["registration_threshold_mm"]),
-        validated_plans=tuple(ScrewPlan.from_dict(p) for p in d["validated_plans"]),
-        last_registration=(RegistrationResult.from_dict(d["last_registration"])
-                           if d["last_registration"] else None),
-        registration_accepted=bool(d["registration_accepted"]),
-        placed_screws=tuple(
-            ScrewRecord(r["level"], r["screw_id"],
-                        ScrewPlan.from_dict(r["achieved"]) if r["achieved"] else None)
-            for r in d["placed_screws"]),
-        acquisition_log=log,
-        events=tuple(_event_from_dict(e) for e in d["events"]),
-    )
+    if set(d) != {"mode", "modality", "registration_threshold_mm",
+                  "schema_version", "events"}:
+        raise SchemaVersionMismatch(f"malformed session header: keys {sorted(d)}")
+    threshold = d["registration_threshold_mm"]
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not isinstance(d["events"], list)):
+        raise SchemaVersionMismatch("malformed session header: threshold or events")
+    try:
+        session = new_session(Mode(d["mode"]), Modality(d["modality"]), threshold)
+    except (TypeError, ValueError) as err:
+        raise SchemaVersionMismatch(f"malformed session header: {err!r}") from err
+    for i, record in enumerate(d["events"]):
+        try:
+            event = _event_from_dict(record)
+        except (KeyError, TypeError, ValueError) as err:
+            raise SchemaVersionMismatch(
+                f"malformed event {i + 1} (line {i + 2} of a saved session): "
+                f"{err!r}") from err
+        session = advance(session, event)
+    return session
 
 
 def save_session(session: SessionState, path) -> None:
-    atomic_write(path, json.dumps(session_to_dict(session), sort_keys=True))
-
-
-def load_session(path) -> SessionState:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise IOFailure(str(err)) from err
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SchemaVersionMismatch(f"unreadable session file: {err}") from err
-    return session_from_dict(data)
-
-
-def save_event_trace(session: SessionState, path) -> None:
-    """One JSON event per line, replayable with replay_events."""
-    lines = [json.dumps({"mode": session.mode.value,
-                         "modality": session.modality.value,
-                         "registration_threshold_mm": session.registration_threshold_mm,
-                         "schema_version": SCHEMA_VERSION})]
-    lines += [json.dumps(_event_to_dict(e), sort_keys=True) for e in session.events]
+    """Header line (session_to_dict key order), then one event per line."""
+    d = session_to_dict(session)
+    events = d.pop("events")
+    lines = [json.dumps(d)] + [json.dumps(e, sort_keys=True) for e in events]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def replay_events(path) -> SessionState:
-    """Rebuild a session by replaying a JSONL event trace from scratch.
-
-    Raises IOFailure if the file cannot be read, SchemaVersionMismatch if it
-    is empty, holds a line that is not JSON or a malformed header or event
-    line, or has an unknown schema. Errors from advance (an illegal or
-    guarded transition) propagate unchanged."""
+def load_session(path) -> SessionState:
+    """Read a save_session file and replay it with session_from_dict. Raises
+    IOFailure if the file cannot be read, SchemaVersionMismatch if it is
+    empty, holds a non-JSON line or does not start with a header line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as err:
         raise IOFailure(str(err)) from err
     if not lines:
-        raise SchemaVersionMismatch("empty event trace")
+        raise SchemaVersionMismatch("empty session file")
     try:
-        records = [json.loads(line) for line in lines]
+        header, *events = [json.loads(line) for line in lines]
     except json.JSONDecodeError as err:
-        raise SchemaVersionMismatch(f"unreadable event trace: {err}") from err
-    header = records[0]
-    if not isinstance(header, dict) or header.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch("trace written with an unknown schema")
-    try:
-        session = new_session(Mode(header["mode"]), Modality(header["modality"]),
-                              header["registration_threshold_mm"])
-    except (KeyError, ValueError) as err:
-        raise SchemaVersionMismatch(f"malformed trace header: {err!r}") from err
-    for line_no, record in enumerate(records[1:], start=2):
-        try:
-            event = _event_from_dict(record)
-        except (KeyError, TypeError, ValueError) as err:
-            raise SchemaVersionMismatch(
-                f"malformed event on line {line_no}: {err!r}") from err
-        session = advance(session, event)
-    return session
+        raise SchemaVersionMismatch(f"unreadable session file: {err}") from err
+    if not isinstance(header, dict) or "events" in header:
+        raise SchemaVersionMismatch("malformed session header: not a header line")
+    return session_from_dict({**header, "events": events})
+
+
+def save_event_trace(session: SessionState, path) -> None:
+    """The same file as save_session."""
+    save_session(session, path)
+
+
+replay_events = load_session

@@ -288,6 +288,37 @@ def test_densify_bounds_steps():
     assert np.array_equal(dense.joints[-1], coarse.joints[-1])
 
 
+def _loop_densify(traj, max_step_rad=0.05):
+    """The one-sub-step-at-a-time subdivision densify replaced, kept as the
+    reference for its bits."""
+    times = [float(traj.times[0])]
+    joints = [traj.joints[0]]
+    for i in range(1, len(traj)):
+        t0, t1 = traj.times[i - 1], traj.times[i]
+        q0, q1 = traj.joints[i - 1], traj.joints[i]
+        n_sub = max(int(np.ceil(np.max(np.abs(q1 - q0)) / max_step_rad)), 1)
+        for k in range(1, n_sub + 1):
+            f = k / n_sub
+            times.append(float(t0 + f * (t1 - t0)))
+            joints.append(q0 + f * (q1 - q0))
+    return np.asarray(times), np.asarray(joints)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 39), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.5))
+def test_densify_matches_loop_reference(n_rows, seed, spread):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 2.0, n_rows)) - 1.0
+    joints = rng.uniform(-spread, spread, (n_rows, 6))
+    joints[rng.random(n_rows) < 0.2] = 0.0  # some repeated rows: one sub-step
+    traj = Trajectory(times, joints, "test", collision_checked=True)
+    dense = densify(traj)
+    ref_times, ref_joints = _loop_densify(traj)
+    assert np.array_equal(dense.times, ref_times)
+    assert np.array_equal(dense.joints, ref_joints)
+    assert (dense.planning_mode, dense.collision_checked) == ("test", True)
+
+
 # -- collision ---------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from spinenav.planning import (
     _max_depth,
     breach_depth,
     grade_gertzbein,
+    grade_percent,
     grade_report_csv,
     plan_deviation,
     validate_plan,
@@ -354,3 +355,15 @@ def test_grade_report_percentages_sum():
     pct = [float(l.split(",")[1]) for l in lines[idx + 1:]]
     assert sum(pct) == pytest.approx(100.0, abs=0.1)
     assert len(pct) == 5  # always exactly grade rows A-E
+
+
+def test_grade_percent_counts_every_letter_once():
+    assert grade_percent("AABCA") == {"A": 60.0, "B": 20.0, "C": 20.0,
+                                      "D": 0.0, "E": 0.0}
+    assert grade_percent([]) == dict.fromkeys("ABCDE", 0.0)
+    with pytest.raises(KeyError):
+        grade_percent("AF")  # not a Gertzbein-Robbins grade
+    rows = [("L1-left", 0.0, "A"), ("L1-right", 7.0, "E"), ("L2-left", 0.0, "A")]
+    lines = grade_report_csv(rows).splitlines()
+    body = lines[lines.index("grade,percent") + 1:]
+    assert body == [f"{g},{p!r}" for g, p in grade_percent("AEA").items()]

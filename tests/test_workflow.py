@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinenav.errors import (
     DuplicateName,
@@ -35,6 +39,7 @@ from spinenav.workflow import (
     save_event_trace,
     save_session,
     session_from_dict,
+    session_to_dict,
 )
 
 
@@ -541,3 +546,153 @@ def test_save_into_missing_directory_is_io_failure(tmp_path):
 def test_schema_version_checked_in_dict():
     with pytest.raises(SchemaVersionMismatch):
         session_from_dict({"schema_version": 0})
+
+
+# -- the event log is the one persisted form -----------------------------------------
+
+
+def _old_snapshot(session, **edits):
+    """The one-line JSON snapshot earlier versions wrote with save_session:
+    the header and the events beside the derived state, which was trusted
+    on load."""
+    d = {"schema_version": 1, "mode": session.mode.value,
+         "modality": session.modality.value, "phase": session.phase.value,
+         "registration_threshold_mm": session.registration_threshold_mm,
+         "validated_plans": [p.to_dict() for p in session.validated_plans],
+         "last_registration": (session.last_registration.to_dict()
+                               if session.last_registration else None),
+         "registration_accepted": session.registration_accepted,
+         "placed_screws": [{"level": r.level, "screw_id": r.screw_id,
+                            "achieved": None} for r in session.placed_screws],
+         "acquisition_log": [{"scope": e.scope, "purpose": e.purpose.value,
+                              "view": e.view, "timestamp": e.timestamp}
+                             for e in session.acquisition_log.entries],
+         "events": session_to_dict(session)["events"]}
+    d.update(edits)
+    return json.dumps(d, sort_keys=True)
+
+
+def test_load_rejects_header_without_mode_modality_and_threshold(tmp_path):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps({"schema_version": 1}), encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match="header"):
+        load_session(path)
+
+
+def test_load_replays_guards_instead_of_trusting_a_stored_phase(tmp_path):
+    empty = new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED)
+    path = tmp_path / "session.json"
+    path.write_text(_old_snapshot(empty, phase="Navigation",
+                                  registration_accepted=True), encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch):
+        load_session(path)
+    # the same claim in the event log: BEGIN_NAVIGATION without a
+    # registration is refused by the transition table on load
+    save_event_trace(empty, path)
+    path.write_text(path.read_text(encoding="utf-8")
+                    + json.dumps({"kind": "begin_navigation"}) + "\n", encoding="utf-8")
+    with pytest.raises(IllegalTransition):
+        load_session(path)
+
+
+def test_replay_rejects_an_old_snapshot_file(tmp_path):
+    s = _run_full_session(Mode.ROBOT_ASSISTED, ("L1",))
+    path = tmp_path / "session.json"
+    path.write_text(_old_snapshot(s), encoding="utf-8")
+    for load in (replay_events, load_session):
+        with pytest.raises(SchemaVersionMismatch, match="header"):
+            load(path)
+
+
+def test_load_session_reads_an_event_trace_and_types_a_bad_mode(tmp_path):
+    s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1", "L2"))
+    trace = tmp_path / "events.jsonl"
+    save_event_trace(s, trace)
+    back = load_session(trace)
+    assert back == s
+    assert back.phase is Phase.COMPLETE
+    assert back.acquisition_log == s.acquisition_log
+    assert back.placed_screws == s.placed_screws
+    snapshot = tmp_path / "session.json"
+    snapshot.write_text(_old_snapshot(s, mode="nope"), encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch):
+        load_session(snapshot)
+    trace.write_text(trace.read_text(encoding="utf-8").replace(
+        '"mode": "NavigationOnly"', '"mode": "nope"', 1), encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match="header"):
+        load_session(trace)
+
+
+@pytest.mark.parametrize("header", [
+    {"mode": "NavigationOnly", "modality": "PreOpCT_PointBased",
+     "registration_threshold_mm": "2.0", "schema_version": 1},
+    {"mode": "NavigationOnly", "modality": "PreOpCT_PointBased",
+     "registration_threshold_mm": 2.0, "schema_version": 1, "phase": "Complete"},
+    {"mode": "NavigationOnly", "modality": "PreOpCT_PointBased",
+     "registration_threshold_mm": 2.0, "schema_version": 1, "events": []},
+    ["NavigationOnly"],
+])
+def test_load_rejects_a_malformed_header(tmp_path, header):
+    path = tmp_path / "session.jsonl"
+    path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match="header"):
+        load_session(path)
+
+
+def test_session_to_dict_is_the_header_and_the_events(tmp_path):
+    s = _drive_to_verification_imaging(Mode.ROBOT_ASSISTED)
+    d = session_to_dict(s)
+    assert list(d) == ["mode", "modality", "registration_threshold_mm",
+                       "schema_version", "events"]
+    assert len(d["events"]) == len(s.events)
+    assert session_from_dict(json.loads(json.dumps(d))) == s
+    # the file format of existing traces: header keys unsorted, events sorted
+    save_session(s, tmp_path / "session.jsonl")
+    header, first, *_ = (tmp_path / "session.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    assert header == ('{"mode": "RobotAssisted", "modality": "IntraOp2D_AutoFiducial", '
+                      '"registration_threshold_mm": 2.0, "schema_version": 1}')
+    assert first == '{"kind": "acquire_preop_ct", "timestamp": 0.0}'
+
+
+_PERSISTED_ALPHABET = ALPHABET + [
+    Event(K.CALIBRATE_INSTRUMENTS, residual_rms=0.125, timestamp=3.5),
+    Event(K.SUBMIT_REGISTRATION, timestamp=7.25, registration=RegistrationResult(
+        RigidTransform.from_axis_angle((1.0, 2.0, 3.0), 0.3, (10.0, -5.0, 2.5)),
+        0.7, (0.7, 0.7, 0.7), 3)),
+    Event(K.APPROVE_PLAN, plan=_plan("L2"), validation=GOOD_VALIDATION),
+    Event(K.BEGIN_PLACEMENT, level="L2"),
+    Event(K.CONFIRM_PLACEMENT, level="L2", achieved=_plan("L2"), timestamp=9.0),
+    Event(K.ACQUIRE_VERIFICATION_IMAGES, views=("AP",), timestamp=11.0),
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from([Mode.NAVIGATION_ONLY, Mode.ROBOT_ASSISTED]),
+       st.integers(0, 60), st.data())
+def test_saved_session_loads_equal_and_saves_identical_bytes(mode, n_events, data):
+    # a legal session cut after n_events: each step draws one of the events
+    # that advance accepts from the current state
+    s = new_session(mode, Modality.INTRAOP_2D_AUTO_FIDUCIAL, 1.5)
+    for _ in range(n_events):
+        legal = []
+        for ev in _PERSISTED_ALPHABET:
+            try:
+                legal.append(advance(s, ev))
+            except (GuardFailed, IllegalTransition):
+                pass
+        if not legal:
+            break
+        s = data.draw(st.sampled_from(legal))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.jsonl"), Path(tmp, "second.jsonl")
+        save_session(s, first)
+        back = load_session(first)
+        save_session(back, second)
+        assert back == s and hash(back) == hash(s)
+        assert (back.phase, back.validated_plans, back.last_registration,
+                back.registration_accepted, back.placed_screws,
+                back.acquisition_log) == (
+            s.phase, s.validated_plans, s.last_registration,
+            s.registration_accepted, s.placed_screws, s.acquisition_log)
+        assert second.read_bytes() == first.read_bytes()
