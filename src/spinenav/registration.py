@@ -13,6 +13,7 @@ fiducial configuration and d_k is the distance of the target from that axis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, LabelMismatch, TooFewPoints
-from .geom import RigidTransform, snap_rotation, transform_from_dict, transform_to_dict
+from .geom import (RigidTransform, compose, snap_rotation, transform_from_dict,
+                   transform_to_dict)
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
@@ -122,11 +124,15 @@ class RegistrationResult:
 
     @staticmethod
     def from_dict(d: dict) -> "RegistrationResult":
+        """Inverse of to_dict. A missing "converged" reads as True; a present
+        one must be a JSON boolean (the string "false" raises ValueError)."""
+        converged = d.get("converged", True)
+        if not isinstance(converged, bool):
+            raise ValueError(f"converged must be a boolean, got {converged!r}")
         return RegistrationResult(transform_from_dict(d["transform"]),
                                   float(d["fre_rms_mm"]),
                                   tuple(d["per_point_residuals_mm"]),
-                                  int(d["n_points"]),
-                                  bool(d.get("converged", True)))
+                                  int(d["n_points"]), converged)
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,8 @@ class TrePrediction:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Triangle mesh in mm: vertices (V, 3) and triangle index triples (T, 3)."""
+    """Triangle mesh in mm: vertices (V, 3) and triangle index triples (T, 3).
+    Read-only; its query structures are built on first use and kept."""
 
     frame: str
     vertices: np.ndarray
@@ -157,6 +164,8 @@ class SurfaceModel:
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float).reshape(-1, 3)
         t = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("surface vertices must be finite")
         if t.min(initial=0) < 0 or (t.size and t.max() >= len(v)):
             raise ValueError("triangle indices out of range")
         a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
@@ -167,6 +176,37 @@ class SurfaceModel:
         t.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
+
+    @functools.cached_property
+    def _query_index(self) -> tuple:
+        """(a, ab, ac, centroids, radii, cKDTree over the centroids, largest
+        radius, largest vertex norm) for closest_points_on_mesh: each
+        triangle's first corner and edge vectors, and the sphere about its
+        centroid that holds it."""
+        from scipy.spatial import cKDTree
+
+        v, tri = self.vertices, self.triangles
+        a = v[tri[:, 0]]
+        ab = v[tri[:, 1]] - a
+        ac = v[tri[:, 2]] - a
+        centroids = (a + v[tri[:, 1]] + v[tri[:, 2]]) / 3.0
+        radii = np.sqrt(np.max(np.sum((v[tri] - centroids[:, None, :]) ** 2, axis=2), axis=1))
+        for arr in (a, ab, ac, centroids, radii):
+            arr.setflags(write=False)
+        return (a, ab, ac, centroids, radii, cKDTree(centroids), radii.max(),
+                np.linalg.norm(v, axis=1).max())
+
+    @functools.cached_property
+    def _vertex_normals(self) -> np.ndarray:
+        """Area-weighted vertex normals (smooth shading)."""
+        v, t = self.vertices, self.triangles
+        fn = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+        vn = np.zeros_like(v)
+        for k in range(3):
+            np.add.at(vn, t[:, k], fn)
+        vn /= np.linalg.norm(vn, axis=1, keepdims=True)
+        vn.setflags(write=False)
+        return vn
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SurfaceModel):
@@ -358,21 +398,11 @@ def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel,
     peak below an all-pairs scan of 256 queries.
 
     Returns (closest (N, 3), distance (N,), triangle index (N,)). Raises
-    ValueError for non-finite query points.
+    ValueError for non-finite query points. The triangle data and the tree
+    over the centroids are built once per surface (SurfaceModel._query_index).
     """
-    from scipy.spatial import cKDTree
-
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    v = surface.vertices
-    tri = surface.triangles
-    a = v[tri[:, 0]]
-    ab = v[tri[:, 1]] - a
-    ac = v[tri[:, 2]] - a
-    centroids = (a + v[tri[:, 1]] + v[tri[:, 2]]) / 3.0
-    radii = np.sqrt(np.max(np.sum((v[tri] - centroids[:, None, :]) ** 2, axis=2), axis=1))
-    tree = cKDTree(centroids)
-    r_max = radii.max()
-    extent = np.linalg.norm(v, axis=1).max()
+    a, ab, ac, centroids, radii, tree, r_max, extent = surface._query_index
     out_pts = np.empty_like(pts)
     out_dist = np.empty(len(pts))
     out_tri = np.empty(len(pts), dtype=np.int64)
@@ -463,21 +493,11 @@ def _closest_point_triangles(p: np.ndarray, a: np.ndarray, ab: np.ndarray,
     return closest, np.sum((closest - p) ** 2, axis=1)
 
 
-def _vertex_normals(surface: SurfaceModel) -> np.ndarray:
-    """Area-weighted vertex normals (smooth shading)."""
-    v, t = surface.vertices, surface.triangles
-    fn = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
-    vn = np.zeros_like(v)
-    for k in range(3):
-        np.add.at(vn, t[:, k], fn)
-    return vn / np.linalg.norm(vn, axis=1, keepdims=True)
-
-
 def _smooth_normals_at(surface: SurfaceModel, closest: np.ndarray,
                        tri_idx: np.ndarray) -> np.ndarray:
     """Barycentric-interpolated vertex normals at closest points."""
     v, t = surface.vertices, surface.triangles
-    vn = _vertex_normals(surface)
+    vn = surface._vertex_normals
     tris = t[tri_idx]
     a = v[tris[:, 0]]
     v0 = v[tris[:, 1]] - a
@@ -497,61 +517,75 @@ def _smooth_normals_at(surface: SurfaceModel, closest: np.ndarray,
     return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
-def _pose_observability_deficient(surface: SurfaceModel, closest: np.ndarray,
-                                  tri_idx: np.ndarray) -> bool:
-    """True when the point-to-surface cost has a flat pose direction
-    (e.g. rotations of a sphere), making the ICP solution non-unique.
+def _point_to_plane_step(surface: SurfaceModel, moved: np.ndarray,
+                         closest: np.ndarray, tri_idx: np.ndarray):
+    """One Gauss-Newton point-to-plane step (Chen & Medioni 1992; Low 2004)
+    at the current correspondences, and the singular values of its matrix.
 
-    Smooth interpolated normals are used so that symmetry of the underlying
-    shape is detected despite mesh faceting: on a faceted sphere the rotation
-    rows r x n vanish almost exactly with radial normals.
+    Rows [n | r x n] linearize (moved - closest) . n in a translation and a
+    rotation about the closest points' centroid, r being those points centred
+    and scaled to unit RMS radius. Smooth normals n let a flat pose direction
+    of the shape (rotations of a sphere) show despite mesh faceting. The
+    rotation is applied exactly. Raises DegenerateGeometry when all closest
+    points coincide.
     """
     normals = _smooth_normals_at(surface, closest, tri_idx)
     centroid = closest.mean(axis=0)
     r = closest - centroid
     scale = np.sqrt(np.mean(np.sum(r * r, axis=1)))
     if scale <= 0.0:
-        return True
+        raise DegenerateGeometry("surface sampling leaves the pose ambiguous")
     j = np.hstack([normals, np.cross(r / scale, normals)])  # (N, 6)
-    sv = np.linalg.svd(j, compute_uv=False)
-    return sv[-1] / sv[0] < 2e-2
+    e = np.sum((moved - closest) * normals, axis=1)
+    x, _, _, sv = np.linalg.lstsq(j, -e, rcond=None)
+    omega = x[3:] / scale
+    angle = float(np.linalg.norm(omega))
+    rot = (RigidTransform.from_axis_angle(omega, angle).rotation if angle > 0.0
+           else np.eye(3))
+    return RigidTransform(rot, centroid + x[:3] - rot @ centroid), sv
 
 
 def icp_register(probed, surface: SurfaceModel,
                  init: RigidTransform | None = None,
                  max_iter: int = 100, tol_mm: float = 1e-4,
                  residual_history: list | None = None) -> RegistrationResult:
-    """Iterative closest point: alternate point-to-triangle correspondence
-    with a rigid fit until the RMS residual change drops below tol_mm.
+    """Point-to-plane iterative closest point: alternate point-to-triangle
+    correspondence with one Gauss-Newton step towards the tangent planes at
+    the closest points until the RMS residual falls by less than tol_mm, in
+    at most max_iter steps (else the last transform is returned flagged
+    converged=False).
 
-    The residual sequence is non-increasing by construction (each rigid fit
-    minimizes the current correspondence cost, and re-correspondence can only
-    shrink distances); pass residual_history to record it. If max_iter is
-    exhausted the last transform is returned flagged converged=False. Raises
-    DegenerateGeometry when the converged pose is unobservable (rotationally
-    symmetric surface sampling).
+    Residual contract: on noise-free data the RMS residual never increases.
+    A rise (probe noise, near the optimum) stops the solve as converged at
+    the lowest-residual iterate. residual_history, if given, receives one
+    entry per closest-point query. Raises DegenerateGeometry when the pose is
+    unobservable (rotationally symmetric surface sampling): the step matrix
+    at the returned correspondences has a singular value ratio below 2e-2.
     """
     probed = np.asarray(probed, dtype=float).reshape(-1, 3)
     if len(probed) < 10:
         raise TooFewPoints("surface registration needs at least 10 probed points")
     t = init if init is not None else RigidTransform.identity()
 
-    prev_rms = np.inf
+    prev_rms, prev = np.inf, None
     converged = False
-    for _ in range(max_iter):
-        closest, dist, tri_idx = closest_points_on_mesh(t.apply(probed), surface)
+    for k in range(max_iter + 1):
+        moved = t.apply(probed)
+        closest, dist, tri_idx = closest_points_on_mesh(moved, surface)
         rms = float(np.sqrt(np.mean(dist ** 2)))
         if residual_history is not None:
             residual_history.append(rms)
+        step, sv = _point_to_plane_step(surface, moved, closest, tri_idx)
         if prev_rms - rms < tol_mm:
             converged = True
+            if rms > prev_rms:
+                rms, (t, dist, sv) = prev_rms, prev
             break
-        prev_rms = rms
-        t = fit_rigid(closest, probed)
-    else:  # the last fit moved t: correspond once more for the residuals
-        closest, dist, tri_idx = closest_points_on_mesh(t.apply(probed), surface)
+        if k == max_iter:
+            break
+        prev_rms, prev = rms, (t, dist, sv)
+        t = compose(step, t)
 
-    if _pose_observability_deficient(surface, closest, tri_idx):
+    if sv[-1] / sv[0] < 2e-2:
         raise DegenerateGeometry("surface sampling leaves the pose ambiguous")
-    return RegistrationResult(t, float(np.sqrt(np.mean(dist ** 2))),
-                              tuple(dist), len(probed), converged=converged)
+    return RegistrationResult(t, rms, tuple(dist), len(probed), converged=converged)

@@ -473,21 +473,40 @@ def _event_to_dict(e: Event) -> dict:
     return d
 
 
+def _json_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _event_from_dict(d: dict) -> Event:
+    """Inverse of _event_to_dict. Raises KeyError, TypeError or ValueError
+    for a malformed event: a flag that is not a JSON boolean, views that are
+    not a list of strings, or a timestamp that is not a finite number."""
+    if not isinstance(d, dict):
+        raise TypeError(f"an event must be a JSON object, got {d!r}")
     traj = None
     if "trajectory" in d:
         td = d["trajectory"]
         traj = Trajectory(np.asarray(td["times"], float),
-                          np.asarray(td["joints"], float),
-                          td["planning_mode"], td["collision_checked"])
+                          np.asarray(td["joints"], float), td["planning_mode"],
+                          _json_bool(td["collision_checked"], "collision_checked"))
     val = None
     if "validation" in d:
         vd = d["validation"]
-        val = PlanValidation(vd["accepted"], vd["breach_mm"], vd["min_clearance_mm"])
+        val = PlanValidation(_json_bool(vd["accepted"], "accepted"), vd["breach_mm"],
+                             vd["min_clearance_mm"])
+    views = d.get("views", [])
+    if not (isinstance(views, list) and all(isinstance(v, str) for v in views)):
+        raise ValueError(f"views must be a list of strings, got {views!r}")
+    timestamp = d.get("timestamp", 0.0)
+    if (isinstance(timestamp, bool) or not isinstance(timestamp, (int, float))
+            or not np.isfinite(timestamp)):
+        raise ValueError(f"timestamp must be a finite number, got {timestamp!r}")
     return Event(
         kind=EventKind(d["kind"]),
         scope=d.get("scope"),
-        views=tuple(d.get("views", ())),
+        views=tuple(views),
         level=d.get("level"),
         plan=ScrewPlan.from_dict(d["plan"]) if "plan" in d else None,
         validation=val,
@@ -496,7 +515,7 @@ def _event_from_dict(d: dict) -> Event:
         trajectory=traj,
         achieved=ScrewPlan.from_dict(d["achieved"]) if "achieved" in d else None,
         residual_rms=d.get("residual_rms"),
-        timestamp=d.get("timestamp", 0.0),
+        timestamp=timestamp,
     )
 
 

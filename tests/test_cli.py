@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinenav import cli
 from spinenav.cli import main
 from spinenav.geom import RigidTransform, transform_to_dict
+from spinenav.registration import icp_register
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -107,8 +110,11 @@ def test_register_icp_files(tmp_path):
         assert report["converged"] is True
 
 
-def test_register_icp_unconverged_is_not_accepted(tmp_path):
+def test_register_icp_unconverged_is_not_accepted(tmp_path, monkeypatch):
     from spinenav.meshes import bumpy_ellipsoid, sample_surface_points
+    # this start converges in a few steps; one allowed step forces the
+    # unconverged path, which must be reported and rejected
+    monkeypatch.setattr(cli, "icp_register", functools.partial(icp_register, max_iter=1))
     rng = np.random.default_rng(1)
     surface = bumpy_ellipsoid(rng)
     offset = RigidTransform.from_axis_angle(rng.normal(size=3), 0.15, [3.0, 0.0, 0.0])
@@ -122,7 +128,8 @@ def test_register_icp_unconverged_is_not_accepted(tmp_path):
     assert code == 0
     report = _read_json(tmp_path / "registration_report.json")
     assert report["fre_rms_mm"] <= report["threshold_mm"]
-    assert report["accepted"] == report["converged"]
+    assert report["converged"] is False
+    assert report["accepted"] is False
 
 
 def test_register_label_mismatch_is_bad_input(tmp_path, capsys):

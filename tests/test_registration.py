@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinenav.errors import DegenerateGeometry, LabelMismatch, TooFewPoints
-from spinenav.geom import RigidTransform, compose
+from spinenav.geom import RigidTransform, compose, invert
 from spinenav.meshes import bumpy_ellipsoid, icosphere, sample_surface_points
 from spinenav.registration import (
     FiducialSet,
@@ -115,6 +117,31 @@ def test_fit_rigid_batch_matches_single():
         single = fit_rigid(fixed[i], moving[i])
         assert np.array_equal(r[i], single.rotation)
         assert np.array_equal(t[i], single.translation)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(3, 12), st.integers(0, 2 ** 32 - 1))
+def test_fit_rigid_recovers_a_random_rigid_transform(n, seed):
+    rng = np.random.default_rng(seed)
+    moving = random_noncollinear_points(rng, n)
+    truth = random_rigid(rng)
+    got = fit_rigid(truth.apply(moving), moving)
+    assert np.allclose(got.rotation, truth.rotation, atol=1e-9)
+    assert np.allclose(got.translation, truth.translation, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(3, 12), st.integers(0, 2 ** 32 - 1))
+def test_fit_rigid_is_equivariant_under_a_change_of_fixed_frame(n, seed):
+    # fixed points that are no exact rigid image: fit(g(fixed)) == g o fit(fixed)
+    rng = np.random.default_rng(seed)
+    moving = random_noncollinear_points(rng, n)
+    fixed = random_rigid(rng).apply(moving) + rng.normal(scale=0.5, size=moving.shape)
+    g = random_rigid(rng)
+    want = compose(g, fit_rigid(fixed, moving))
+    got = fit_rigid(g.apply(fixed), moving)
+    assert np.allclose(got.rotation, want.rotation, atol=1e-9)
+    assert np.allclose(got.translation, want.translation, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [4, 6, 10])
@@ -279,6 +306,69 @@ def test_icp_sphere_is_ambiguous():
         icp_register(probed, sphere)
 
 
+def _pose_error(estimate, truth, points):
+    """RMS over the points of |estimate(p) - truth(p)| (mm)."""
+    return np.sqrt(np.mean(np.sum((estimate.apply(points) - truth.apply(points)) ** 2,
+                                  axis=1)))
+
+
+@pytest.mark.parametrize("angle", [0.15, 0.3, 0.5])
+def test_icp_recovers_rotated_starts_exactly(angle):
+    for seed in range(10):
+        rng = np.random.default_rng(700 + seed)
+        surf = bumpy_ellipsoid(rng)
+        direction = rng.normal(size=3)
+        offset = RigidTransform.from_axis_angle(rng.normal(size=3), angle,
+                                                3.0 * direction / np.linalg.norm(direction))
+        probed = offset.apply(sample_surface_points(surf, 200, rng))
+        history = []
+        res = icp_register(probed, surf, tol_mm=1e-8, residual_history=history)
+        assert res.converged
+        assert len(history) <= 10  # one entry per closest-point query
+        assert _pose_error(res.transform, invert(offset), probed) <= 1e-6
+
+
+def test_icp_with_probe_noise_returns_the_lowest_residual_iterate():
+    # with noise the last step can raise the residual; the solve then stops
+    # at the iterate before it
+    rises = 0
+    for seed in range(12):
+        rng = np.random.default_rng(800 + seed)
+        surf = bumpy_ellipsoid(rng)
+        offset = RigidTransform.from_axis_angle(rng.normal(size=3), 0.15, [3.0, 0.0, 0.0])
+        probed = offset.apply(sample_surface_points(surf, 200, rng)
+                              + rng.normal(scale=0.3, size=(200, 3)))
+        history = []
+        res = icp_register(probed, surf, residual_history=history)
+        assert res.converged
+        assert res.fre_rms == min(history)
+        assert res.fre_rms == float(np.sqrt(np.mean(np.square(res.per_point_residuals))))
+        rises += history[-1] > history[-2]
+    assert rises > 0  # the rule was exercised
+
+
+@pytest.mark.parametrize("subdivisions", [2, 3])
+def test_icp_icosphere_from_offset_start_is_ambiguous(subdivisions):
+    sphere = icosphere(subdivisions, 25.0)
+    rng = np.random.default_rng(9)
+    offset = RigidTransform.from_axis_angle(rng.normal(size=3), 0.2, [2.0, 1.0, 0.0])
+    probed = offset.apply(sample_surface_points(sphere, 100, rng))
+    with pytest.raises(DegenerateGeometry):
+        icp_register(probed, sphere)
+
+
+def test_icp_unconverged_when_max_iter_runs_out():
+    surf = _test_surface()
+    rng = np.random.default_rng(10)
+    offset = RigidTransform.from_axis_angle(rng.normal(size=3), 0.15, [3.0, 0.0, 0.0])
+    probed = offset.apply(sample_surface_points(surf, 200, rng))
+    history = []
+    res = icp_register(probed, surf, max_iter=1, residual_history=history)
+    assert not res.converged
+    assert len(history) == 2
+    assert res.fre_rms == history[-1] < history[0]
+
+
 def test_icp_too_few_points():
     with pytest.raises(TooFewPoints):
         icp_register(np.zeros((5, 3)), _test_surface())
@@ -335,6 +425,29 @@ def test_closest_points_on_mesh_pruning_is_exact(surf):
         assert np.array_equal(g, w)
 
 
+def test_closest_points_on_mesh_repeat_query_is_identical():
+    # the second query reuses the surface's index, built by the first
+    surf = _test_surface(34)
+    rng = np.random.default_rng(11)
+    queries = rng.uniform(-40, 40, size=(300, 3))
+    first = closest_points_on_mesh(queries, surf)
+    second = closest_points_on_mesh(queries, surf)
+    fresh = closest_points_on_mesh(queries, SurfaceModel(surf.frame, surf.vertices,
+                                                         surf.triangles))
+    for a, b, c in zip(first, second, fresh):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
+
+
+def test_surface_model_rejects_non_finite_vertices():
+    surf = icosphere(1, 10.0)
+    for bad in (np.nan, np.inf):
+        v = np.array(surf.vertices)
+        v[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SurfaceModel(surf.frame, v, surf.triangles)
+
+
 # -- verify_registration -------------------------------------------------------
 
 
@@ -383,6 +496,19 @@ def test_surface_stl_round_trip():
     a = {tuple(np.round(v, 6)) for v in surf.vertices}
     b = {tuple(np.round(v, 6)) for v in back.vertices}
     assert a == b
+
+
+def test_registration_result_from_dict_takes_only_boolean_converged():
+    d = _result_with_fre(0.1).to_dict()
+    assert RegistrationResult.from_dict(d).converged is True
+    d["converged"] = False
+    assert RegistrationResult.from_dict(d).converged is False
+    del d["converged"]
+    assert RegistrationResult.from_dict(d).converged is True
+    for bad in ("false", "true", 0, 1, None):
+        d["converged"] = bad
+        with pytest.raises(ValueError, match="converged"):
+            RegistrationResult.from_dict(d)
 
 
 def test_registration_result_invariant_checked():

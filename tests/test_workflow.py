@@ -481,6 +481,34 @@ def test_replay_malformed_event_rejected(tmp_path, line):
         replay_events(path)
 
 
+@pytest.mark.parametrize("key, sub, value", [
+    ("validation", "accepted", "false"),
+    ("trajectory", "collision_checked", "false"),
+    ("registration", "converged", "false"),
+    ("views", None, "APLP"),
+    ("timestamp", None, "noon"),
+    ("timestamp", None, float("nan")),
+])
+def test_load_rejects_a_mistyped_event_field(tmp_path, key, sub, value):
+    # a string flag would read as truthy, a string of views would split into
+    # one exposure per character: each must fail on load, not pass a guard
+    s = _run_full_session(Mode.ROBOT_ASSISTED, ("L1",))
+    path = tmp_path / "events.jsonl"
+    save_session(s, path)
+    assert load_session(path) == s
+    header, *events = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in events]
+    i = next(k for k, r in enumerate(records) if key in r)
+    if sub is None:
+        records[i][key] = value
+    else:
+        records[i][key][sub] = value
+    events[i] = json.dumps(records[i], sort_keys=True)
+    path.write_text("\n".join([header, *events]) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match=f"line {i + 2}"):
+        load_session(path)
+
+
 @pytest.mark.parametrize("header", [{"schema_version": 1},
                                     {"schema_version": 1, "mode": "nope"}])
 def test_replay_malformed_header_rejected(tmp_path, header):
