@@ -45,6 +45,9 @@ class ToolDefinition:
     def __post_init__(self):
         tip = np.array(self.tip_offset, dtype=float).reshape(3)
         ax = np.array(self.axis, dtype=float).reshape(3)
+        if not (np.all(np.isfinite(tip)) and np.all(np.isfinite(ax))
+                and np.isfinite(self.calib_residual_rms)):
+            raise ValueError("tool definition values must be finite")
         if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
             raise ValueError("tool axis must be a unit vector")
         if self.calib_residual_rms < 0.0:
@@ -141,11 +144,6 @@ class ProjectionModel:
         m = self.matrix
         return -np.linalg.solve(m[:, :3], m[:, 3])
 
-    def backproject_ray(self, uv):
-        """Unit ray direction from the camera center through detector uv."""
-        d = np.linalg.solve(self.matrix[:, :3], np.array([uv[0], uv[1], 1.0]))
-        return d / np.linalg.norm(d)
-
     def to_dict(self) -> dict:
         return {"view": self.view_label,
                 "P": [float(v) for v in self.matrix.ravel()]}
@@ -171,6 +169,8 @@ class Detection2D:
         conf = np.array(self.confidence, dtype=float).reshape(len(labels))
         if len(set(labels)) != len(labels):
             raise ValueError("detection labels must be unique per view")
+        if not (np.all(np.isfinite(uv)) and np.all(np.isfinite(conf))):
+            raise ValueError("detections and confidences must be finite")
         if np.any(conf < 0.0) or np.any(conf > 1.0):
             raise ValueError("confidence must lie in [0, 1]")
         uv.setflags(write=False)
@@ -237,21 +237,21 @@ def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionM
 
     t3 = _hartley_normalization(x)
     t2 = _hartley_normalization(uv)
-    xh = np.hstack([x, np.ones((len(x), 1))]) @ t3.T
+    x1 = np.hstack([x, np.ones((len(x), 1))])
+    xh = x1 @ t3.T
     uvh = np.hstack([uv, np.ones((len(uv), 1))]) @ t2.T
 
     a = np.zeros((2 * len(x), 12))
-    for i, (xi, ui) in enumerate(zip(xh, uvh)):
-        a[2 * i, 0:4] = xi
-        a[2 * i, 8:12] = -ui[0] * xi
-        a[2 * i + 1, 4:8] = xi
-        a[2 * i + 1, 8:12] = -ui[1] * xi
+    a[0::2, 0:4] = xh
+    a[0::2, 8:12] = -uvh[:, :1] * xh
+    a[1::2, 4:8] = xh
+    a[1::2, 8:12] = -uvh[:, 1:2] * xh
     _, _, vt = np.linalg.svd(a)
     p_norm = vt[-1].reshape(3, 4)
     p = np.linalg.inv(t2) @ p_norm @ t3
 
     # orient so the calibration points have positive projective depth
-    depths = np.hstack([x, np.ones((len(x), 1))]) @ p[2]
+    depths = x1 @ p[2]
     if np.sum(depths > 0) < len(x) / 2:
         p = -p
     return ProjectionModel.from_matrix(p, image.view_label, frame)
@@ -266,52 +266,77 @@ def reprojection_rms(model: ProjectionModel, world, image: Detection2D) -> float
     return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
 
 
-def triangulate(view_a, view_b):
-    """Midpoint triangulation of one labeled point seen in two views.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (N, 3) stacks (a may also be one (3,) row),
+    as a stacked matmul: bit-identical to np.dot on each row pair, which
+    norm(axis=1) and einsum are not."""
+    return (a[..., None, :] @ b[:, :, None])[:, 0, 0]
 
-    view_a / view_b are (ProjectionModel, uv) pairs. Returns (point mm,
-    ray_gap mm) where ray_gap is the length of the common perpendicular.
-    Raises ParallelRays when the back-projected rays are within 5 degrees.
+
+def triangulate_many(view_a, view_b):
+    """Midpoint triangulation of N points, each seen in both views.
+
+    view_a / view_b are (ProjectionModel, uv (N, 2)) pairs with matching
+    rows. Each view's camera centre is computed once and its rays in one
+    stacked solve. Returns (points (N, 3) mm, ray gaps (N,) mm), the gap
+    being the length of the common perpendicular. Raises ValueError for
+    non-finite uv, and ParallelRays when any point's rays are within 5
+    degrees of parallel.
     """
-    model_a, uv_a = view_a
-    model_b, uv_b = view_b
-    c1 = model_a.camera_center()
-    c2 = model_b.camera_center()
-    d1 = model_a.backproject_ray(uv_a)
-    d2 = model_b.backproject_ray(uv_b)
-    cosang = abs(float(np.dot(d1, d2)))
-    if cosang >= np.cos(np.deg2rad(5.0)):
+    (model_a, uv_a), (model_b, uv_b) = view_a, view_b
+    centers, rays = [], []
+    for model, uv in ((model_a, uv_a), (model_b, uv_b)):
+        uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+        if not np.all(np.isfinite(uv)):
+            raise ValueError("detector coordinates must be finite")
+        m = model.matrix[:, :3]
+        uvh = np.hstack([uv, np.ones((len(uv), 1))])
+        d = np.linalg.solve(np.broadcast_to(m, (len(uv), 3, 3)), uvh[:, :, None])[:, :, 0]
+        centers.append(model.camera_center())
+        rays.append(d / np.sqrt(_row_dot(d, d))[:, None])
+    (c1, c2), (d1, d2) = centers, rays
+    if len(d1) != len(d2):
+        raise ValueError("both views must carry the same number of points")
+    cos12 = _row_dot(d1, d2)
+    if np.any(np.abs(cos12) >= np.cos(np.deg2rad(5.0))):
         raise ParallelRays("view rays are within 5 degrees of parallel")
     r = c2 - c1
-    a11 = 1.0
-    a12 = -float(np.dot(d1, d2))
-    a22 = 1.0
-    b1 = float(np.dot(r, d1))
-    b2 = -float(np.dot(r, d2))
-    det = a11 * a22 - a12 * a12
-    l1 = (b1 * a22 - a12 * b2) / det
-    l2 = (a11 * b2 - a12 * b1) / det
-    p1 = c1 + l1 * d1
-    p2 = c2 + l2 * d2
-    return (p1 + p2) / 2.0, float(np.linalg.norm(p1 - p2))
+    a12 = -cos12
+    b1 = _row_dot(r, d1)
+    b2 = -_row_dot(r, d2)
+    det = 1.0 - a12 * a12
+    l1 = (b1 - a12 * b2) / det
+    l2 = (b2 - a12 * b1) / det
+    p1 = c1 + l1[:, None] * d1
+    p2 = c2 + l2[:, None] * d2
+    gap = p1 - p2
+    return (p1 + p2) / 2.0, np.sqrt(_row_dot(gap, gap))
+
+
+def triangulate(view_a, view_b):
+    """Midpoint triangulation of one labeled point seen in two views: the
+    one-point case of triangulate_many. Returns (point mm, ray_gap mm)."""
+    (model_a, uv_a), (model_b, uv_b) = view_a, view_b
+    points, gaps = triangulate_many((model_a, [uv_a]), (model_b, [uv_b]))
+    return points[0], float(gaps[0])
 
 
 def register_patient_2d(jig: FiducialSet, views) -> RegistrationResult:
     """Automatic 2D patient registration from two calibrated views.
 
     Triangulates every jig fiducial labeled in both views into the CArm
-    frame, then rigidly registers the jig's known patient-frame coordinates
-    to the triangulated points (result maps patient -> CArm). Raises
-    TooFewCommonLabels below 4 shared fiducials.
+    frame in one stacked call, then rigidly registers the jig's known
+    patient-frame coordinates to the triangulated points (result maps
+    patient -> CArm). Raises TooFewCommonLabels below 4 shared fiducials.
     """
     (model_a, det_a), (model_b, det_b) = views
     common = [l for l in jig.labels if l in det_a.labels and l in det_b.labels]
     if len(common) < 4:
         raise TooFewCommonLabels(
             f"need >= 4 fiducials in both views, got {len(common)}")
-    tri_pts = np.array([
-        triangulate((model_a, det_a.position(l)), (model_b, det_b.position(l)))[0]
-        for l in common])
+    tri_pts, _ = triangulate_many(
+        (model_a, [det_a.position(l) for l in common]),
+        (model_b, [det_b.position(l) for l in common]))
     fixed = FiducialSet(model_a.frame, tuple(common), tri_pts)
     return register_points(fixed, jig.subset(common))
 

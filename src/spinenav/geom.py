@@ -61,6 +61,15 @@ def snap_rotation(r: np.ndarray) -> np.ndarray:
     return r
 
 
+def cross3(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors in np.cross's own term order, so it is
+    bit-identical to np.cross without that function's per-call set-up."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                    dtype=float)
+
+
 def axis_basis(direction) -> tuple:
     """Right-handed orthonormal basis (x, y, z) with z along direction.
 
@@ -70,9 +79,9 @@ def axis_basis(direction) -> tuple:
     z = np.asarray(direction, dtype=float)
     z = z / np.linalg.norm(z)
     up = np.array([1.0, 0.0, 0.0]) if abs(z[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    x = np.cross(up, z)
+    x = cross3(up, z)
     x /= np.linalg.norm(x)
-    return x, np.cross(z, x), z
+    return x, cross3(z, x), z
 
 
 @dataclass(frozen=True)

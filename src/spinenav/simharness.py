@@ -24,7 +24,7 @@ import numpy as np
 from . import calibration as cal
 from .errors import DegenerateSpec, GuardFailed, SpineNavError
 from .fileio import atomic_write, csv_with_provenance, provenance, write_json
-from .geom import RigidTransform, axis_basis, compose, invert
+from .geom import RigidTransform, axis_basis, compose, cross3, invert
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
 from .planning import (
@@ -250,7 +250,10 @@ class Method:
     def stream_key(self) -> int:
         """Per-modality RNG key: methods sharing a modality share streams,
         so robot assistance pairs with its navigation baseline by common
-        random numbers (the paired-design the studies assert against)."""
+        random numbers (the paired-design the studies assert against).
+        Because the streams are shared, so is each trial's registration
+        chain: run_study runs it once per (modality, key, trial) and gives
+        the outcome to every method that shares it."""
         digest = hashlib.sha256(self.modality.value.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big")
 
@@ -389,10 +392,9 @@ def _carm_pair(center, detector_distance_mm: float, jitter_deg: float,
         src = center + source_to_roi * np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
         z = center - src
         z /= np.linalg.norm(z)
-        up = np.array([0.0, 0.0, 1.0])
-        x = np.cross(up, z)
+        x = cross3((0.0, 0.0, 1.0), z)
         x /= np.linalg.norm(x)
-        y = np.cross(z, x)
+        y = cross3(z, x)
         r = np.vstack([x, y, z])
         pose = RigidTransform(r, -r @ src)
         models.append(cal.pinhole_projection(pose, SOURCE_DETECTOR_DISTANCE_MM, view))
@@ -456,28 +458,43 @@ def _registration_transform(phantom: Phantom, method: Method, factors: dict,
     return cal.register_patient_2d(phantom.fiducials, views).transform, t_gt
 
 
+def _chain_outcome(phantom: Phantom, method: Method, factors: dict,
+                   config: StudyConfig, rng: np.random.Generator):
+    """One registration chain's (t_est, t_gt), or the failure string of the
+    SpineNavError it raised."""
+    try:
+        return _registration_transform(phantom, method, factors, config.noise,
+                                       rng, config.view_jitter_deg)
+    except SpineNavError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _trial_result(phantom: Phantom, method: Method, factors: dict,
+                  config: StudyConfig, outcome, rng: np.random.Generator) -> TrialResult:
+    """Score a chain outcome at the held-out targets; a robot trial first
+    draws its kinematic noise from rng, the generator the chain left."""
+    if isinstance(outcome, str):
+        return TrialResult(method.label, method.modality, method.robot_assisted,
+                           factors, None, ok=False, error=outcome)
+    t_est, t_gt = outcome
+    mapped = t_est.apply(phantom.targets.points)
+    truth = t_gt.apply(phantom.targets.points)
+    if method.robot_assisted:
+        mapped = mapped + rng.normal(scale=config.noise.kinematic_sigma,
+                                     size=mapped.shape)
+    err = np.linalg.norm(mapped - truth, axis=1)
+    rmse = float(np.sqrt(np.mean(err ** 2)))
+    return TrialResult(method.label, method.modality, method.robot_assisted,
+                       factors, rmse)
+
+
 def run_trial(phantom: Phantom, method: Method, factors: dict,
               config: StudyConfig, trial_rng: np.random.Generator) -> TrialResult:
     """One full registration chain evaluated as RMSE at the held-out
     verification targets (a TRE-like statistic, not the fit residual).
     Chain errors are recorded as failed trials, never silently dropped."""
-    try:
-        t_est, t_gt = _registration_transform(phantom, method, factors,
-                                              config.noise, trial_rng,
-                                              config.view_jitter_deg)
-        mapped = t_est.apply(phantom.targets.points)
-        truth = t_gt.apply(phantom.targets.points)
-        if method.robot_assisted:
-            mapped = mapped + trial_rng.normal(scale=config.noise.kinematic_sigma,
-                                               size=mapped.shape)
-        err = np.linalg.norm(mapped - truth, axis=1)
-        rmse = float(np.sqrt(np.mean(err ** 2)))
-        return TrialResult(method.label, method.modality, method.robot_assisted,
-                           factors, rmse)
-    except SpineNavError as e:
-        return TrialResult(method.label, method.modality, method.robot_assisted,
-                           factors, None, ok=False,
-                           error=f"{type(e).__name__}: {e}")
+    outcome = _chain_outcome(phantom, method, factors, config, trial_rng)
+    return _trial_result(phantom, method, factors, config, outcome, trial_rng)
 
 
 @dataclass(frozen=True)
@@ -515,23 +532,44 @@ def run_study(config: StudyConfig, phantom: Phantom,
               methods=DEFAULT_METHODS) -> StudyResult:
     """Exactly samples_per_method trials per method, balanced round-robin
     over the factor cells, run serially (config.threads is ignored: a thread
-    pool only slowed the study); deterministic for a given config.noise.seed."""
+    pool only slowed the study); deterministic for a given config.noise.seed.
+
+    Methods that share a modality and a stream_key draw the same chain for
+    trial t, so the trials run trial by trial and each such chain runs once:
+    its outcome (the transforms, or the failure) and the generator state it
+    left are kept for that trial, and a robot trial continues from that
+    state to draw its kinematic noise. Every trial equals run_trial on its
+    own _trial_rng, for any methods tuple in any order.
+    """
+    keys = [m.stream_key() for m in methods]
+    cells = [config.cells(m.modality) for m in methods]
+    trials = [[] for _ in methods]
+    for t in range(config.samples_per_method):
+        chains = {}  # (modality, stream key) -> (outcome, generator state)
+        for method, key, method_cells, method_trials in zip(methods, keys, cells, trials):
+            factors = method_cells[t % len(method_cells)]
+            rng = _trial_rng(config.noise.seed, key, t)
+            chain = chains.get((method.modality, key))
+            if chain is None:
+                outcome = _chain_outcome(phantom, method, factors, config, rng)
+                chains[method.modality, key] = outcome, rng.bit_generator.state
+            else:
+                outcome, state = chain
+                rng.bit_generator.state = state
+            method_trials.append(_trial_result(phantom, method, factors, config,
+                                               outcome, rng))
     out = []
-    for method in methods:
-        cells = config.cells(method.modality)
-        trials = [run_trial(phantom, method, cells[t % len(cells)], config,
-                            _trial_rng(config.noise.seed, method.stream_key(), t))
-                  for t in range(config.samples_per_method)]
-        ok = [t for t in trials if t.ok]
+    for method, method_cells, method_trials in zip(methods, cells, trials):
+        ok = [t for t in method_trials if t.ok]
         cell_stats = []
-        for cell in cells:
+        for cell in method_cells:
             vals = [t.rmse_mm for t in ok if t.factors == cell]
             if vals:
                 cell_stats.append((cell, StudyStats.from_values(vals)))
         pooled = StudyStats.from_values([t.rmse_mm for t in ok]) if ok \
             else StudyStats(float("nan"), float("nan"), float("nan"), 0)
-        out.append(MethodResult(method, pooled, tuple(cell_stats), tuple(trials),
-                                len(trials) - len(ok)))
+        out.append(MethodResult(method, pooled, tuple(cell_stats),
+                                tuple(method_trials), len(method_trials) - len(ok)))
     return StudyResult(tuple(out), config)
 
 

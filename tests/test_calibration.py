@@ -15,8 +15,10 @@ from spinenav.calibration import (
     render_fiducial_raster,
     reprojection_rms,
     triangulate,
+    triangulate_many,
     write_projection_image,
 )
+from spinenav.calibration import _hartley_normalization
 from spinenav.errors import (
     CoplanarPoints,
     InsufficientRotation,
@@ -97,6 +99,18 @@ def test_pivot_result_packages_tool_definition():
         ToolDefinition("ToolBody", (0, 0, 100.0), (0, 0, 2.0), 0.1)  # non-unit axis
 
 
+@pytest.mark.parametrize("tip, axis, residual", [
+    ((0.0, 0.0, float("nan")), (0.0, 0.0, 1.0), 0.1),
+    ((0.0, float("inf"), 100.0), (0.0, 0.0, 1.0), 0.1),
+    ((0.0, 0.0, 100.0), (0.0, float("nan"), 1.0), 0.1),
+    ((0.0, 0.0, 100.0), (0.0, 0.0, 1.0), float("nan")),
+    ((0.0, 0.0, 100.0), (0.0, 0.0, 1.0), float("inf")),
+], ids=["nan_tip", "inf_tip", "nan_axis", "nan_residual", "inf_residual"])
+def test_tool_definition_rejects_non_finite(tip, axis, residual):
+    with pytest.raises(ValueError, match="finite"):
+        ToolDefinition("ToolBody", tip, axis, residual)
+
+
 def test_pivot_residual_invariant_under_world_change():
     rng = np.random.default_rng(13)
     poses = _pivot_poses(rng, 25, (0, 0, 80.0), (4.0, 5.0, 6.0), trans_noise=0.2)
@@ -170,6 +184,52 @@ def test_dlt_noise_band_1000_seeds():
     assert vals.min() >= 0.1 and vals.max() <= 0.4
 
 
+def _dlt_loop_reference(world, image):
+    """dlt_calibrate with its design matrix built row pair by row pair, the
+    form the stacked assignment replaced."""
+    labels = [w[0] for w in world]
+    x = np.asarray([w[1] for w in world], dtype=float)
+    uv = np.asarray([image.position(l) for l in labels], dtype=float)
+    t3 = _hartley_normalization(x)
+    t2 = _hartley_normalization(uv)
+    xh = np.hstack([x, np.ones((len(x), 1))]) @ t3.T
+    uvh = np.hstack([uv, np.ones((len(uv), 1))]) @ t2.T
+    a = np.zeros((2 * len(x), 12))
+    for i, (xi, ui) in enumerate(zip(xh, uvh)):
+        a[2 * i, 0:4] = xi
+        a[2 * i, 8:12] = -ui[0] * xi
+        a[2 * i + 1, 4:8] = xi
+        a[2 * i + 1, 8:12] = -ui[1] * xi
+    _, _, vt = np.linalg.svd(a)
+    p = np.linalg.inv(t2) @ vt[-1].reshape(3, 4) @ t3
+    depths = np.hstack([x, np.ones((len(x), 1))]) @ p[2]
+    if np.sum(depths > 0) < len(x) / 2:
+        p = -p
+    return ProjectionModel.from_matrix(p, image.view_label)
+
+
+def test_dlt_matches_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        src = rng.uniform(-200, 200, size=3) + [0.0, -700.0, 0.0]
+        model = pinhole_projection(look_at(src, rng.uniform(-20, 20, size=3)),
+                                   1000.0, "AP")
+        pts = rng.uniform(-70, 70, size=(int(rng.integers(6, 20)), 3))
+        world, det = _world_image_pairs(model, pts, noise=1.75, rng=rng)
+        assert np.array_equal(dlt_calibrate(world, det).matrix,
+                              _dlt_loop_reference(world, det).matrix)
+
+
+@pytest.mark.parametrize("uv, conf", [
+    ([[0.0, float("nan")]], [1.0]),
+    ([[float("inf"), 0.0]], [1.0]),
+    ([[0.0, 0.0]], [float("nan")]),
+], ids=["nan_uv", "inf_uv", "nan_confidence"])
+def test_detection2d_rejects_non_finite(uv, conf):
+    with pytest.raises(ValueError, match="finite"):
+        Detection2D("AP", ("J0",), uv, conf)
+
+
 def test_project_principal_axis():
     model = pinhole_projection(RigidTransform.identity(), 1000.0, "AP")
     assert np.allclose(project(model, [0.0, 0.0, 500.0]), [0.0, 0.0], atol=1e-12)
@@ -230,6 +290,64 @@ def test_triangulate_noise_error_rate():
         rec, _ = triangulate((AP, ua), (LP, ub))
         ok += np.linalg.norm(rec - p) < 1.0
     assert ok >= 950
+
+
+def _triangulate_scalar_reference(view_a, view_b):
+    """One-point midpoint triangulation with per-point centres and rays, the
+    form triangulate_many replaced."""
+    (model_a, uv_a), (model_b, uv_b) = view_a, view_b
+
+    def center_and_ray(model, uv):
+        m = model.matrix
+        d = np.linalg.solve(m[:, :3], np.array([uv[0], uv[1], 1.0]))
+        return -np.linalg.solve(m[:, :3], m[:, 3]), d / np.linalg.norm(d)
+
+    c1, d1 = center_and_ray(model_a, uv_a)
+    c2, d2 = center_and_ray(model_b, uv_b)
+    if abs(float(np.dot(d1, d2))) >= np.cos(np.deg2rad(5.0)):
+        raise ParallelRays("view rays are within 5 degrees of parallel")
+    r = c2 - c1
+    a12 = -float(np.dot(d1, d2))
+    b1 = float(np.dot(r, d1))
+    b2 = -float(np.dot(r, d2))
+    det = 1.0 * 1.0 - a12 * a12
+    l1 = (b1 * 1.0 - a12 * b2) / det
+    l2 = (1.0 * b2 - a12 * b1) / det
+    p1 = c1 + l1 * d1
+    p2 = c2 + l2 * d2
+    return (p1 + p2) / 2.0, float(np.linalg.norm(p1 - p2))
+
+
+def test_triangulate_many_matches_scalar_reference_bit_for_bit():
+    # 1000 random view pairs, each with a stack of noisy detections: every
+    # point and gap equals the one-point-at-a-time form exactly
+    rng = np.random.default_rng(42)
+    for _ in range(1000):
+        ma = pinhole_projection(look_at(rng.uniform(-150, 150, size=3) + [0, -700, 0],
+                                        rng.uniform(-20, 20, size=3)), 1000.0, "AP")
+        mb = pinhole_projection(look_at(rng.uniform(-150, 150, size=3) + [-700, 0, 0],
+                                        rng.uniform(-20, 20, size=3)), 1000.0, "LP")
+        p = rng.uniform(-80, 80, size=(int(rng.integers(1, 10)), 3))
+        ua = project(ma, p) + rng.normal(scale=1.75, size=(len(p), 2))
+        ub = project(mb, p) + rng.normal(scale=1.75, size=(len(p), 2))
+        points, gaps = triangulate_many((ma, ua), (mb, ub))
+        for i in range(len(p)):
+            ref_point, ref_gap = _triangulate_scalar_reference((ma, ua[i]), (mb, ub[i]))
+            assert np.array_equal(points[i], ref_point) and gaps[i] == ref_gap
+            point, gap = triangulate((ma, ua[i]), (mb, ub[i]))
+            assert np.array_equal(point, ref_point) and gap == ref_gap
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_triangulate_rejects_non_finite_uv(bad):
+    p = np.array([10.0, 20.0, 30.0])
+    with pytest.raises(ValueError, match="finite"):
+        triangulate((AP, [bad, 0.0]), (LP, project(LP, p)))
+    ua = project(AP, np.array([p, p + 5.0]))
+    ub = project(LP, np.array([p, p + 5.0]))
+    ub[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        triangulate_many((AP, ua), (LP, ub))
 
 
 def test_triangulate_identical_views_rejected():

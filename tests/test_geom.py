@@ -9,6 +9,7 @@ from spinenav.geom import (
     RigidTransform,
     axis_basis,
     compose,
+    cross3,
     invert,
     resolve,
     snap_rotation,
@@ -120,6 +121,19 @@ def test_axis_basis_is_right_handed_along_direction():
         assert np.allclose(z, d / np.linalg.norm(d), atol=1e-15)
         assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cross3_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(13)
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e300]
+    vectors = np.vstack([rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-8, 8, size=(500, 1)),
+                         rng.choice(special, size=(100, 3))])
+    for a, b in zip(vectors, vectors[::-1]):
+        c = cross3(a, b)
+        assert c.dtype == np.float64
+        # tobytes also tells -0.0 from 0.0
+        assert c.tobytes() == np.cross(a, b).tobytes()
+    assert cross3((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_invalid_rotation_rejected():

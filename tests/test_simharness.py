@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from spinenav.errors import DegenerateSpec
+from spinenav import simharness
+from spinenav.errors import DegenerateGeometry, DegenerateSpec
 from spinenav.simharness import (
     DEFAULT_METHODS,
     NoiseModel,
     PhantomSpec,
     StudyConfig,
+    _random_rigid,
     _tracker_noise,
     _trial_rng,
     calibrate_tracker_sigma0,
@@ -223,6 +225,70 @@ def test_study_deterministic_across_runs_and_threads():
             va = [t.rmse_mm for t in ma.trials]
             vb = [t.rmse_mm for t in mb.trials]
             assert va == vb
+
+
+def _assert_study_equals_direct_trials(cfg, methods):
+    """Every run_study trial equals run_trial on its own generator."""
+    res = run_study(cfg, PHANTOM, methods)
+    assert [m.method for m in res.methods] == list(methods)
+    for m in res.methods:
+        cells = cfg.cells(m.method.modality)
+        for t, trial in enumerate(m.trials):
+            direct = run_trial(PHANTOM, m.method, cells[t % len(cells)], cfg,
+                               _trial_rng(cfg.noise.seed, m.method.stream_key(), t))
+            assert trial == direct  # rmse_mm and error compared with ==
+    return res
+
+
+@pytest.mark.parametrize("methods", [DEFAULT_METHODS, DEFAULT_METHODS[::-1],
+                                     DEFAULT_METHODS[2:]],
+                         ids=["default", "reversed", "robot_only"])
+def test_study_trials_equal_direct_trials(methods):
+    # the robot method shares its navigation partner's chain within a
+    # study; each trial must still be the one run_trial gives
+    res = _assert_study_equals_direct_trials(StudyConfig(samples_per_method=36), methods)
+    assert all(m.n_failed == 0 for m in res.methods)
+
+
+@pytest.mark.parametrize("methods", [DEFAULT_METHODS, DEFAULT_METHODS[::-1]],
+                         ids=["default", "reversed"])
+def test_study_failed_2d_trials_equal_direct_trials(methods):
+    # at 60 degrees of view jitter some AP/LP pairs come within 5 degrees
+    # of parallel and the 2D chain fails
+    res = _assert_study_equals_direct_trials(
+        StudyConfig(samples_per_method=60, view_jitter_deg=60.0), methods)
+    failed = [t for t in res.method("automatic_intraop_2d_navigation").trials if not t.ok]
+    assert failed and all(t.error.startswith("ParallelRays: ") for t in failed)
+
+
+@pytest.mark.parametrize("methods", [DEFAULT_METHODS, DEFAULT_METHODS[::-1],
+                                     DEFAULT_METHODS[2:]],
+                         ids=["default", "reversed", "robot_only"])
+def test_study_failed_shared_chains_equal_direct_trials(monkeypatch, methods):
+    # the pre-op chain fails on odd trials (found by the chain's first draw,
+    # its ground-truth pose), with the trial number in the error; navigation
+    # and robot trials must each report the failure of their own trial
+    cfg = StudyConfig(samples_per_method=24)
+    key = DEFAULT_METHODS[0].stream_key()
+    odd = {_random_rigid(_trial_rng(cfg.noise.seed, key, t)).translation.tobytes(): t
+           for t in range(1, cfg.samples_per_method, 2)}
+    chain = simharness._registration_transform
+
+    def failing_on_odd_trials(phantom, method, factors, noise, rng, jitter_deg):
+        t_est, t_gt = chain(phantom, method, factors, noise, rng, jitter_deg)
+        t = odd.get(t_gt.translation.tobytes())
+        if method.modality is DEFAULT_METHODS[0].modality and t is not None:
+            raise DegenerateGeometry(f"injected at trial {t}")
+        return t_est, t_gt
+
+    monkeypatch.setattr(simharness, "_registration_transform", failing_on_odd_trials)
+    res = _assert_study_equals_direct_trials(cfg, methods)
+    for m in res.methods:
+        if m.method.modality is DEFAULT_METHODS[0].modality:
+            assert [t.error for t in m.trials[1::2]] == [
+                f"DegenerateGeometry: injected at trial {t}"
+                for t in range(1, cfg.samples_per_method, 2)]
+            assert all(t.ok for t in m.trials[0::2])
 
 
 def test_calibration_hits_target_mean():

@@ -342,6 +342,40 @@ def test_radiation_session_scope_split():
         assert row.registration_images == pytest.approx(0.5)
 
 
+@st.composite
+def _screws_and_log(draw):
+    """Screws on plain and pedicle-side levels, and a log whose scopes are
+    screw ids, levels (a plain level also covers its side levels), the
+    session, or names that match nothing (counted session-wide)."""
+    from spinenav.workflow import ScrewRecord
+    levels = draw(st.lists(st.sampled_from(
+        ["L1", "L1-left", "L1-right", "L2", "L2-left", "L3-right"]),
+        min_size=1, max_size=8))
+    screws = [ScrewRecord(lv, f"{lv}#{i + 1}") for i, lv in enumerate(levels)]
+    scopes = ([s.screw_id for s in screws] + sorted(set(levels))
+              + ["L1", "L2", "L3", "session", "elsewhere"])
+    entries = draw(st.lists(st.builds(
+        AcquisitionEntry, st.sampled_from(scopes), st.sampled_from(list(Purpose)),
+        st.sampled_from(["AP", "LP"])), max_size=40))
+    return screws, AcquisitionLog(tuple(entries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_screws_and_log())
+def test_radiation_shares_sum_to_the_log(screws_and_log):
+    # every entry is split in equal shares over the screws it covers, so
+    # the per-screw counts sum to the entry counts and the mean is their
+    # total over the screw count
+    screws, log = screws_and_log
+    report = radiation_report(log, screws)
+    n_ver = sum(e.purpose is Purpose.VERIFICATION for e in log.entries)
+    n_reg = log.count() - n_ver
+    assert [r.screw_id for r in report.rows] == [s.screw_id for s in screws]
+    assert sum(r.registration_images for r in report.rows) == pytest.approx(n_reg)
+    assert sum(r.verification_images for r in report.rows) == pytest.approx(n_ver)
+    assert report.mean_per_screw == pytest.approx(log.count() / len(screws))
+
+
 def test_acquisition_counts_replayable_from_trace(tmp_path):
     s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1", "L2"))
     trace = tmp_path / "events.jsonl"
