@@ -273,17 +273,19 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def triangulate_many(view_a, view_b):
-    """Midpoint triangulation of N points, each seen in both views.
+def triangulate(view_a, view_b):
+    """Midpoint triangulation of labeled points seen in two views.
 
-    view_a / view_b are (ProjectionModel, uv (N, 2)) pairs with matching
-    rows. Each view's camera centre is computed once and its rays in one
-    stacked solve. Returns (points (N, 3) mm, ray gaps (N,) mm), the gap
-    being the length of the common perpendicular. Raises ValueError for
-    non-finite uv, and ParallelRays when any point's rays are within 5
-    degrees of parallel.
+    view_a / view_b are (ProjectionModel, uv) pairs, uv one detector point
+    (2,) or a stack (N, 2) with matching rows in both views. Each view's
+    camera centre is computed once and its rays in one stacked solve.
+    Returns (point mm, ray_gap mm) for one point and (points (N, 3) mm,
+    ray gaps (N,) mm) for a stack, the gap being the length of the common
+    perpendicular. Raises ValueError for non-finite uv, and ParallelRays
+    when any point's rays are within 5 degrees of parallel.
     """
     (model_a, uv_a), (model_b, uv_b) = view_a, view_b
+    single = np.ndim(uv_a) == 1 and np.ndim(uv_b) == 1
     centers, rays = [], []
     for model, uv in ((model_a, uv_a), (model_b, uv_b)):
         uv = np.asarray(uv, dtype=float).reshape(-1, 2)
@@ -309,16 +311,9 @@ def triangulate_many(view_a, view_b):
     l2 = (b2 - a12 * b1) / det
     p1 = c1 + l1[:, None] * d1
     p2 = c2 + l2[:, None] * d2
-    gap = p1 - p2
-    return (p1 + p2) / 2.0, np.sqrt(_row_dot(gap, gap))
-
-
-def triangulate(view_a, view_b):
-    """Midpoint triangulation of one labeled point seen in two views: the
-    one-point case of triangulate_many. Returns (point mm, ray_gap mm)."""
-    (model_a, uv_a), (model_b, uv_b) = view_a, view_b
-    points, gaps = triangulate_many((model_a, [uv_a]), (model_b, [uv_b]))
-    return points[0], float(gaps[0])
+    diff = p1 - p2
+    points, gaps = (p1 + p2) / 2.0, np.sqrt(_row_dot(diff, diff))
+    return (points[0], float(gaps[0])) if single else (points, gaps)
 
 
 def register_patient_2d(jig: FiducialSet, views) -> RegistrationResult:
@@ -334,7 +329,7 @@ def register_patient_2d(jig: FiducialSet, views) -> RegistrationResult:
     if len(common) < 4:
         raise TooFewCommonLabels(
             f"need >= 4 fiducials in both views, got {len(common)}")
-    tri_pts, _ = triangulate_many(
+    tri_pts, _ = triangulate(
         (model_a, [det_a.position(l) for l in common]),
         (model_b, [det_b.position(l) for l in common]))
     fixed = FiducialSet(model_a.frame, tuple(common), tri_pts)

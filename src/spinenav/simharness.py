@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -252,8 +253,8 @@ class Method:
         so robot assistance pairs with its navigation baseline by common
         random numbers (the paired-design the studies assert against).
         Because the streams are shared, so is each trial's registration
-        chain: run_study runs it once per (modality, key, trial) and gives
-        the outcome to every method that shares it."""
+        chain: run_study runs it once per stream key and trial and gives the
+        outcome to every method that shares it."""
         digest = hashlib.sha256(self.modality.value.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big")
 
@@ -458,21 +459,34 @@ def _registration_transform(phantom: Phantom, method: Method, factors: dict,
     return cal.register_patient_2d(phantom.fiducials, views).transform, t_gt
 
 
-def _chain_outcome(phantom: Phantom, method: Method, factors: dict,
-                   config: StudyConfig, rng: np.random.Generator):
-    """One registration chain's (t_est, t_gt), or the failure string of the
-    SpineNavError it raised."""
-    try:
-        return _registration_transform(phantom, method, factors, config.noise,
-                                       rng, config.view_jitter_deg)
-    except SpineNavError as e:
-        return f"{type(e).__name__}: {e}"
+# Within one run_study trial index: stream key -> (chain outcome, generator
+# state the chain left). None outside run_study, where every run_trial runs
+# its own chain.
+_STUDY_CHAINS: ContextVar = ContextVar("spinenav_study_chains", default=None)
 
 
-def _trial_result(phantom: Phantom, method: Method, factors: dict,
-                  config: StudyConfig, outcome, rng: np.random.Generator) -> TrialResult:
-    """Score a chain outcome at the held-out targets; a robot trial first
-    draws its kinematic noise from rng, the generator the chain left."""
+def run_trial(phantom: Phantom, method: Method, factors: dict,
+              config: StudyConfig, trial_rng: np.random.Generator) -> TrialResult:
+    """One full registration chain evaluated as RMSE at the held-out
+    verification targets (a TRE-like statistic, not the fit residual).
+    Chain errors are recorded as failed trials, never silently dropped.
+
+    Inside run_study, a trial whose stream key's chain has already run for
+    the same trial index takes that chain's outcome (the transforms, or the
+    failure) and continues from the generator state it left; see run_study.
+    """
+    chains, key = _STUDY_CHAINS.get(), method.stream_key()
+    shared = None if chains is None else chains.get(key)
+    if shared is None:
+        try:
+            outcome = _registration_transform(phantom, method, factors, config.noise,
+                                              trial_rng, config.view_jitter_deg)
+        except SpineNavError as e:
+            outcome = f"{type(e).__name__}: {e}"
+        if chains is not None:
+            chains[key] = outcome, trial_rng.bit_generator.state
+    else:
+        outcome, trial_rng.bit_generator.state = shared
     if isinstance(outcome, str):
         return TrialResult(method.label, method.modality, method.robot_assisted,
                            factors, None, ok=False, error=outcome)
@@ -480,21 +494,12 @@ def _trial_result(phantom: Phantom, method: Method, factors: dict,
     mapped = t_est.apply(phantom.targets.points)
     truth = t_gt.apply(phantom.targets.points)
     if method.robot_assisted:
-        mapped = mapped + rng.normal(scale=config.noise.kinematic_sigma,
-                                     size=mapped.shape)
+        mapped = mapped + trial_rng.normal(scale=config.noise.kinematic_sigma,
+                                           size=mapped.shape)
     err = np.linalg.norm(mapped - truth, axis=1)
     rmse = float(np.sqrt(np.mean(err ** 2)))
     return TrialResult(method.label, method.modality, method.robot_assisted,
                        factors, rmse)
-
-
-def run_trial(phantom: Phantom, method: Method, factors: dict,
-              config: StudyConfig, trial_rng: np.random.Generator) -> TrialResult:
-    """One full registration chain evaluated as RMSE at the held-out
-    verification targets (a TRE-like statistic, not the fit residual).
-    Chain errors are recorded as failed trials, never silently dropped."""
-    outcome = _chain_outcome(phantom, method, factors, config, trial_rng)
-    return _trial_result(phantom, method, factors, config, outcome, trial_rng)
 
 
 @dataclass(frozen=True)
@@ -534,30 +539,26 @@ def run_study(config: StudyConfig, phantom: Phantom,
     over the factor cells, run serially (config.threads is ignored: a thread
     pool only slowed the study); deterministic for a given config.noise.seed.
 
-    Methods that share a modality and a stream_key draw the same chain for
-    trial t, so the trials run trial by trial and each such chain runs once:
-    its outcome (the transforms, or the failure) and the generator state it
-    left are kept for that trial, and a robot trial continues from that
-    state to draw its kinematic noise. Every trial equals run_trial on its
-    own _trial_rng, for any methods tuple in any order.
+    Methods with the same stream_key draw the same chain for trial t, so
+    the trials run trial by trial and each such chain runs once per stream
+    key: run_trial keeps its outcome for that trial index, and a robot
+    trial continues from the generator state it left to draw its kinematic
+    noise. Every trial equals run_trial on its own _trial_rng, for any
+    methods tuple in any order.
     """
-    keys = [m.stream_key() for m in methods]
     cells = [config.cells(m.modality) for m in methods]
     trials = [[] for _ in methods]
-    for t in range(config.samples_per_method):
-        chains = {}  # (modality, stream key) -> (outcome, generator state)
-        for method, key, method_cells, method_trials in zip(methods, keys, cells, trials):
-            factors = method_cells[t % len(method_cells)]
-            rng = _trial_rng(config.noise.seed, key, t)
-            chain = chains.get((method.modality, key))
-            if chain is None:
-                outcome = _chain_outcome(phantom, method, factors, config, rng)
-                chains[method.modality, key] = outcome, rng.bit_generator.state
-            else:
-                outcome, state = chain
-                rng.bit_generator.state = state
-            method_trials.append(_trial_result(phantom, method, factors, config,
-                                               outcome, rng))
+    chains = {}
+    token = _STUDY_CHAINS.set(chains)
+    try:
+        for t in range(config.samples_per_method):
+            chains.clear()
+            for method, method_cells, method_trials in zip(methods, cells, trials):
+                method_trials.append(run_trial(
+                    phantom, method, method_cells[t % len(method_cells)], config,
+                    _trial_rng(config.noise.seed, method.stream_key(), t)))
+    finally:
+        _STUDY_CHAINS.reset(token)
     out = []
     for method, method_cells, method_trials in zip(methods, cells, trials):
         ok = [t for t in method_trials if t.ok]

@@ -15,7 +15,6 @@ from spinenav.calibration import (
     render_fiducial_raster,
     reprojection_rms,
     triangulate,
-    triangulate_many,
     write_projection_image,
 )
 from spinenav.calibration import _hartley_normalization
@@ -294,7 +293,7 @@ def test_triangulate_noise_error_rate():
 
 def _triangulate_scalar_reference(view_a, view_b):
     """One-point midpoint triangulation with per-point centres and rays, the
-    form triangulate_many replaced."""
+    form the stacked triangulate replaced."""
     (model_a, uv_a), (model_b, uv_b) = view_a, view_b
 
     def center_and_ray(model, uv):
@@ -318,7 +317,7 @@ def _triangulate_scalar_reference(view_a, view_b):
     return (p1 + p2) / 2.0, float(np.linalg.norm(p1 - p2))
 
 
-def test_triangulate_many_matches_scalar_reference_bit_for_bit():
+def test_stacked_triangulate_matches_scalar_reference_bit_for_bit():
     # 1000 random view pairs, each with a stack of noisy detections: every
     # point and gap equals the one-point-at-a-time form exactly
     rng = np.random.default_rng(42)
@@ -330,7 +329,7 @@ def test_triangulate_many_matches_scalar_reference_bit_for_bit():
         p = rng.uniform(-80, 80, size=(int(rng.integers(1, 10)), 3))
         ua = project(ma, p) + rng.normal(scale=1.75, size=(len(p), 2))
         ub = project(mb, p) + rng.normal(scale=1.75, size=(len(p), 2))
-        points, gaps = triangulate_many((ma, ua), (mb, ub))
+        points, gaps = triangulate((ma, ua), (mb, ub))
         for i in range(len(p)):
             ref_point, ref_gap = _triangulate_scalar_reference((ma, ua[i]), (mb, ub[i]))
             assert np.array_equal(points[i], ref_point) and gaps[i] == ref_gap
@@ -347,7 +346,7 @@ def test_triangulate_rejects_non_finite_uv(bad):
     ub = project(LP, np.array([p, p + 5.0]))
     ub[1, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        triangulate_many((AP, ua), (LP, ub))
+        triangulate((AP, ua), (LP, ub))
 
 
 def test_triangulate_identical_views_rejected():

@@ -291,6 +291,26 @@ def test_study_failed_shared_chains_equal_direct_trials(monkeypatch, methods):
             assert all(t.ok for t in m.trials[0::2])
 
 
+@pytest.mark.parametrize("methods, chains", [(DEFAULT_METHODS, 2), (DEFAULT_METHODS[::-1], 2),
+                                             (DEFAULT_METHODS[:1] + DEFAULT_METHODS[2:], 1)],
+                         ids=["default", "reversed", "preop_pair"])
+def test_study_runs_one_chain_per_stream_key_and_trial(monkeypatch, methods, chains):
+    calls = []
+    chain = simharness._registration_transform
+
+    def counted(*args):
+        calls.append(args[1].label)
+        return chain(*args)
+
+    monkeypatch.setattr(simharness, "_registration_transform", counted)
+    run_study(StudyConfig(samples_per_method=12), PHANTOM, methods)
+    assert len(calls) == chains * 12
+    assert simharness._STUDY_CHAINS.get() is None
+    run_trial(PHANTOM, methods[0], StudyConfig().cells(methods[0].modality)[0],
+              StudyConfig(), _trial_rng(1, methods[0].stream_key(), 0))
+    assert len(calls) == chains * 12 + 1
+
+
 def test_calibration_hits_target_mean():
     cfg = calibrate_tracker_sigma0(PHANTOM, StudyConfig())
     res = run_study(cfg, PHANTOM, methods=DEFAULT_METHODS[:1])
