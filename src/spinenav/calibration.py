@@ -9,6 +9,7 @@ patient registration chain that ties them together.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,9 +126,19 @@ class ProjectionModel:
         m = np.array(self.matrix, dtype=float).reshape(3, 4)
         if self.view_label not in VIEW_LABELS:
             raise ValueError(f"view_label must be one of {VIEW_LABELS}")
+        if not np.isfinite(m).all():
+            raise ValueError("projection matrix must be finite")
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[2] / sv[0] < 1e-12:
             raise ValueError("projection matrix must have rank 3")
+        # Hadamard: |det| of the left 3x3 block is at most the product of its
+        # row norms; a vanishing ratio puts the camera centre at infinity
+        (a, b, c, _), (d, e, f, _), (g, h, i, _) = m.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        rows = (a * a + b * b + c * c) * (d * d + e * e + f * f) * (g * g + h * h + i * i)
+        if not abs(det) > 1e-12 * math.sqrt(rows):
+            raise ValueError("projection matrix's left 3x3 block is singular: "
+                             "its camera centre is at infinity")
         if abs(np.linalg.norm(m[2, :3]) - 1.0) > 1e-9:
             raise ValueError("projection matrix must be scale-normalized")
         m.setflags(write=False)

@@ -62,7 +62,8 @@ def snap_rotation(r: np.ndarray) -> np.ndarray:
 
 
 def cross3(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors in np.cross's own term order, so it is
+    """Cross product of two 3-vectors, or of two stacks given as their
+    component rows (3, N), in np.cross's own term order, so it is
     bit-identical to np.cross without that function's per-call set-up."""
     a0, a1, a2 = a
     b0, b1, b2 = b
@@ -94,10 +95,13 @@ class RigidTransform:
     def __post_init__(self):
         r = np.array(self.rotation, dtype=float).reshape(3, 3)
         t = np.array(self.translation, dtype=float).reshape(3)
-        if _orthonormality_residual(r) > _ORTHO_TOL:
+        # written as not (x <= tol), so a NaN residual fails the gate
+        if not _orthonormality_residual(r) <= _ORTHO_TOL:
             raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
+        if not abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL:
             raise ValueError("rotation determinant is not +1 within 1e-9")
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)

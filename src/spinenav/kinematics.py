@@ -7,19 +7,20 @@ stack of rows, and inverse kinematics is damped least squares with adaptive
 damping and seeded restarts. Tool-axis targets are 5-DOF tasks (roll about
 the tool axis is free), and the planner exploits that free roll to steer
 around obstacles. Collision checking fills one clearance table (rows x link
-capsules x obstacles) per trajectory; one-configuration queries are one-row
-views of it.
+capsules x obstacles) per planning phase; one-configuration queries are
+one-row views of it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LimitViolation, NoSafePath, Unreachable
-from .geom import RigidTransform, axis_basis, snap_rotation
+from .geom import RigidTransform, axis_basis, cross3, snap_rotation
 
 MAX_JOINT_STEP_RAD = 0.05
 # inverse kinematics: convergence tolerances, iteration cap, damping floor
@@ -121,6 +122,8 @@ class JointVector:
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float).reshape(6)
+        if not np.isfinite(q).all():
+            raise ValueError("joint positions must be finite")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -227,6 +230,9 @@ class CollisionScene:
 # -- forward kinematics ---------------------------------------------------------
 
 
+_EYE4 = np.eye(4)
+
+
 def fk_frames(model: RobotModel, q) -> np.ndarray:
     """Homogeneous base->link_i transforms for i = 0..6 (0 is the base):
     (7, 4, 4) for one joint row q (6,), (N, 7, 4, 4) for rows q (N, 6)."""
@@ -236,13 +242,14 @@ def fk_frames(model: RobotModel, q) -> np.ndarray:
     ct, st = np.cos(theta), np.sin(theta)
     sa, ca = model._dh_links[:, 2, 1], model._dh_links[:, 2, 2]
     a = model.dh_rows[:, 0]
-    links = np.repeat(model._dh_links[None], len(rows), axis=0)
+    links = np.empty((len(rows), 6, 4, 4))
+    links[..., 2:, :] = model._dh_links[:, 2:]
     links[..., 0, 0], links[..., 1, 0] = ct, st
     links[..., 0, 1], links[..., 1, 1] = -st * ca, ct * ca
     links[..., 0, 2], links[..., 1, 2] = st * sa, -ct * sa
     links[..., 0, 3], links[..., 1, 3] = a * ct, a * st
     frames = np.empty((len(rows), 7, 4, 4))
-    frames[:, 0] = np.eye(4)
+    frames[:, 0] = _EYE4
     for i in range(6):
         np.matmul(frames[:, i], links[:, i], out=frames[:, i + 1])
     return frames.reshape(q.shape[:-1] + (7, 4, 4))
@@ -256,9 +263,14 @@ def fk(model: RobotModel, q) -> RigidTransform:
 
 
 def _jacobian(frames: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian from the fk_frames of a configuration."""
+    """Geometric Jacobian from the fk_frames of a configuration, built in
+    Fortran order: the damped step's j @ j.T rounds differently for a
+    C-order array, and every plan's joints would change in the last bits."""
     z, p = frames[:6, :3, 2], frames[:6, :3, 3]
-    return np.vstack([np.cross(z, frames[-1][:3, 3] - p).T, z.T])
+    j = np.empty((6, 6), order="F")
+    j[:3] = cross3(z.T, (frames[-1][:3, 3] - p).T)
+    j[3:] = z.T
+    return j
 
 
 def jacobian(model: RobotModel, q) -> np.ndarray:
@@ -266,21 +278,29 @@ def jacobian(model: RobotModel, q) -> np.ndarray:
     return _jacobian(fk_frames(model, q))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, rounded as np.linalg.norm rounds it."""
+    return math.sqrt(v @ v)
+
+
 def _rotation_log(r: np.ndarray) -> np.ndarray:
     """Rotation vector (axis times angle in [0, pi], rad) of rotation r."""
     s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     cos = 0.5 * (np.trace(r) - 1.0)
-    angle = np.arctan2(np.linalg.norm(s), cos)
+    angle = np.arctan2(_norm(s), cos)
     if cos > -0.5:  # below 120 deg, s = sin(angle) * axis is well conditioned
-        return s / np.sinc(angle / np.pi)
+        x = angle / np.pi  # s / sinc(x), with np.sinc's own y = pi * x
+        y = np.pi * (x if x != 0.0 else 1e-20)
+        return s / (np.sin(y) / y)
     # near pi s vanishes: the symmetric part is (1 - cos) axis axis^T
     b = 0.5 * (r + r.T) - cos * np.eye(3)
     k = int(np.argmax(np.diag(b)))
-    axis = b[:, k] / np.linalg.norm(b[:, k])
+    axis = b[:, k] / _norm(b[:, k])
     return angle * axis if s[k] >= 0.0 else -angle * axis
 
 
 _ROT_SCALE_MM = 100.0  # characteristic length making rad comparable to mm
+_EYE6 = np.eye(6)
 
 
 def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray):
@@ -298,17 +318,17 @@ def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray):
 
     e, pos_err, rot_vec, frames = error(q)
     for _ in range(IK_MAX_ITER):
-        if (np.linalg.norm(pos_err) < IK_TOL_MM
-                and np.linalg.norm(rot_vec) < IK_TOL_RAD):
+        if _norm(pos_err) < IK_TOL_MM and _norm(rot_vec) < IK_TOL_RAD:
             return q, True
         j = _jacobian(frames)
         j[3:, :] *= _ROT_SCALE_MM
         jt = j.T
+        e_norm = _norm(e)
         for _ in range(40):  # adaptive damping: double until the step helps
-            step = jt @ np.linalg.solve(j @ jt + lam ** 2 * np.eye(6), e)
+            step = jt @ np.linalg.solve(j @ jt + lam ** 2 * _EYE6, e)
             step = np.clip(step, -0.4, 0.4)
             trial = error(q + step)
-            if np.linalg.norm(trial[0]) < np.linalg.norm(e):
+            if _norm(trial[0]) < e_norm:
                 q, (e, pos_err, rot_vec, frames) = q + step, trial
                 lam = max(IK_DAMPING, lam / 1.5)
                 break
@@ -317,8 +337,7 @@ def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray):
                 return q, False
         else:
             return q, False
-    return q, bool(np.linalg.norm(pos_err) < IK_TOL_MM
-                   and np.linalg.norm(rot_vec) < IK_TOL_RAD)
+    return q, bool(_norm(pos_err) < IK_TOL_MM and _norm(rot_vec) < IK_TOL_RAD)
 
 
 def _wrap_into_limits(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -348,8 +367,9 @@ def ik(model: RobotModel, target: RigidTransform, seed: JointVector,
     solutions exist only outside the joint limits.
     """
     converged_any = False
-    rng = np.random.default_rng(restart_seed)
     for attempt in range(IK_RESTARTS + 1):
+        if attempt == 1:  # most calls converge from the seed: no generator
+            rng = np.random.default_rng(restart_seed)
         q0 = (seed.q if attempt == 0 else
               rng.uniform(model.joint_limits[:, 0], model.joint_limits[:, 1]))
         q, ok = _dls_solve(model, target, q0)
@@ -381,6 +401,73 @@ JOINT_SPEED_RAD_S = 0.5
 DESCENT_SPEED_MM_S = 5.0
 
 
+def _axis_target(tool_axis_target, standoff_mm: float):
+    """Entry point and unit tool axis of a screw-axis target; raises
+    ValueError for a non-finite entry, a zero or non-finite direction, or a
+    negative or non-finite standoff."""
+    entry, direction = tool_axis_target
+    entry = np.asarray(entry, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if not np.isfinite(entry).all():
+        raise ValueError("tool-axis entry point must be finite")
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError("tool-axis direction must be finite and non-zero")
+    if not (np.isfinite(standoff_mm) and standoff_mm >= 0.0):
+        raise ValueError("standoff must be finite and non-negative")
+    return entry, direction / norm
+
+
+@dataclass(frozen=True)
+class _Approach:
+    """Phase 1 of a plan: the tool orientation, the ik solution at the
+    approach pose, and the joint-space quintic to it as 25 knots."""
+
+    r_tool: np.ndarray
+    q: np.ndarray
+    knots: Trajectory
+
+
+def _approach(model: RobotModel, start: JointVector, entry, direction,
+              standoff_mm: float, roll, ik_restart_seed: int) -> _Approach:
+    """Phase 1 of a plan at one roll: one ik call, then the quintic knots."""
+    r_tool = _axis_frame(direction, roll)
+    q_approach = ik(model, RigidTransform(r_tool, entry - standoff_mm * direction),
+                    start, restart_seed=ik_restart_seed).q
+    dq = q_approach - start.q
+    t1 = max(float(np.max(np.abs(dq))) / JOINT_SPEED_RAD_S, 0.5)
+    tau = np.linspace(0.0, 1.0, 25)
+    knots = Trajectory(t1 * tau, start.q + _quintic_s(tau)[:, None] * dq)
+    return _Approach(r_tool, q_approach, knots)
+
+
+def _descent(model: RobotModel, approach: _Approach, entry, direction,
+             standoff_mm: float, ik_restart_seed: int) -> Trajectory:
+    """Phase 2 of a plan: the straight-line descent along the axis onto the
+    entry point, one ik per step of at most 1 mm (at least two steps; none
+    for a zero standoff), densified. Its first row is the approach's last
+    knot."""
+    n_steps = max(int(np.ceil(standoff_mm / 1.0)), 2) if standoff_mm > 0.0 else 0
+    approach_tip = entry - standoff_mm * direction
+    times, joints = [approach.knots.times[-1]], [approach.knots.joints[-1]]
+    q_prev = JointVector(approach.q)
+    for k in range(1, n_steps + 1):
+        tip = approach_tip + (k / n_steps) * standoff_mm * direction
+        q_prev = ik(model, RigidTransform(approach.r_tool, tip), q_prev,
+                    restart_seed=ik_restart_seed)
+        times.append(times[-1] + (standoff_mm / n_steps) / DESCENT_SPEED_MM_S)
+        joints.append(q_prev.q)
+    return densify(Trajectory(times, joints))
+
+
+def _joined(approach_rows: Trajectory, descent_rows: Trajectory) -> Trajectory:
+    """The densified approach followed by the descent rows it does not hold;
+    densify cuts each segment on its own, so this is the densified plan."""
+    return Trajectory(np.concatenate([approach_rows.times, descent_rows.times[1:]]),
+                      np.concatenate([approach_rows.joints, descent_rows.joints[1:]]),
+                      "two_phase" if len(descent_rows) > 1 else "descent_only")
+
+
 def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
                     standoff_mm: float, roll: float = 0.0,
                     ik_restart_seed: int = 0) -> Trajectory:
@@ -390,45 +477,15 @@ def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
 
     The flange z axis is the tool axis and the flange origin the tool tip.
     A zero standoff collapses to the single approach phase ending on the
-    entry point. Raises Unreachable / LimitViolation from ik.
+    entry point. Raises ValueError for an invalid target or standoff (see
+    _axis_target), Unreachable / LimitViolation from ik.
     """
-    entry, direction = tool_axis_target
-    entry = np.asarray(entry, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    r_tool = _axis_frame(direction, roll)
-
-    approach_tip = entry - standoff_mm * direction
-    q_approach = ik(model, RigidTransform(r_tool, approach_tip), start,
-                    restart_seed=ik_restart_seed).q
-
-    # phase 1: quintic between joint configurations
-    dq = q_approach - start.q
-    t1 = max(float(np.max(np.abs(dq))) / JOINT_SPEED_RAD_S, 0.5)
-    tau = np.linspace(0.0, 1.0, 25)
-    times = list(t1 * tau)
-    joints = [start.q + s * dq for s in _quintic_s(tau)]
-
-    # phase 2: straight-line descent along the axis
-    if standoff_mm > 0.0:
-        n_steps = max(int(np.ceil(standoff_mm / 1.0)), 2)
-        q_prev = JointVector(q_approach)
-        t_now = times[-1]
-        for k in range(1, n_steps + 1):
-            frac = k / n_steps
-            tip = approach_tip + frac * standoff_mm * direction
-            q_k = ik(model, RigidTransform(r_tool, tip), q_prev,
-                     restart_seed=ik_restart_seed)
-            t_now = t_now + (standoff_mm / n_steps) / DESCENT_SPEED_MM_S
-            times.append(t_now)
-            joints.append(q_k.q)
-            q_prev = q_k
-        mode = "two_phase"
-    else:
-        mode = "descent_only"
-
-    traj = Trajectory(np.asarray(times), np.asarray(joints), mode, False)
-    return densify(traj)
+    entry, direction = _axis_target(tool_axis_target, standoff_mm)
+    approach = _approach(model, start, entry, direction, standoff_mm, roll,
+                         ik_restart_seed)
+    return _joined(densify(approach.knots),
+                   _descent(model, approach, entry, direction, standoff_mm,
+                            ik_restart_seed))
 
 
 def densify(traj: Trajectory) -> Trajectory:
@@ -538,28 +595,56 @@ def min_clearance(model: RobotModel, scene: CollisionScene, q) -> float:
     return float(np.min(table)) if table.size else np.inf
 
 
+def _clear(model: RobotModel, scene: CollisionScene, q) -> bool:
+    """Whether every clearance of joint rows q is at least the safety margin."""
+    return bool(np.all(_clearance_table(model, scene, q)[1] >= scene.safety_margin))
+
+
 def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
               tool_axis_target, standoff_mm: float,
               ik_restart_seed: int = 0) -> Trajectory:
-    """plan_trajectory, densified, with one clearance table over all of its
-    rows; when any row's clearance is not at least the safety margin, the
-    approach is retried with up to 8 rolls about the free tool axis.
+    """plan_trajectory, densified, with every row's clearance at least the
+    safety margin, tried at up to 8 rolls about the free tool axis.
 
-    Raises NoSafePath when every orientation collides (or is unreachable
-    after at least one orientation planned)."""
-    rolls = np.arange(8) * (2.0 * np.pi / 8.0)
-    any_planned = False
-    for roll in rolls:
+    Each roll checks its densified approach rows first, in one clearance
+    table, and runs the descent's ik steps only when they are clear; then
+    one table checks the rows the descent added. The densified approach is
+    a prefix of the densified plan, so the first clear roll is the one a
+    check of whole plans finds.
+
+    Raises ValueError for an invalid target or standoff, NoSafePath when
+    every orientation collides (or is unreachable after at least one
+    orientation planned), Unreachable when none plans."""
+    entry, direction = _axis_target(tool_axis_target, standoff_mm)
+
+    def descent(approach: _Approach):
+        """The approach's densified descent, or None where ik fails."""
         try:
-            traj = plan_trajectory(model, start, tool_axis_target, standoff_mm,
-                                   roll=roll, ik_restart_seed=ik_restart_seed)
+            return _descent(model, approach, entry, direction, standoff_mm,
+                            ik_restart_seed)
+        except (Unreachable, LimitViolation):
+            return None
+
+    any_planned, skipped = False, []
+    for roll in np.arange(8) * (2.0 * np.pi / 8.0):
+        try:
+            approach = _approach(model, start, entry, direction, standoff_mm, roll,
+                                 ik_restart_seed)
         except (Unreachable, LimitViolation):
             continue
+        rows = densify(approach.knots)
+        if not _clear(model, scene, rows.joints):
+            skipped.append(approach)
+            continue
+        descent_rows = descent(approach)
+        if descent_rows is None:
+            continue
         any_planned = True
-        if np.all(_clearance_table(model, scene, traj.joints)[1]
-                  >= scene.safety_margin):
-            return traj.with_collision_checked()
-    if any_planned:
+        if _clear(model, scene, descent_rows.joints[1:]):
+            return _joined(rows, descent_rows).with_collision_checked()
+    # a roll skipped at its approach counts as planned when its descent
+    # completes: the first such descent decides between the two errors
+    if any_planned or any(descent(a) is not None for a in skipped):
         raise NoSafePath("all candidate approach orientations collide")
     raise Unreachable("no approach orientation is reachable")
 

@@ -229,6 +229,30 @@ def test_detection2d_rejects_non_finite(uv, conf):
         Detection2D("AP", ("J0",), uv, conf)
 
 
+# rank 3 and scale-normalised, but the left 3x3 block has two equal rows
+SINGULAR_BLOCK = [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
+
+
+def test_projection_with_singular_left_block_rejected():
+    assert np.linalg.matrix_rank(np.array(SINGULAR_BLOCK)) == 3
+    with pytest.raises(ValueError, match="camera centre is at infinity"):
+        ProjectionModel(SINGULAR_BLOCK, "AP")
+    # a well-conditioned camera still passes, at any scale of its block
+    for scale in (1e-6, 1.0, 1e6):
+        m = AP.matrix.copy()
+        m[:2] *= scale
+        ProjectionModel(m, "AP")
+
+
+@pytest.mark.parametrize("index, value", [((0, 0), np.nan), ((1, 3), np.inf)],
+                         ids=["block-nan", "translation-inf"])
+def test_projection_rejects_non_finite(index, value):
+    m = AP.matrix.copy()
+    m[index] = value
+    with pytest.raises(ValueError, match="finite"):
+        ProjectionModel(m, "AP")
+
+
 def test_project_principal_axis():
     model = pinhole_projection(RigidTransform.identity(), 1000.0, "AP")
     assert np.allclose(project(model, [0.0, 0.0, 500.0]), [0.0, 0.0], atol=1e-12)

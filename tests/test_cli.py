@@ -143,6 +143,21 @@ def test_register_label_mismatch_is_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_register_auto2d_singular_camera_is_bad_input(tmp_path, capsys):
+    # a camera centre at infinity: a typed bad-input error, not LinAlgError
+    views = tmp_path / "views.json"
+    views.write_text(json.dumps([{
+        "view": "AP", "detections": [],
+        "P": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}]),
+        encoding="utf-8")
+    code = main(["register", "auto2d", "--jig", str(DATA / "fiducials_fixed.json"),
+                 "--views", str(views), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "camera centre is at infinity" in err["message"]
+
+
 _REGISTER_POINTS = ["register", "points", "--fixed", str(DATA / "fiducials_fixed.json"),
                     "--moving", str(DATA / "fiducials_moving.json")]
 _PLAN_VALIDATE = ["plan", "validate", "--plans", str(DATA / "achieved_screws.json"),

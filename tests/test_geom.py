@@ -143,6 +143,18 @@ def test_invalid_rotation_rejected():
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
 
 
+@pytest.mark.parametrize("rotation, translation", [
+    (np.full((3, 3), np.nan), np.zeros(3)),
+    (np.diag([1.0, 1.0, np.inf]), np.zeros(3)),
+    (np.eye(3), [np.nan, 0.0, 0.0]),
+    (np.eye(3), [0.0, -np.inf, 0.0]),
+], ids=["rotation-nan", "rotation-inf", "translation-nan", "translation-inf"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+def test_non_finite_transform_rejected(rotation, translation):
+    with pytest.raises(ValueError):
+        RigidTransform(rotation, translation)
+
+
 def test_quaternion_boundary_conversion():
     t = RigidTransform.from_quaternion([np.cos(np.pi / 4), 0, 0, np.sin(np.pi / 4)])
     assert np.allclose(t.apply([1, 0, 0]), [0, 1, 0], atol=1e-12)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from spinenav import kinematics
 from spinenav.errors import LimitViolation, NoSafePath, Unreachable
 from spinenav.geom import RigidTransform
 from spinenav.kinematics import (
@@ -12,6 +13,7 @@ from spinenav.kinematics import (
     JointVector,
     RobotModel,
     Trajectory,
+    _axis_frame,
     _clearance_table,
     _jacobian,
     _rotation_log,
@@ -476,9 +478,12 @@ def _with_entry(array, index, value):
     lambda: Trajectory([0.0, np.nan], np.zeros((2, 6))),
     lambda: Trajectory([0.0, 1.0], _with_entry(np.zeros((2, 6)), (1, 2), np.nan)),
     lambda: Trajectory([0.0, 1.0], _with_entry(np.zeros((2, 6)), (0, 5), np.inf)),
+    lambda: JointVector([np.nan] * 6),
+    lambda: JointVector([0.0, 0.0, -np.inf, 0.0, 0.0, 0.0]),
 ], ids=["capsule-radius-nan", "capsule-radius-inf", "capsule-p0-nan",
         "capsule-p1-inf", "dh-nan", "dh-inf", "limit-minus-inf", "limit-inf",
-        "margin-nan", "margin-inf", "times-nan", "joints-nan", "joints-inf"])
+        "margin-nan", "margin-inf", "times-nan", "joints-nan", "joints-inf",
+        "joint-vector-nan", "joint-vector-inf"])
 def test_kinematics_constructors_reject_non_finite(build):
     with pytest.raises(ValueError, match="finite"):
         build()
@@ -588,3 +593,253 @@ def test_robot_model_json_round_trip():
         for ca, cb in zip(la, lb):
             assert np.array_equal(ca.p0, cb.p0)
             assert ca.radius == cb.radius
+
+
+# -- plan_safe: the approach is checked before the descent runs -------------------
+
+
+def _old_jacobian(frames):
+    """The stacked np.cross form _jacobian replaced (test reference)."""
+    z, p = frames[:6, :3, 2], frames[:6, :3, 3]
+    return np.vstack([np.cross(z, frames[-1][:3, 3] - p).T, z.T])
+
+
+def _old_rotation_log(r):
+    """The np.linalg.norm / np.sinc form _rotation_log replaced (test
+    reference)."""
+    s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    cos = 0.5 * (np.trace(r) - 1.0)
+    angle = np.arctan2(np.linalg.norm(s), cos)
+    if cos > -0.5:
+        return s / np.sinc(angle / np.pi)
+    b = 0.5 * (r + r.T) - cos * np.eye(3)
+    k = int(np.argmax(np.diag(b)))
+    axis = b[:, k] / np.linalg.norm(b[:, k])
+    return angle * axis if s[k] >= 0.0 else -angle * axis
+
+
+def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0,
+                           ik_restart_seed=0):
+    """plan_trajectory as one list of knots densified at once, with every
+    descent ik run (test reference)."""
+    entry, direction = tool_axis_target
+    entry = np.asarray(entry, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    r_tool = _axis_frame(direction, roll)
+    approach_tip = entry - standoff_mm * direction
+    q_approach = ik(model, RigidTransform(r_tool, approach_tip), start,
+                    restart_seed=ik_restart_seed).q
+    dq = q_approach - start.q
+    t1 = max(float(np.max(np.abs(dq))) / 0.5, 0.5)
+    tau = np.linspace(0.0, 1.0, 25)
+    times = list(t1 * tau)
+    joints = [start.q + s * dq for s in 10.0 * tau ** 3 - 15.0 * tau ** 4 + 6.0 * tau ** 5]
+    mode = "descent_only"
+    if standoff_mm > 0.0:
+        n_steps = max(int(np.ceil(standoff_mm / 1.0)), 2)
+        q_prev = JointVector(q_approach)
+        t_now = times[-1]
+        for k in range(1, n_steps + 1):
+            tip = approach_tip + (k / n_steps) * standoff_mm * direction
+            q_prev = ik(model, RigidTransform(r_tool, tip), q_prev,
+                        restart_seed=ik_restart_seed)
+            t_now = t_now + (standoff_mm / n_steps) / 5.0
+            times.append(t_now)
+            joints.append(q_prev.q)
+        mode = "two_phase"
+    return densify(Trajectory(np.asarray(times), np.asarray(joints), mode, False))
+
+
+def _whole_roll_plan_safe(model, scene, start, tool_axis_target, standoff_mm,
+                          ik_restart_seed=0):
+    """plan_safe planning each roll whole, then checking all of its rows in
+    one clearance table (test reference)."""
+    any_planned = False
+    for roll in np.arange(8) * (2.0 * np.pi / 8.0):
+        try:
+            traj = _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm,
+                                          roll=roll, ik_restart_seed=ik_restart_seed)
+        except (Unreachable, LimitViolation):
+            continue
+        any_planned = True
+        if np.all(_clearance_table(model, scene, traj.joints)[1] >= scene.safety_margin):
+            return traj.with_collision_checked()
+    if any_planned:
+        raise NoSafePath("all candidate approach orientations collide")
+    raise Unreachable("no approach orientation is reachable")
+
+
+def _outcome(plan, *args):
+    try:
+        return plan(*args)
+    except (NoSafePath, Unreachable, LimitViolation) as e:
+        return type(e)
+
+
+def _same_outcome(a, b):
+    if isinstance(a, Trajectory) and isinstance(b, Trajectory):
+        return (np.array_equal(a.times, b.times) and np.array_equal(a.joints, b.joints)
+                and (a.planning_mode, a.collision_checked)
+                == (b.planning_mode, b.collision_checked))
+    return a is b
+
+
+_BASE = np.array([0.0, 0.0, 450.0])  # joint 2's origin at q = 0
+
+
+def _planning_scene(i, edge=False):
+    """Scene i: 1 + i % 4 spheres of radius 20-40 mm about 160 mm from an
+    entry near ENTRY (criterion 6's family). An edge scene moves the entry
+    to the edge of the workspace, 915-935 mm out from joint 2, so some
+    descents are unreachable."""
+    rng = np.random.default_rng(7000 + i)
+    direction = rng.normal(size=3)
+    direction[2] = -abs(direction[2]) - 0.5
+    direction /= np.linalg.norm(direction)
+    entry = ENTRY + rng.uniform(-40.0, 40.0, size=3)
+    if edge:
+        u = entry - _BASE
+        direction = u / np.linalg.norm(u)
+        entry = _BASE + rng.uniform(915.0, 935.0) * direction
+    obstacles = []
+    for k in range(1 + i % 4):
+        offset = rng.normal(size=3)
+        offset /= np.linalg.norm(offset)
+        center = entry + 160.0 * offset + rng.uniform(-20.0, 20.0, size=3)
+        obstacles.append((f"obs{k}", sphere(center, rng.uniform(20.0, 40.0))))
+    return CollisionScene(tuple(obstacles), safety_margin=2.0), entry, direction
+
+
+def test_plan_safe_matches_whole_roll_reference():
+    kinds = set()
+    for i, edge in [(i, False) for i in range(100)] + [(i, True) for i in range(6)]:
+        scene, entry, direction = _planning_scene(i, edge)
+        args = (MODEL, scene, HOME, (entry, direction), 25.0)
+        got = _outcome(plan_safe, *args)
+        assert _same_outcome(got, _outcome(_whole_roll_plan_safe, *args)), i
+        kinds.add(type(got).__name__ if isinstance(got, Trajectory) else got.__name__)
+    assert kinds >= {"Trajectory", "NoSafePath", "Unreachable"}
+
+
+@pytest.mark.parametrize("standoff", [0.0, 0.5, 30.0])
+def test_plan_trajectory_matches_whole_reference(standoff):
+    for roll in (0.0, 1.0):
+        assert _same_outcome(
+            plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff, roll=roll),
+            _whole_plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff, roll=roll))
+
+
+def test_jacobian_matches_old_form_in_value_and_damped_product_bits():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        frames = fk_frames(MODEL, _random_q(rng, margin=0.0))
+        new, old = _jacobian(frames), _old_jacobian(frames)
+        assert np.array_equal(new, old)
+        new[3:, :] *= 100.0  # scaled as in the damped step
+        old[3:, :] *= 100.0
+        assert (new @ new.T).tobytes() == (old @ old.T).tobytes()
+
+
+def test_rotation_log_matches_old_form_bit_for_bit():
+    rng = np.random.default_rng(12)
+    axes = rng.normal(size=(600, 3))
+    angles = np.concatenate([rng.uniform(0.0, np.pi, 300), rng.uniform(0.0, 1e-6, 100),
+                             np.pi - rng.uniform(0.0, 1e-6, 100),
+                             2.0 * np.pi / 3.0 + rng.uniform(-1e-9, 1e-9, 100)])
+    rotations = [np.eye(3)] + [
+        Rotation.from_rotvec(a * ax / np.linalg.norm(ax)).as_matrix()
+        for ax, a in zip(axes, angles)]
+    for r in rotations:
+        assert _rotation_log(r).tobytes() == _old_rotation_log(r).tobytes()
+    assert np.array_equal(_rotation_log(np.eye(3)), np.zeros(3))
+
+
+def _counting_ik(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].translation)
+        return ik(*args, **kwargs)
+    monkeypatch.setattr(kinematics, "ik", counted)
+    return calls
+
+
+def test_roll_whose_approach_collides_costs_one_ik_call(monkeypatch):
+    # an obstacle on the wrist bracket at the roll-0 approach pose: the
+    # approach rows of the rolls before the first clear one collide there,
+    # so their 30 descent steps never run
+    rolls = np.arange(8) * (2.0 * np.pi / 8.0)
+    knots = kinematics._approach(MODEL, HOME, ENTRY, DIRECTION, 30.0, 0.0, 0).knots
+    flange = fk_frames(MODEL, knots.joints[-1])[6]
+    bracket_tip = flange[:3, :3] @ [70.0, 0.0, -40.0] + flange[:3, 3]
+    scene = CollisionScene((("block", sphere(bracket_tip, 20.0)),), safety_margin=2.0)
+    assert check_collision(MODEL, scene, knots.joints[-1])
+    first_clear = next(k for k, roll in enumerate(rolls) if min(
+        min_clearance(MODEL, scene, q) for q in plan_trajectory(
+            MODEL, HOME, (ENTRY, DIRECTION), 30.0, roll=roll).joints) >= 2.0)
+    assert first_clear >= 2
+    calls = _counting_ik(monkeypatch)
+    safe = plan_safe(MODEL, scene, HOME, (ENTRY, DIRECTION), 30.0)
+    # one call for each colliding approach, 1 + 30 for the roll that plans
+    assert len(calls) == first_clear + 31
+    assert _same_outcome(safe, _whole_roll_plan_safe(MODEL, scene, HOME,
+                                                     (ENTRY, DIRECTION), 30.0))
+
+
+def _home_blocker():
+    """A sphere on the arm's elbow at HOME: every approach starts in it."""
+    elbow = fk_frames(MODEL, HOME.q)[3, :3, 3]
+    return CollisionScene((("elbow", sphere(elbow, 30.0)),), safety_margin=2.0)
+
+
+def test_every_approach_colliding_is_no_safe_path_after_one_descent(monkeypatch):
+    scene = _home_blocker()
+    calls = _counting_ik(monkeypatch)
+    with pytest.raises(NoSafePath):
+        plan_safe(MODEL, scene, HOME, (ENTRY, DIRECTION), 30.0)
+    assert len(calls) == 8 + 30  # eight approaches, then one descent completes
+    assert _outcome(_whole_roll_plan_safe, MODEL, scene, HOME, (ENTRY, DIRECTION),
+                    30.0) is NoSafePath
+
+
+def test_every_approach_colliding_and_descent_unreachable_is_unreachable():
+    # approach tips 905 mm out from joint 2 are reachable, entries 930 mm out
+    # are not: no roll plans, so the answer stays Unreachable
+    u = ENTRY - _BASE
+    u /= np.linalg.norm(u)
+    target = (_BASE + 930.0 * u, u)
+    for scene in (_home_blocker(), CollisionScene((), safety_margin=2.0)):
+        assert _outcome(plan_safe, MODEL, scene, HOME, target, 25.0) is Unreachable
+        assert _outcome(_whole_roll_plan_safe, MODEL, scene, HOME, target,
+                        25.0) is Unreachable
+
+
+def test_every_roll_unreachable_is_unreachable(monkeypatch):
+    calls = _counting_ik(monkeypatch)
+    with pytest.raises(Unreachable):
+        plan_safe(MODEL, _home_blocker(), HOME, (np.array([2000.0, 0.0, 0.0]),
+                                                 DIRECTION), 25.0)
+    assert len(calls) == 8  # no approach is reachable: no descent runs
+
+
+@pytest.mark.parametrize("entry, direction, standoff", [
+    ([np.nan, 100.0, 150.0], DIRECTION, 25.0),
+    ([450.0, np.inf, 150.0], DIRECTION, 25.0),
+    (ENTRY, [0.0, 0.0, 0.0], 25.0),
+    (ENTRY, [np.nan, 0.0, -1.0], 25.0),
+    (ENTRY, [0.0, np.inf, -1.0], 25.0),
+    (ENTRY, DIRECTION, -5.0),
+    (ENTRY, DIRECTION, np.nan),
+    (ENTRY, DIRECTION, np.inf),
+], ids=["entry-nan", "entry-inf", "direction-zero", "direction-nan", "direction-inf",
+        "standoff-negative", "standoff-nan", "standoff-inf"])
+def test_invalid_axis_target_or_standoff_raises_before_any_ik(monkeypatch, entry,
+                                                               direction, standoff):
+    calls = _counting_ik(monkeypatch)
+    scene = CollisionScene((), safety_margin=2.0)
+    with pytest.raises(ValueError, match="entry|direction|standoff"):
+        plan_trajectory(MODEL, HOME, (entry, direction), standoff)
+    with pytest.raises(ValueError, match="entry|direction|standoff"):
+        plan_safe(MODEL, scene, HOME, (entry, direction), standoff)
+    assert calls == []
