@@ -9,7 +9,6 @@ patient registration chain that ties them together.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +25,10 @@ from .errors import (
     TooFewCommonLabels,
     TooFewPoints,
     TooFewPoses,
+    raised_where,
 )
 from .fileio import atomic_write
-from .geom import RigidTransform
+from .geom import RigidTransform, cross3, row_dot
 from .registration import FiducialSet, RegistrationResult, register_points
 
 VIEW_LABELS = ("AP", "LP")
@@ -126,21 +126,7 @@ class ProjectionModel:
         m = np.array(self.matrix, dtype=float).reshape(3, 4)
         if self.view_label not in VIEW_LABELS:
             raise ValueError(f"view_label must be one of {VIEW_LABELS}")
-        if not np.isfinite(m).all():
-            raise ValueError("projection matrix must be finite")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[2] / sv[0] < 1e-12:
-            raise ValueError("projection matrix must have rank 3")
-        # Hadamard: |det| of the left 3x3 block is at most the product of its
-        # row norms; a vanishing ratio puts the camera centre at infinity
-        (a, b, c, _), (d, e, f, _), (g, h, i, _) = m.tolist()
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        rows = (a * a + b * b + c * c) * (d * d + e * e + f * f) * (g * g + h * h + i * i)
-        if not abs(det) > 1e-12 * math.sqrt(rows):
-            raise ValueError("projection matrix's left 3x3 block is singular: "
-                             "its camera centre is at infinity")
-        if abs(np.linalg.norm(m[2, :3]) - 1.0) > 1e-9:
-            raise ValueError("projection matrix must be scale-normalized")
+        check_projections(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -149,7 +135,7 @@ class ProjectionModel:
         """Normalize an arbitrary-scale 3x4 matrix (sign: positive depths
         are the caller's responsibility; see dlt_calibrate)."""
         m = np.array(matrix, dtype=float).reshape(3, 4)
-        return ProjectionModel(m / np.linalg.norm(m[2, :3]), view_label, frame)
+        return ProjectionModel(scale_normalized(m), view_label, frame)
 
     def camera_center(self) -> np.ndarray:
         m = self.matrix
@@ -163,6 +149,47 @@ class ProjectionModel:
     def from_dict(d: dict, frame: str = "CArm") -> "ProjectionModel":
         return ProjectionModel.from_matrix(np.asarray(d["P"], float).reshape(3, 4),
                                            d["view"], frame)
+
+
+def scale_normalized(m: np.ndarray) -> np.ndarray:
+    """A 3x4 matrix (3, 4), or each of a stack (T, 3, 4), divided by the norm
+    of its third row's rotational part."""
+    return m / np.sqrt(row_dot(m[..., 2, :3], m[..., 2, :3]))[..., None, None]
+
+
+def check_projections(m: np.ndarray) -> None:
+    """ProjectionModel's matrix guard on one matrix (3, 4), or once on a
+    stack (T, 3, 4). Raises ValueError unless every matrix is finite, of
+    rank 3, with a non-singular left 3x3 block and a unit-norm third
+    rotational row."""
+    if not np.isfinite(m).all():
+        raise ValueError("projection matrix must be finite")
+    sv = np.linalg.svd(m, compute_uv=False)
+    if np.any(sv[..., 2] / sv[..., 0] < 1e-12):
+        raise ValueError("projection matrix must have rank 3")
+    # Hadamard: |det| of the left 3x3 block is at most the product of its
+    # row norms; a vanishing ratio puts the camera centre at infinity. The
+    # sums run left to right, as in a * (e i - f h) - b * (d i - f g) + ...
+    block = m[..., :3]
+    sq = block * block
+    norms = sq[..., 0] + sq[..., 1] + sq[..., 2]
+    rows = norms[..., 0] * norms[..., 1] * norms[..., 2]
+    terms = block[..., 0, :] * cross3(block[..., 1, :].T, block[..., 2, :].T).T
+    det = terms[..., 0] + terms[..., 1] + terms[..., 2]
+    if not np.all(np.abs(det) > 1e-12 * np.sqrt(rows)):
+        raise ValueError("projection matrix's left 3x3 block is singular: "
+                         "its camera centre is at infinity")
+    if np.any(np.abs(np.sqrt(row_dot(m[..., 2, :3], m[..., 2, :3])) - 1.0) > 1e-9):
+        raise ValueError("projection matrix must be scale-normalized")
+
+
+def check_detections(uv: np.ndarray, confidence: np.ndarray) -> None:
+    """Detection2D's value guard on one view's detections (N, 2) and
+    confidences (N,), or once on stacks (T, N, 2) and (T, N)."""
+    if not (np.all(np.isfinite(uv)) and np.all(np.isfinite(confidence))):
+        raise ValueError("detections and confidences must be finite")
+    if np.any(confidence < 0.0) or np.any(confidence > 1.0):
+        raise ValueError("confidence must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -180,10 +207,7 @@ class Detection2D:
         conf = np.array(self.confidence, dtype=float).reshape(len(labels))
         if len(set(labels)) != len(labels):
             raise ValueError("detection labels must be unique per view")
-        if not (np.all(np.isfinite(uv)) and np.all(np.isfinite(conf))):
-            raise ValueError("detections and confidences must be finite")
-        if np.any(conf < 0.0) or np.any(conf > 1.0):
-            raise ValueError("confidence must lie in [0, 1]")
+        check_detections(uv, conf)
         uv.setflags(write=False)
         conf.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -202,32 +226,83 @@ class Detection2D:
         return self.uv[self.labels.index(label)]
 
 
+def project_batch(matrices: np.ndarray, points: np.ndarray):
+    """Perspective projection of point stacks through projection matrices,
+    stack by stack: matrices (T, 3, 4), points (T, N, 3) -> detector mm
+    (T, N, 2), plus {stack row: PointAtInfinity} for each stack with a
+    point on its camera plane (that stack's uv is not meaningful)."""
+    h = points @ matrices[:, :, :3].transpose(0, 2, 1) + matrices[:, None, :, 3]
+    w = h[..., 2]
+    failed = raised_where(np.any(np.abs(w) <= 1e-9, axis=1), PointAtInfinity,
+                          "point lies on the camera plane")
+    with np.errstate(divide="ignore", invalid="ignore"):  # only failed rows divide by 0
+        return h[..., :2] / w[..., None], failed
+
+
 def project(model: ProjectionModel, p):
-    """Perspective projection of one point (3,) or a stack (N, 3) to detector mm."""
+    """Perspective projection of one point (3,) or a stack (N, 3) to detector
+    mm: the one-stack case of project_batch."""
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    h = pts @ model.matrix[:, :3].T + model.matrix[:, 3]
-    w = h[:, 2]
-    if np.any(np.abs(w) <= 1e-9):
-        raise PointAtInfinity("point lies on the camera plane")
-    uv = h[:, :2] / w[:, None]
-    return uv[0] if single else uv
+    uv, failed = project_batch(model.matrix[None], np.atleast_2d(pts)[None])
+    if failed:
+        raise failed[0]
+    return uv[0, 0] if single else uv[0]
 
 
 def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
     """Homogeneous similarity (k+1, k+1) moving points (N, k) to centroid 0
-    and mean distance sqrt(k) from it (Hartley 1997)."""
-    k = pts.shape[1]
-    c = pts.mean(axis=0)
-    s = np.sqrt(k) / np.mean(np.linalg.norm(pts - c, axis=1))
-    t = np.diag([s] * k + [1.0])
-    t[:k, k] = -s * c
+    and mean distance sqrt(k) from it (Hartley 1997); (T, k+1, k+1) for a
+    stack of point sets (T, N, k)."""
+    k = pts.shape[-1]
+    c = pts.mean(axis=-2)
+    s = np.sqrt(k) / np.mean(np.linalg.norm(pts - c[..., None, :], axis=-1), axis=-1)
+    t = np.zeros(pts.shape[:-2] + (k + 1, k + 1))
+    diag = np.arange(k)
+    t[..., diag, diag] = s[..., None]
+    t[..., k, k] = 1.0
+    t[..., :k, k] = -s[..., None] * c
     return t
 
 
+def dlt_calibrate_batch(world: np.ndarray, image: np.ndarray):
+    """Direct linear transform, stack by stack: 3D points world (T, N, 3)
+    and their detections image (T, N, 2) -> projection matrices (T, 3, 4),
+    oriented for positive depths but not scale-normalized, plus
+    {stack row: CoplanarPoints} for each stack whose points do not span a
+    volume (its matrix is left NaN)."""
+    sv = np.linalg.svd(world - world.mean(axis=1)[:, None, :], compute_uv=False)
+    coplanar = sv[:, 2] / sv[:, 0] < 1e-6
+    x, uv = world[~coplanar], image[~coplanar]
+    n = x.shape[1]
+    t3 = _hartley_normalization(x)
+    t2 = _hartley_normalization(uv)
+    x1 = np.concatenate([x, np.ones(x.shape[:2] + (1,))], axis=2)
+    xh = x1 @ t3.transpose(0, 2, 1)
+    uvh = np.concatenate([uv, np.ones(uv.shape[:2] + (1,))], axis=2) @ t2.transpose(0, 2, 1)
+
+    a = np.zeros((len(x), 2 * n, 12))
+    a[:, 0::2, 0:4] = xh
+    a[:, 0::2, 8:12] = -uvh[..., :1] * xh
+    a[:, 1::2, 4:8] = xh
+    a[:, 1::2, 8:12] = -uvh[..., 1:2] * xh
+    # the reduced SVD's V^T equals the full one's bit for bit (tested against
+    # the full-SVD reference) without building a 2N x 2N U per stack
+    _, _, vt = np.linalg.svd(a, full_matrices=False)
+    p_norm = vt[:, -1].reshape(len(x), 3, 4)
+    p = np.linalg.inv(t2) @ p_norm @ t3
+
+    # orient so the calibration points have positive projective depth
+    depths = (x1 @ p[:, 2, :, None])[..., 0]
+    flip = np.sum(depths > 0, axis=1) < n / 2
+    out = np.full((len(world), 3, 4), np.nan)
+    out[~coplanar] = np.where(flip[:, None, None], -p, p)
+    return out, raised_where(coplanar, CoplanarPoints, "calibration points are coplanar")
+
+
 def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionModel:
-    """Estimate a 3x4 projection from labeled 3D-2D correspondences.
+    """Estimate a 3x4 projection from labeled 3D-2D correspondences: the
+    one-stack case of dlt_calibrate_batch.
 
     11-parameter direct linear transform with Hartley normalization on both
     sides, minimizing algebraic error. Raises TooFewPoints (< 6) or
@@ -241,31 +316,10 @@ def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionM
         raise TooFewPoints("DLT needs at least 6 correspondences")
     x = np.asarray([w[1] for w in world], dtype=float)
     uv = np.asarray([image.position(l) for l in labels], dtype=float)
-
-    sv = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
-    if sv[2] / sv[0] < 1e-6:
-        raise CoplanarPoints("calibration points are coplanar")
-
-    t3 = _hartley_normalization(x)
-    t2 = _hartley_normalization(uv)
-    x1 = np.hstack([x, np.ones((len(x), 1))])
-    xh = x1 @ t3.T
-    uvh = np.hstack([uv, np.ones((len(uv), 1))]) @ t2.T
-
-    a = np.zeros((2 * len(x), 12))
-    a[0::2, 0:4] = xh
-    a[0::2, 8:12] = -uvh[:, :1] * xh
-    a[1::2, 4:8] = xh
-    a[1::2, 8:12] = -uvh[:, 1:2] * xh
-    _, _, vt = np.linalg.svd(a)
-    p_norm = vt[-1].reshape(3, 4)
-    p = np.linalg.inv(t2) @ p_norm @ t3
-
-    # orient so the calibration points have positive projective depth
-    depths = x1 @ p[2]
-    if np.sum(depths > 0) < len(x) / 2:
-        p = -p
-    return ProjectionModel.from_matrix(p, image.view_label, frame)
+    p, failed = dlt_calibrate_batch(x[None], uv[None])
+    if failed:
+        raise failed[0]
+    return ProjectionModel.from_matrix(p[0], image.view_label, frame)
 
 
 def reprojection_rms(model: ProjectionModel, world, image: Detection2D) -> float:
@@ -277,15 +331,45 @@ def reprojection_rms(model: ProjectionModel, world, image: Detection2D) -> float
     return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (N, 3) stacks (a may also be one (3,) row),
-    as a stacked matmul: bit-identical to np.dot on each row pair, which
-    norm(axis=1) and einsum are not."""
-    return (a[..., None, :] @ b[:, :, None])[:, 0, 0]
+def triangulate_batch(view_a, view_b):
+    """Midpoint triangulation, stack by stack: view_a / view_b are
+    (matrices (T, 3, 4), uv (T, N, 2)) pairs with matching rows in both
+    views. Returns (points (T, N, 3) mm, ray gaps (T, N) mm, {stack row:
+    ParallelRays} for each stack with a point whose rays are within 5
+    degrees of parallel; that stack's points are not meaningful). Raises
+    ValueError for non-finite uv or unequal point counts."""
+    centers, rays = [], []
+    for m, uv in (view_a, view_b):
+        if not np.all(np.isfinite(uv)):
+            raise ValueError("detector coordinates must be finite")
+        m3 = m[:, :, :3]
+        uvh = np.concatenate([uv, np.ones(uv.shape[:2] + (1,))], axis=2)
+        d = np.linalg.solve(np.broadcast_to(m3[:, None], uv.shape[:2] + (3, 3)),
+                            uvh[..., None])[..., 0]
+        centers.append(-np.linalg.solve(m3, m[:, :, 3:])[:, None, :, 0])
+        rays.append(d / np.sqrt(row_dot(d, d))[..., None])
+    (c1, c2), (d1, d2) = centers, rays
+    if d1.shape != d2.shape:
+        raise ValueError("both views must carry the same number of points")
+    cos12 = row_dot(d1, d2)
+    failed = raised_where(np.any(np.abs(cos12) >= np.cos(np.deg2rad(5.0)), axis=1),
+                          ParallelRays, "view rays are within 5 degrees of parallel")
+    r = c2 - c1
+    a12 = -cos12
+    b1 = row_dot(r, d1)
+    b2 = -row_dot(r, d2)
+    det = 1.0 - a12 * a12
+    l1 = (b1 - a12 * b2) / det
+    l2 = (b2 - a12 * b1) / det
+    p1 = c1 + l1[..., None] * d1
+    p2 = c2 + l2[..., None] * d2
+    diff = p1 - p2
+    return (p1 + p2) / 2.0, np.sqrt(row_dot(diff, diff)), failed
 
 
 def triangulate(view_a, view_b):
-    """Midpoint triangulation of labeled points seen in two views.
+    """Midpoint triangulation of labeled points seen in two views: the
+    one-stack case of triangulate_batch.
 
     view_a / view_b are (ProjectionModel, uv) pairs, uv one detector point
     (2,) or a stack (N, 2) with matching rows in both views. Each view's
@@ -297,34 +381,19 @@ def triangulate(view_a, view_b):
     """
     (model_a, uv_a), (model_b, uv_b) = view_a, view_b
     single = np.ndim(uv_a) == 1 and np.ndim(uv_b) == 1
-    centers, rays = [], []
-    for model, uv in ((model_a, uv_a), (model_b, uv_b)):
-        uv = np.asarray(uv, dtype=float).reshape(-1, 2)
-        if not np.all(np.isfinite(uv)):
-            raise ValueError("detector coordinates must be finite")
-        m = model.matrix[:, :3]
-        uvh = np.hstack([uv, np.ones((len(uv), 1))])
-        d = np.linalg.solve(np.broadcast_to(m, (len(uv), 3, 3)), uvh[:, :, None])[:, :, 0]
-        centers.append(model.camera_center())
-        rays.append(d / np.sqrt(_row_dot(d, d))[:, None])
-    (c1, c2), (d1, d2) = centers, rays
-    if len(d1) != len(d2):
-        raise ValueError("both views must carry the same number of points")
-    cos12 = _row_dot(d1, d2)
-    if np.any(np.abs(cos12) >= np.cos(np.deg2rad(5.0))):
-        raise ParallelRays("view rays are within 5 degrees of parallel")
-    r = c2 - c1
-    a12 = -cos12
-    b1 = _row_dot(r, d1)
-    b2 = -_row_dot(r, d2)
-    det = 1.0 - a12 * a12
-    l1 = (b1 - a12 * b2) / det
-    l2 = (b2 - a12 * b1) / det
-    p1 = c1 + l1[:, None] * d1
-    p2 = c2 + l2[:, None] * d2
-    diff = p1 - p2
-    points, gaps = (p1 + p2) / 2.0, np.sqrt(_row_dot(diff, diff))
-    return (points[0], float(gaps[0])) if single else (points, gaps)
+    points, gaps, failed = triangulate_batch(
+        *((model.matrix[None], np.asarray(uv, dtype=float).reshape(1, -1, 2))
+          for model, uv in ((model_a, uv_a), (model_b, uv_b))))
+    if failed:
+        raise failed[0]
+    return (points[0, 0], float(gaps[0, 0])) if single else (points[0], gaps[0])
+
+
+def common_label_failures(common: int, rows: int) -> dict:
+    """register_patient_2d's label check for a stack of rows whose views
+    share `common` jig labels: every row fails below 4."""
+    return raised_where(np.full(rows, common < 4), TooFewCommonLabels,
+                        f"need >= 4 fiducials in both views, got {common}")
 
 
 def register_patient_2d(jig: FiducialSet, views) -> RegistrationResult:
@@ -337,9 +406,9 @@ def register_patient_2d(jig: FiducialSet, views) -> RegistrationResult:
     """
     (model_a, det_a), (model_b, det_b) = views
     common = [l for l in jig.labels if l in det_a.labels and l in det_b.labels]
-    if len(common) < 4:
-        raise TooFewCommonLabels(
-            f"need >= 4 fiducials in both views, got {len(common)}")
+    failed = common_label_failures(len(common), 1)
+    if failed:
+        raise failed[0]
     tri_pts, _ = triangulate(
         (model_a, [det_a.position(l) for l in common]),
         (model_b, [det_b.position(l) for l in common]))
@@ -354,9 +423,17 @@ def pinhole_projection(camera_pose: RigidTransform, focal_mm: float,
     camera_pose maps frame coordinates into camera coordinates (x right,
     y down on the detector, z along the beam toward the detector).
     """
+    m = pinhole_matrices(camera_pose.rotation[None], camera_pose.translation[None], focal_mm)
+    return ProjectionModel(m[0], view_label, frame)
+
+
+def pinhole_matrices(rotations: np.ndarray, translations: np.ndarray,
+                     focal_mm: float) -> np.ndarray:
+    """pinhole_projection's scale-normalized matrices (T, 3, 4) for camera
+    poses given as rotations (T, 3, 3) and translations (T, 3); callers run
+    the ProjectionModel guard (check_projections) on them."""
     k = np.diag([focal_mm, focal_mm, 1.0])
-    rt = np.hstack([camera_pose.rotation, camera_pose.translation[:, None]])
-    return ProjectionModel.from_matrix(k @ rt, view_label, frame)
+    return scale_normalized(k @ np.concatenate([rotations, translations[:, :, None]], axis=2))
 
 
 # -- synthetic projection rasters ------------------------------------------------

@@ -11,6 +11,7 @@ partial outputs. Exit codes: 0 success, 2 bad input, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -311,7 +312,10 @@ def cmd_report(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args keeps no state
+    in it between calls (each returns a fresh namespace)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"random seed (default {DEFAULT_SEED})")

@@ -9,6 +9,14 @@ class SpineNavError(Exception):
     """Base class for all toolkit errors."""
 
 
+def raised_where(mask, error_type: type, message: str) -> dict:
+    """The failures of one check of a stacked computation: {stack row:
+    error_type(message)}, a fresh error for each true row of the boolean
+    mask (T,). Empty when no row fails, so `if failed: raise failed[0]`
+    is the one-stack case."""
+    return {int(i): error_type(message) for i in mask.nonzero()[0]}
+
+
 # -- frames / transforms ----------------------------------------------------
 
 class NoPath(SpineNavError):

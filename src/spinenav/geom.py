@@ -36,10 +36,13 @@ _ORTHO_TOL = 1e-9
 _REORTHO_TRIGGER = 1e-12
 
 
+_EYE3 = np.eye(3)
+
+
 def _orthonormality_residual(r: np.ndarray):
     """max |R^T R - I| of a 3x3 matrix, or of each matrix in a (..., 3, 3)
     stack."""
-    return np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
+    return np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=(-2, -1))
 
 
 def _polar_orthonormalize(r: np.ndarray) -> np.ndarray:
@@ -71,6 +74,14 @@ def cross3(a, b) -> np.ndarray:
                     dtype=float)
 
 
+def row_dot(a, b) -> np.ndarray:
+    """Dot products over the last axis of a and b, broadcast over the
+    leading axes, as a stacked matmul: bit-identical to np.dot (and to the
+    1-D np.linalg.norm's squared norm) on each pair of rows, which
+    norm(axis=...) and einsum are not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def axis_basis(direction) -> tuple:
     """Right-handed orthonormal basis (x, y, z) with z along direction.
 
@@ -95,13 +106,7 @@ class RigidTransform:
     def __post_init__(self):
         r = np.array(self.rotation, dtype=float).reshape(3, 3)
         t = np.array(self.translation, dtype=float).reshape(3)
-        # written as not (x <= tol), so a NaN residual fails the gate
-        if not _orthonormality_residual(r) <= _ORTHO_TOL:
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if not abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL:
-            raise ValueError("rotation determinant is not +1 within 1e-9")
-        if not np.isfinite(t).all():
-            raise ValueError("translation must be finite")
+        check_rigid(r, t)
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
@@ -116,13 +121,7 @@ class RigidTransform:
     @staticmethod
     def from_quaternion(q, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         """Build from a (w, x, y, z) quaternion; normalized before use."""
-        w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-        r = np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
-        return RigidTransform(r, translation)
+        return RigidTransform(quaternion_rotations(q), translation)
 
     @staticmethod
     def from_axis_angle(axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
@@ -161,6 +160,45 @@ class RigidTransform:
 
     def __hash__(self):
         return hash((self.rotation.tobytes(), self.translation.tobytes()))
+
+
+def check_rigid(r: np.ndarray, t: np.ndarray) -> None:
+    """RigidTransform's guard on one rotation (3, 3) and translation (3,),
+    or once on stacks (T, 3, 3) and (T, 3). Raises ValueError unless every
+    rotation is orthonormal with determinant +1 within 1e-9 and every
+    translation is finite."""
+    # written as not (x <= tol), so a NaN residual fails the gate
+    if not (_orthonormality_residual(r) <= _ORTHO_TOL).all():
+        raise ValueError("rotation is not orthonormal within 1e-9")
+    if not (np.abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL).all():
+        raise ValueError("rotation determinant is not +1 within 1e-9")
+    if not np.isfinite(t).all():
+        raise ValueError("translation must be finite")
+
+
+# Rotation of a unit quaternion (w, x, y, z), row by row: entry k is
+# 1 - 2 s_k on the diagonal and 2 s_k off it, with s_k = q_a q_b + sign q_c q_d
+# for the columns (a, b, c, d, sign) of _QUATERNION_TERMS (index 0 is w).
+# Written out: 1 - 2 (yy + zz), 2 (xy - wz), 2 (xz + wy),
+#              2 (xy + wz), 1 - 2 (xx + zz), 2 (yz - wx),
+#              2 (xz - wy), 2 (yz + wx), 1 - 2 (xx + yy).
+_QUATERNION_TERMS = tuple(np.array(column) for column in zip(
+    (2, 2, 3, 3, 1.0), (1, 2, 0, 3, -1.0), (1, 3, 0, 2, 1.0),
+    (1, 2, 0, 3, 1.0), (1, 1, 3, 3, 1.0), (2, 3, 0, 1, -1.0),
+    (1, 3, 0, 2, -1.0), (2, 3, 0, 1, 1.0), (1, 1, 2, 2, 1.0)))
+_DIAGONAL = np.eye(3, dtype=bool).ravel()
+
+
+def quaternion_rotations(q) -> np.ndarray:
+    """Rotation matrix of a (w, x, y, z) quaternion (4,), or of each row of
+    a stack (T, 4): (3, 3) or (T, 3, 3). Each quaternion is normalized
+    before use."""
+    q = np.asarray(q, dtype=float)
+    q = q / np.sqrt(row_dot(q, q))[..., None]
+    qq = q[..., :, None] * q[..., None, :]
+    a, b, c, d, sign = _QUATERNION_TERMS
+    s = 2 * (qq[..., a, b] + sign * qq[..., c, d])
+    return np.where(_DIAGONAL, 1 - s, s).reshape(q.shape[:-1] + (3, 3))
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

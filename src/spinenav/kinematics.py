@@ -59,7 +59,12 @@ def sphere(center, radius: float) -> Capsule:
 @dataclass(frozen=True)
 class RobotModel:
     """DH table (a mm, alpha rad, d mm, theta_offset rad), joint limits, and
-    per-link collision capsules expressed in each link's frame."""
+    per-link collision capsules expressed in each link's frame.
+
+    reach_mm bounds the flange's distance from the base origin for any joint
+    values: each link moves its frame origin by (a cos, a sin, d), so by the
+    triangle inequality no flange lies farther out than the sum of the
+    sqrt(a^2 + d^2) (about 1,386 mm for default_robot)."""
 
     dh_rows: np.ndarray      # (6, 4)
     joint_limits: np.ndarray  # (6, 2)
@@ -86,6 +91,7 @@ class RobotModel:
         object.__setattr__(self, "joint_limits", lim)
         object.__setattr__(self, "link_capsules", caps)
         object.__setattr__(self, "_dh_links", links)
+        object.__setattr__(self, "reach_mm", float(np.sum(np.hypot(dh[:, 0], dh[:, 2]))))
 
     def clamp(self, q: np.ndarray) -> np.ndarray:
         return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
@@ -363,9 +369,13 @@ def ik(model: RobotModel, target: RigidTransform, seed: JointVector,
     Each attempt converges unconstrained, then revolute joints are wrapped
     by 2 pi into their ranges; a wrapped in-limit solution is returned, so
     the fk round trip of every success is below tolerance by construction.
-    Raises Unreachable if no attempt converges, or LimitViolation when
-    solutions exist only outside the joint limits.
+    Raises Unreachable if no attempt converges, at once when the target lies
+    beyond model.reach_mm plus the position tolerance (no attempt could
+    converge there), or LimitViolation when solutions exist only outside
+    the joint limits.
     """
+    if _norm(target.translation) > model.reach_mm + IK_TOL_MM:
+        raise Unreachable(f"target lies beyond the arm's {model.reach_mm:.1f} mm reach")
     converged_any = False
     for attempt in range(IK_RESTARTS + 1):
         if attempt == 1:  # most calls converge from the seed: no generator

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .registration import SurfaceModel
 
 
-def icosphere(subdivisions: int = 2, radius: float = 1.0,
-              frame: str = "Patient") -> SurfaceModel:
-    """Unit icosahedron subdivided and projected onto a sphere."""
+@functools.cache
+def _unit_icosphere(subdivisions: int) -> tuple:
+    """Read-only unit icosphere vertices (V, 3) and triangles (T, 3), built
+    on first use for each subdivision count and kept: the midpoint loop
+    takes most of a phantom's construction time, and its vertex order is
+    what every mesh built from it depends on."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
@@ -41,8 +46,19 @@ def icosphere(subdivisions: int = 2, radius: float = 1.0,
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
 
-    v = np.asarray(verts, dtype=float) * radius
-    return SurfaceModel(frame, v, np.asarray(faces, dtype=np.int64))
+    v = np.asarray(verts, dtype=float)
+    t = np.asarray(faces, dtype=np.int64)
+    v.setflags(write=False)
+    t.setflags(write=False)
+    return v, t
+
+
+def icosphere(subdivisions: int = 2, radius: float = 1.0,
+              frame: str = "Patient") -> SurfaceModel:
+    """Unit icosahedron subdivided and projected onto a sphere, scaled to
+    radius."""
+    v, t = _unit_icosphere(subdivisions)
+    return SurfaceModel(frame, v * radius, t)
 
 
 def bumpy_ellipsoid(rng: np.random.Generator, semi_axes=(30.0, 25.0, 20.0),
@@ -51,8 +67,7 @@ def bumpy_ellipsoid(rng: np.random.Generator, semi_axes=(30.0, 25.0, 20.0),
                     frame: str = "Patient") -> SurfaceModel:
     """Ellipsoid with smooth seeded radial bumps; deliberately asymmetric so
     rigid poses against it are fully observable."""
-    base = icosphere(subdivisions, 1.0, frame)
-    dirs = base.vertices
+    dirs, triangles = _unit_icosphere(subdivisions)
     bump_dirs = rng.normal(size=(n_bumps, 3))
     bump_dirs /= np.linalg.norm(bump_dirs, axis=1, keepdims=True)
     amps = rng.uniform(0.3, 1.0, size=n_bumps) * bump_amplitude
@@ -61,7 +76,7 @@ def bumpy_ellipsoid(rng: np.random.Generator, semi_axes=(30.0, 25.0, 20.0),
     for d, a, w in zip(bump_dirs, amps, widths):
         scale += a * np.exp(-w * (1.0 - dirs @ d))
     v = dirs * scale[:, None] * np.asarray(semi_axes, dtype=float)
-    return SurfaceModel(frame, v + np.asarray(center, dtype=float), base.triangles)
+    return SurfaceModel(frame, v + np.asarray(center, dtype=float), triangles)
 
 
 def sample_surface_points(surface: SurfaceModel, n: int,

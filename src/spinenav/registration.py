@@ -20,12 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, LabelMismatch, TooFewPoints
+from .errors import DegenerateGeometry, LabelMismatch, TooFewPoints, raised_where
 from .geom import (RigidTransform, compose, snap_rotation, transform_from_dict,
                    transform_to_dict)
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
+
+
+def check_fiducial_points(points: np.ndarray) -> None:
+    """FiducialSet's value guard on one point set (N, 3), or once on a stack
+    (T, N, 3): raises ValueError unless every position is finite."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError("fiducial positions must be finite")
 
 
 @dataclass(frozen=True)
@@ -43,8 +50,7 @@ class FiducialSet:
             raise ValueError("fiducial set needs at least one point")
         if len(set(labels)) != len(labels):
             raise ValueError("fiducial labels must be unique")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("fiducial positions must be finite")
+        check_fiducial_points(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "points", pts)
@@ -281,10 +287,22 @@ class VerificationDecision:
 
 # -- core rigid fit ----------------------------------------------------------
 
+def _collinear_batch(points: np.ndarray, what: str) -> dict:
+    """{stack row: DegenerateGeometry} for each point set of a stack
+    (T, N, 3), N >= 2, whose spread is collinear: its second singular value
+    about the centroid is below 1e-6 of the first, or the first is 0."""
+    sv = np.linalg.svd(points - points.mean(axis=1)[:, None, :], compute_uv=False)
+    flat = sv[:, 0] <= 0.0
+    # the ratio of a flat set is never read; 1.0 stands in for its zero
+    ratio = sv[:, 1] / np.where(flat, 1.0, sv[:, 0])
+    return raised_where(flat | (ratio < _COLLINEAR_SV_RATIO), DegenerateGeometry,
+                        f"{what} points are collinear")
+
+
 def _check_not_collinear(points: np.ndarray, what: str) -> None:
-    sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
-    if sv[0] <= 0.0 or sv[1] / sv[0] < _COLLINEAR_SV_RATIO:
-        raise DegenerateGeometry(f"{what} points are collinear")
+    failed = _collinear_batch(points[None], what)
+    if failed:
+        raise failed[0]
 
 
 def fit_rigid(fixed: np.ndarray, moving: np.ndarray) -> RigidTransform:
@@ -313,20 +331,46 @@ def fit_rigid_batch(fixed: np.ndarray, moving: np.ndarray):
     return r, fc - (r @ mc[:, :, None])[:, :, 0]
 
 
+def register_points_batch(fixed: np.ndarray, moving: np.ndarray):
+    """register_points' checks and fit, stack by stack, on row-matched point
+    sets fixed and moving (T, N, 3): the rigid transforms moving -> fixed as
+    rotations (T, 3, 3) and translations (T, 3), plus {stack row: error} for
+    the rows that fail, whose transforms are left NaN. A row fails with the
+    first of TooFewPoints (N < 3, every row), DegenerateGeometry for
+    collinear fixed points, then for collinear moving points. The transforms
+    have not been through the RigidTransform guard: callers run it
+    (check_rigid) once on the rows they use."""
+    count = len(fixed)
+    if fixed.shape[1] < 3:
+        return (np.full((count, 3, 3), np.nan), np.full((count, 3), np.nan),
+                raised_where(np.ones(count, dtype=bool), TooFewPoints,
+                             "point registration needs at least 3 correspondences"))
+    # a row with both sets collinear keeps the fixed set's error
+    failed = {**_collinear_batch(moving, "moving"), **_collinear_batch(fixed, "fixed")}
+    if not failed:
+        return (*fit_rigid_batch(fixed, moving), failed)
+    ok = np.ones(count, dtype=bool)
+    ok[list(failed)] = False
+    r, t = fit_rigid_batch(fixed[ok], moving[ok])
+    rotations, translations = np.full((count, 3, 3), np.nan), np.full((count, 3), np.nan)
+    rotations[ok], translations[ok] = r, t
+    return rotations, translations, failed
+
+
 def register_points(fixed: FiducialSet, moving: FiducialSet) -> RegistrationResult:
-    """Rigid registration of label-matched fiducial sets (moving -> fixed).
+    """Rigid registration of label-matched fiducial sets (moving -> fixed):
+    the one-stack case of register_points_batch.
 
     Raises TooFewPoints (< 3 correspondences), LabelMismatch, or
     DegenerateGeometry (collinear configuration).
     """
     if set(fixed.labels) != set(moving.labels):
         raise LabelMismatch("fixed and moving sets carry different labels")
-    if len(fixed) < 3:
-        raise TooFewPoints("point registration needs at least 3 correspondences")
     moving_matched = moving.subset(fixed.labels)
-    _check_not_collinear(fixed.points, "fixed")
-    _check_not_collinear(moving_matched.points, "moving")
-    t = fit_rigid(fixed.points, moving_matched.points)
+    r, t, failed = register_points_batch(fixed.points[None], moving_matched.points[None])
+    if failed:
+        raise failed[0]
+    t = RigidTransform(r[0], t[0])
     residuals = np.linalg.norm(fixed.points - t.apply(moving_matched.points), axis=1)
     return RegistrationResult(t, float(np.sqrt(np.mean(residuals ** 2))),
                               tuple(residuals), len(fixed))

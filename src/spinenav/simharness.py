@@ -8,24 +8,33 @@ statistics per method. The placement study drives complete workflow sessions
 per screw and grades the simulated outcomes, tallying C-arm exposures.
 
 Every operation is a pure function of (inputs, seed): trials draw from
-independent generators spawned per (method, trial) so results are identical
-across repeat runs.
+independent generators spawned per (stream key, trial) so results are
+identical across repeat runs.
+
+The accuracy study runs as stacked passes over its trials, one per stream
+key: a draw pass takes each trial's draws from its own generator in the
+per-trial order, then a math pass runs each step of the registration chain
+once over the stack of trials (calibration.*_batch,
+registration.register_points_batch). A trial whose step fails keeps that
+step's SpineNavError and drops out of the later steps. run_trial and the
+placement study's chains are the one-trial case of the same passes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import calibration as cal
 from .errors import DegenerateSpec, GuardFailed, SpineNavError
 from .fileio import atomic_write, csv_with_provenance, provenance, write_json
-from .geom import RigidTransform, axis_basis, compose, cross3, invert
+from .geom import (RigidTransform, axis_basis, check_rigid, compose, cross3, invert,
+                   quaternion_rotations, row_dot)
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
 from .planning import (
@@ -40,7 +49,8 @@ from .registration import (
     FiducialSet,
     RegistrationResult,
     SurfaceModel,
-    register_points,
+    check_fiducial_points,
+    register_points_batch,
 )
 from .workflow import (
     Event,
@@ -118,9 +128,16 @@ def _tracker_noise(noise: NoiseModel, n: int, distance: float, view_axis,
     depth_anisotropy along the viewing axis."""
     u, v, axis = axis_basis(view_axis)
     sigma = noise.tracker_sigma_at(distance) * multiplier
-    g = rng.normal(size=(n, 3))
-    return sigma * (g[:, :1] * u + g[:, 1:2] * v
-                    + noise.depth_anisotropy * g[:, 2:3] * axis)
+    return _anisotropic(noise, sigma, (u, v, axis), rng.normal(size=(n, 3)))
+
+
+def _anisotropic(noise: NoiseModel, sigma, basis, g: np.ndarray) -> np.ndarray:
+    """sigma * (g_u u + g_v v + depth_anisotropy g_w axis) from standard
+    normal draws g (..., n, 3); sigma and the basis vectors (u, v, axis)
+    broadcast against g."""
+    u, v, axis = basis
+    return sigma * (g[..., :1] * u + g[..., 1:2] * v
+                    + noise.depth_anisotropy * g[..., 2:3] * axis)
 
 
 def sample_noisy_measurement(noise: NoiseModel, true_point, tracker_distance: float,
@@ -252,9 +269,9 @@ class Method:
         """Per-modality RNG key: methods sharing a modality share streams,
         so robot assistance pairs with its navigation baseline by common
         random numbers (the paired-design the studies assert against).
-        Because the streams are shared, so is each trial's registration
-        chain: run_study runs it once per stream key and trial and gives the
-        outcome to every method that shares it."""
+        Because the streams are shared, so are the registration chains:
+        run_study runs one stacked pass per stream key over all trials and
+        gives each trial's outcome to every method that shares the key."""
         digest = hashlib.sha256(self.modality.value.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big")
 
@@ -370,36 +387,49 @@ class StudyStats:
 # -- measurement chains ---------------------------------------------------------------
 
 
+def _pose_rotations(q: np.ndarray) -> np.ndarray:
+    """Ground-truth pose rotations (T, 3, 3) from normal draws q (T, 4):
+    normalized here, then again inside quaternion_rotations, as
+    RigidTransform.from_quaternion of a normalized quaternion does."""
+    return quaternion_rotations(q / np.sqrt(row_dot(q, q))[:, None])
+
+
 def _random_rigid(rng: np.random.Generator, translation_scale: float = 40.0) -> RigidTransform:
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    return RigidTransform.from_quaternion(
-        q, rng.uniform(-translation_scale, translation_scale, size=3))
+    """One random pose from rng: the one-stack case of _pose_rotations."""
+    r = _pose_rotations(rng.normal(size=(1, 4)))[0]
+    return RigidTransform(r, rng.uniform(-translation_scale, translation_scale, size=3))
+
+
+def _apply(rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """RigidTransform.apply, stack by stack: points (N, 3) or (T, N, 3)."""
+    return points @ rotations.transpose(0, 2, 1) + translations[:, None, :]
 
 
 def _angle_multiplier(tool_angle_deg: float) -> float:
     return 1.0 + TOOL_ANGLE_GAIN * (1.0 - np.cos(np.deg2rad(tool_angle_deg)))
 
 
-def _carm_pair(center, detector_distance_mm: float, jitter_deg: float,
-               rng: np.random.Generator):
-    """Ground-truth AP/LP pinhole views about a region-of-interest center,
-    nominally 90 degrees apart with seeded jitter."""
+def _carm_pairs(center: np.ndarray, detector_distance_mm: np.ndarray,
+                jitter_deg: np.ndarray) -> np.ndarray:
+    """Ground-truth AP/LP pinhole views about each region-of-interest center
+    (T, 3), nominally 90 degrees apart with drawn jitters (T, 2):
+    projection matrices (2, T, 3, 4), AP first."""
     source_to_roi = SOURCE_DETECTOR_DISTANCE_MM - detector_distance_mm
-    center = np.asarray(center, dtype=float)
     models = []
-    for view, azimuth in (("AP", -np.pi / 2), ("LP", np.pi)):
-        azimuth = azimuth + np.deg2rad(rng.uniform(-jitter_deg, jitter_deg))
-        src = center + source_to_roi * np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+    for k, azimuth in enumerate((-np.pi / 2, np.pi)):  # AP, LP
+        azimuth = azimuth + np.deg2rad(jitter_deg[:, k])
+        offset = np.stack([np.cos(azimuth), np.sin(azimuth), np.zeros(len(azimuth))], axis=1)
+        src = center + source_to_roi[:, None] * offset
         z = center - src
-        z /= np.linalg.norm(z)
-        x = cross3((0.0, 0.0, 1.0), z)
-        x /= np.linalg.norm(x)
-        y = cross3(z, x)
-        r = np.vstack([x, y, z])
-        pose = RigidTransform(r, -r @ src)
-        models.append(cal.pinhole_projection(pose, SOURCE_DETECTOR_DISTANCE_MM, view))
-    return models
+        z = z / np.sqrt(row_dot(z, z))[:, None]
+        x = np.ascontiguousarray(cross3((0.0, 0.0, 1.0), z.T).T)
+        x = x / np.sqrt(row_dot(x, x))[:, None]
+        r = np.stack([x, cross3(z.T, x.T).T, z], axis=1)
+        t = ((-r) @ src[:, :, None])[:, :, 0]
+        check_rigid(r, t)
+        models.append(cal.pinhole_matrices(r, t, SOURCE_DETECTOR_DISTANCE_MM))
+        cal.check_projections(models[-1])
+    return np.stack(models)
 
 
 def _make_calibrator_offsets(n: int = 16, extent: float = 140.0) -> np.ndarray:
@@ -416,90 +446,218 @@ def _make_calibrator_offsets(n: int = 16, extent: float = 140.0) -> np.ndarray:
 _CALIBRATOR_OFFSETS = _make_calibrator_offsets()
 
 
+class _Chains(NamedTuple):
+    """Registration chains of one stream key, one per trial, mapping patient
+    -> image/CArm coordinates: ground-truth and estimated rotations
+    (T, 3, 3) and translations (T, 3), and per trial None or the
+    SpineNavError of its first failing step (its estimate is then NaN). The
+    transforms have not been through the RigidTransform guard yet: their
+    users run it once, on the stack or as RigidTransforms."""
+
+    gt_rotations: np.ndarray
+    gt_translations: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
+    errors: list
+
+
+class _Running:
+    """The trials of a stacked chain still running, and each stopped
+    trial's first error."""
+
+    def __init__(self, count: int):
+        self.index = np.arange(count)
+        self.errors = [None] * count
+
+    @property
+    def rows(self):
+        """The running trials' rows in the full stack: a slice (a view)
+        until a trial stops."""
+        return self.index if len(self.index) < len(self.errors) else slice(None)
+
+    def drop(self, failed: dict):
+        """Stop the trials a step failed ({index among the running rows:
+        error}); returns the index that keeps the step's other results."""
+        if not failed:
+            return slice(None)
+        for i, e in failed.items():
+            self.errors[self.index[i]] = e
+        keep = np.ones(len(self.index), dtype=bool)
+        keep[list(failed)] = False
+        self.index = self.index[keep]
+        return keep
+
+
+def _registration_chains(phantom: Phantom, modality: Modality, factors: list,
+                         noise: NoiseModel, rngs: list, jitter_deg: float) -> _Chains:
+    """Run the registration chains of trials (factors[k], rngs[k]) of one
+    modality as stacked passes.
+
+    The draw pass takes every draw of each trial's chain from its own
+    generator, in the chain's order, and leaves the generator where the
+    chain leaves it: the pose's 4-normal and 3-uniform, then the tracker
+    noise (point-based), or the AP and LP jitters and, per view, the
+    calibrator and then the jig detector noise (2D). No draw depends on a
+    computed value, so drawing first is exact. The math pass then runs each
+    step once over the stack of trials still running: a trial whose step
+    fails with a SpineNavError keeps that error and drops out of the later
+    steps. A failed guard (ValueError) aborts the whole pass.
+    """
+    count, fid = len(rngs), phantom.fiducials
+    point_based = modality is Modality.PREOP_CT_POINT_BASED
+    q, shift = np.empty((count, 4)), np.empty((count, 3))
+    if point_based:
+        g = np.empty((count, len(fid), 3))
+    else:
+        jitter = np.empty((count, 2))
+        # AP calibrator, AP jig, LP calibrator, LP jig
+        detector = [np.empty((count, n, 2)) for _ in range(2)
+                    for n in (len(_CALIBRATOR_OFFSETS), len(fid))]
+    for k, rng in enumerate(rngs):
+        q[k] = rng.normal(size=4)
+        shift[k] = rng.uniform(-40.0, 40.0, size=3)
+        if point_based:
+            g[k] = rng.normal(size=(len(fid), 3))
+            continue
+        jitter[k] = (rng.uniform(-jitter_deg, jitter_deg),
+                     rng.uniform(-jitter_deg, jitter_deg))
+        for d in detector:
+            d[k] = rng.normal(scale=noise.detector_sigma, size=d.shape[1:])
+
+    gt_r, gt_t = _pose_rotations(q), shift
+    world = _apply(gt_r, gt_t, fid.points)
+    check_fiducial_points(world)
+    running = _Running(count)
+    if point_based:
+        fixed = world
+        moving = fid.points + _tracker_noise_stack(phantom, factors, noise, g)
+        check_fiducial_points(moving)
+    else:
+        fixed = _triangulated_jigs(world, factors, jitter, detector, running)
+        moving = np.repeat(fid.points[None], count, axis=0)
+    rows = running.rows
+    r, t, failed = register_points_batch(fixed[rows], moving[rows])
+    running.drop(failed)
+    rotations = np.full((count, 3, 3), np.nan)
+    translations = np.full((count, 3), np.nan)
+    rotations[rows], translations[rows] = r, t
+    return _Chains(gt_r, gt_t, rotations, translations, running.errors)
+
+
+def _tracker_noise_stack(phantom: Phantom, factors: list, noise: NoiseModel,
+                         g: np.ndarray) -> np.ndarray:
+    """The point-based chain's tracker noise from standard normal draws g
+    (T, N, 3): sigma and viewing basis come from each trial's factor cell,
+    computed once per cell by the per-trial code."""
+    roi = phantom.fiducials.points.mean(axis=0)
+    per_cell = {}
+    for f in factors:
+        cell = (f["user_group"], f["tool_angle_deg"], f["tracker_distance_mm"])
+        if cell not in per_cell:
+            view_axis = roi - np.array([0.0, -f["tracker_distance_mm"], 400.0])
+            multiplier = f["user_group"] * _angle_multiplier(f["tool_angle_deg"])
+            sigma = noise.tracker_sigma_at(f["tracker_distance_mm"]) * multiplier
+            per_cell[cell] = np.concatenate([[sigma], *axis_basis(view_axis)])
+    # per trial: sigma, then the basis vectors u, v and axis
+    cells = np.array([per_cell[f["user_group"], f["tool_angle_deg"],
+                               f["tracker_distance_mm"]] for f in factors])[:, None]
+    return _anisotropic(noise, cells[..., :1], (cells[..., 1:4], cells[..., 4:7],
+                                                cells[..., 7:]), g)
+
+
+def _triangulated_jigs(world: np.ndarray, factors: list, jitter: np.ndarray,
+                       detector: list, running: _Running) -> np.ndarray:
+    """The 2D chain up to its jig triangulation, over the running trials:
+    per view, the calibrator projection, its detection, the DLT
+    calibration, then the jig projection and detection; then the
+    triangulation of the jig (world, T x N x 3, CArm frame) from the
+    estimated views. Returns the triangulated jigs, NaN for stopped trials."""
+    count, n = world.shape[:2]
+    roi = world.mean(axis=1)
+    true = _carm_pairs(roi, np.array([f["detector_distance_mm"] for f in factors],
+                                     dtype=float), jitter)
+    cal_pts = roi[:, None, :] + _CALIBRATOR_OFFSETS
+    estimated = np.full((2, count, 3, 4), np.nan)
+    detected = np.full((2, count, n, 2), np.nan)
+    for v in range(2):
+        cal_noise, jig_noise = detector[2 * v], detector[2 * v + 1]
+        uv, failed = cal.project_batch(true[v, running.rows], cal_pts[running.rows])
+        uv = uv[running.drop(failed)] + cal_noise[running.rows]
+        cal.check_detections(uv, np.ones(uv.shape[:2]))
+        p, failed = cal.dlt_calibrate_batch(cal_pts[running.rows], uv)
+        p = cal.scale_normalized(p[running.drop(failed)])
+        cal.check_projections(p)
+        estimated[v, running.rows] = p
+        uv, failed = cal.project_batch(true[v, running.rows], world[running.rows])
+        uv = uv[running.drop(failed)] + jig_noise[running.rows]
+        cal.check_detections(uv, np.ones(uv.shape[:2]))
+        detected[v, running.rows] = uv
+    running.drop(cal.common_label_failures(n, len(running.index)))
+    rows = running.rows
+    points, _, failed = cal.triangulate_batch((estimated[0, rows], detected[0, rows]),
+                                              (estimated[1, rows], detected[1, rows]))
+    points = points[running.drop(failed)]
+    check_fiducial_points(points)
+    jigs = np.full(world.shape, np.nan)
+    jigs[running.rows] = points
+    return jigs
+
+
 def _registration_transform(phantom: Phantom, method: Method, factors: dict,
                             noise: NoiseModel, rng: np.random.Generator,
                             jitter_deg: float):
-    """Run one registration chain; returns (t_est, t_gt) mapping patient ->
-    image/CArm coordinates."""
-    t_gt = _random_rigid(rng)
-    tracker_pos = np.array([0.0, -factors["tracker_distance_mm"], 400.0])
-    roi = phantom.fiducials.points.mean(axis=0)
-    view_axis = roi - tracker_pos
-    multiplier = factors["user_group"] * _angle_multiplier(factors["tool_angle_deg"])
-
-    if method.modality is Modality.PREOP_CT_POINT_BASED:
-        fixed = phantom.fiducials.transformed(t_gt, frame="PreOpImage")
-        noisy = phantom.fiducials.points + _tracker_noise(
-            noise, len(phantom.fiducials), factors["tracker_distance_mm"],
-            view_axis, rng, multiplier)
-        moving = FiducialSet("Patient", phantom.fiducials.labels, noisy)
-        return register_points(fixed, moving).transform, t_gt
-
-    # automatic intra-op 2D: per-view DLT calibration from the fixed C-arm
-    # calibrator, jig detections with detector noise, then triangulation and
-    # rigid registration inside register_patient_2d
-    jig_world = phantom.fiducials.transformed(t_gt, frame="CArm")
-    roi_world = jig_world.points.mean(axis=0)
-    true_models = _carm_pair(roi_world, factors["detector_distance_mm"],
-                             jitter_deg, rng)
-    views = []
-    cal_pts = roi_world[None, :] + _CALIBRATOR_OFFSETS
-    cal_labels = tuple(f"C{i + 1}" for i in range(len(cal_pts)))
-    for true_model in true_models:
-        uv_cal = cal.project(true_model, cal_pts)
-        uv_cal = uv_cal + rng.normal(scale=noise.detector_sigma, size=uv_cal.shape)
-        det_cal = cal.Detection2D(true_model.view_label, cal_labels, uv_cal,
-                                  np.ones(len(cal_pts)))
-        est_model = cal.dlt_calibrate(list(zip(cal_labels, cal_pts)), det_cal)
-        uv_jig = cal.project(true_model, jig_world.points)
-        uv_jig = uv_jig + rng.normal(scale=noise.detector_sigma, size=uv_jig.shape)
-        det_jig = cal.Detection2D(true_model.view_label, jig_world.labels, uv_jig,
-                                  np.ones(len(jig_world)))
-        views.append((est_model, det_jig))
-    return cal.register_patient_2d(phantom.fiducials, views).transform, t_gt
+    """One registration chain, the one-stack case of _registration_chains:
+    returns (t_est, t_gt) mapping patient -> image/CArm coordinates, or
+    raises the chain's SpineNavError."""
+    chains = _registration_chains(phantom, method.modality, [factors], noise, [rng],
+                                  jitter_deg)
+    if chains.errors[0] is not None:
+        raise chains.errors[0]
+    return (RigidTransform(chains.rotations[0], chains.translations[0]),
+            RigidTransform(chains.gt_rotations[0], chains.gt_translations[0]))
 
 
-# Within one run_study trial index: stream key -> (chain outcome, generator
-# state the chain left). None outside run_study, where every run_trial runs
-# its own chain.
-_STUDY_CHAINS: ContextVar = ContextVar("spinenav_study_chains", default=None)
+def _run_trials(phantom: Phantom, methods: list, factors: list, config: StudyConfig,
+                rngs: list) -> list:
+    """Trials (factors[k], rngs[k]) of methods that share one stream key,
+    one list of TrialResults per method: one stacked pass of the chains
+    they share, then each method's RMSE at the held-out targets over the
+    stack. A robot method adds kinematic noise, drawn from the trial's
+    generator after its chain's draws, to trials whose chain succeeded."""
+    chains = _registration_chains(phantom, methods[0].modality, factors, config.noise,
+                                  rngs, config.view_jitter_deg)
+    ok = np.array([e is None for e in chains.errors], dtype=bool)
+    est = chains.rotations[ok], chains.translations[ok]
+    gt = chains.gt_rotations[ok], chains.gt_translations[ok]
+    check_rigid(*gt)
+    check_rigid(*est)
+    targets = phantom.targets.points
+    mapped = _apply(*est, targets)
+    truth = _apply(*gt, targets)
+    if any(m.robot_assisted for m in methods):
+        kinematic = np.array([
+            rng.normal(scale=config.noise.kinematic_sigma, size=targets.shape)
+            for rng, good in zip(rngs, ok) if good]).reshape(mapped.shape)
+    results = []
+    for method in methods:
+        moved = mapped + kinematic if method.robot_assisted else mapped
+        err = np.linalg.norm(moved - truth, axis=2)
+        rmse = iter(np.sqrt(np.mean(err ** 2, axis=1)).tolist())
+        head = (method.label, method.modality, method.robot_assisted)
+        results.append([
+            TrialResult(*head, f, next(rmse)) if e is None
+            else TrialResult(*head, f, None, ok=False, error=f"{type(e).__name__}: {e}")
+            for f, e in zip(factors, chains.errors)])
+    return results
 
 
 def run_trial(phantom: Phantom, method: Method, factors: dict,
               config: StudyConfig, trial_rng: np.random.Generator) -> TrialResult:
     """One full registration chain evaluated as RMSE at the held-out
-    verification targets (a TRE-like statistic, not the fit residual).
-    Chain errors are recorded as failed trials, never silently dropped.
-
-    Inside run_study, a trial whose stream key's chain has already run for
-    the same trial index takes that chain's outcome (the transforms, or the
-    failure) and continues from the generator state it left; see run_study.
-    """
-    chains, key = _STUDY_CHAINS.get(), method.stream_key()
-    shared = None if chains is None else chains.get(key)
-    if shared is None:
-        try:
-            outcome = _registration_transform(phantom, method, factors, config.noise,
-                                              trial_rng, config.view_jitter_deg)
-        except SpineNavError as e:
-            outcome = f"{type(e).__name__}: {e}"
-        if chains is not None:
-            chains[key] = outcome, trial_rng.bit_generator.state
-    else:
-        outcome, trial_rng.bit_generator.state = shared
-    if isinstance(outcome, str):
-        return TrialResult(method.label, method.modality, method.robot_assisted,
-                           factors, None, ok=False, error=outcome)
-    t_est, t_gt = outcome
-    mapped = t_est.apply(phantom.targets.points)
-    truth = t_gt.apply(phantom.targets.points)
-    if method.robot_assisted:
-        mapped = mapped + trial_rng.normal(scale=config.noise.kinematic_sigma,
-                                           size=mapped.shape)
-    err = np.linalg.norm(mapped - truth, axis=1)
-    rmse = float(np.sqrt(np.mean(err ** 2)))
-    return TrialResult(method.label, method.modality, method.robot_assisted,
-                       factors, rmse)
+    verification targets (a TRE-like statistic, not the fit residual): the
+    one-trial case of run_study's stacked passes. A chain error is recorded
+    as a failed trial ("ErrorClass: message"), never silently dropped."""
+    return _run_trials(phantom, [method], [factors], config, [trial_rng])[0][0]
 
 
 @dataclass(frozen=True)
@@ -536,29 +694,26 @@ def _trial_rng(study_seed: int, method_key: int, trial_idx: int) -> np.random.Ge
 def run_study(config: StudyConfig, phantom: Phantom,
               methods=DEFAULT_METHODS) -> StudyResult:
     """Exactly samples_per_method trials per method, balanced round-robin
-    over the factor cells, run serially (config.threads is ignored: a thread
-    pool only slowed the study); deterministic for a given config.noise.seed.
+    over the factor cells; deterministic for a given config.noise.seed
+    (config.threads is ignored).
 
-    Methods with the same stream_key draw the same chain for trial t, so
-    the trials run trial by trial and each such chain runs once per stream
-    key: run_trial keeps its outcome for that trial index, and a robot
-    trial continues from the generator state it left to draw its kinematic
-    noise. Every trial equals run_trial on its own _trial_rng, for any
-    methods tuple in any order.
+    The trials run as stacked passes, one per stream key: one draw pass
+    over the trials' generators and one math pass over their chains, which
+    every method with that key shares. Every trial equals run_trial on its
+    own _trial_rng, for any methods tuple in any order.
     """
+    keys = [m.stream_key() for m in methods]
     cells = [config.cells(m.modality) for m in methods]
-    trials = [[] for _ in methods]
-    chains = {}
-    token = _STUDY_CHAINS.set(chains)
-    try:
-        for t in range(config.samples_per_method):
-            chains.clear()
-            for method, method_cells, method_trials in zip(methods, cells, trials):
-                method_trials.append(run_trial(
-                    phantom, method, method_cells[t % len(method_cells)], config,
-                    _trial_rng(config.noise.seed, method.stream_key(), t)))
-    finally:
-        _STUDY_CHAINS.reset(token)
+    trials = [None] * len(methods)
+    n = config.samples_per_method
+    for key in dict.fromkeys(keys):
+        group = [i for i, k in enumerate(keys) if k == key]
+        key_cells = cells[group[0]]
+        results = _run_trials(phantom, [methods[i] for i in group],
+                              [key_cells[t % len(key_cells)] for t in range(n)], config,
+                              [_trial_rng(config.noise.seed, key, t) for t in range(n)])
+        for i, method_trials in zip(group, results):
+            trials[i] = method_trials
     out = []
     for method, method_cells, method_trials in zip(methods, cells, trials):
         ok = [t for t in method_trials if t.ok]

@@ -34,6 +34,19 @@ def test_cli_import_loads_neither_scipy_spatial_nor_ndimage():
     assert proc.stdout.strip() == "[]"
 
 
+def test_main_builds_its_parser_once_and_shares_no_parsed_state(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "session", "--seed", "3", "--set", "screws=1",
+                 "--set", "noise_multiplier=2", "--out", str(first)]) == 0
+    assert main(["simulate", "session", "--out", str(second)]) == 0
+    a = _read_json(first / "session_report.json")
+    b = _read_json(second / "session_report.json")
+    assert (a["screws_per_arm"], a["provenance"]["seed"]) == (1, 3)
+    assert (b["screws_per_arm"], b["provenance"]["seed"]) == (2, cli.DEFAULT_SEED)
+    assert a["provenance"]["config_hash"] != b["provenance"]["config_hash"]
+
+
 # -- calibrate ---------------------------------------------------------------------
 
 

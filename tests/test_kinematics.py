@@ -196,6 +196,29 @@ def test_ik_far_target_unreachable():
         ik(MODEL, target, HOME)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_every_in_limit_flange_lies_within_reach(seed):
+    # reach_mm is an exact bound: no joint vector inside the limits puts the
+    # flange past it, so ik's reach test never rejects a reachable target
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(MODEL.joint_limits[:, 0], MODEL.joint_limits[:, 1], size=(64, 6))
+    tips = kinematics.fk_frames(MODEL, q)[:, -1, :3, 3]
+    assert np.all(np.linalg.norm(tips, axis=1) <= MODEL.reach_mm)
+
+
+def test_ik_beyond_reach_is_unreachable_without_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kinematics, "_dls_solve",
+                        lambda *args: calls.append(args) or (args[2], False))
+    out = MODEL.reach_mm + kinematics.IK_TOL_MM * 1.01
+    for direction in np.eye(3):
+        with pytest.raises(Unreachable, match="reach"):
+            ik(MODEL, RigidTransform(np.eye(3), out * direction), HOME)
+    assert calls == []
+    assert MODEL.reach_mm == pytest.approx(1386.0, abs=0.5)
+
+
 def test_ik_limit_violation_distinguished():
     # shrink every joint range so the target pose survives only outside them
     tight = RobotModel(MODEL.dh_rows, np.tile([-0.3, 0.3], (6, 1)),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from spinenav.errors import DegenerateGeometry, LabelMismatch, TooFewPoints
 from spinenav.geom import RigidTransform, compose, invert
+from spinenav import meshes
 from spinenav.meshes import bumpy_ellipsoid, icosphere, sample_surface_points
 from spinenav.registration import (
     FiducialSet,
@@ -514,3 +515,16 @@ def test_registration_result_from_dict_takes_only_boolean_converged():
 def test_registration_result_invariant_checked():
     with pytest.raises(ValueError):
         RegistrationResult(RigidTransform.identity(), 5.0, (1.0, 1.0), 2)
+
+
+@pytest.mark.parametrize("subdivisions", [0, 1, 3])
+def test_cached_unit_icosphere_equals_a_fresh_build(subdivisions):
+    # built once per subdivision count, read-only, bit for bit a fresh build
+    v, t = meshes._unit_icosphere(subdivisions)
+    fresh_v, fresh_t = meshes._unit_icosphere.__wrapped__(subdivisions)
+    assert np.array_equal(v, fresh_v) and np.array_equal(t, fresh_t)
+    assert meshes._unit_icosphere(subdivisions)[0] is v
+    assert not v.flags.writeable and not t.flags.writeable
+    sphere = icosphere(subdivisions, 25.0)
+    assert np.array_equal(sphere.vertices, fresh_v * 25.0)
+    assert np.array_equal(sphere.triangles, fresh_t)

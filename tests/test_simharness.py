@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import _study_reference as reference
 from spinenav import simharness
-from spinenav.errors import DegenerateGeometry, DegenerateSpec
+from spinenav.errors import DegenerateGeometry, DegenerateSpec, SpineNavError
 from spinenav.simharness import (
     DEFAULT_METHODS,
+    Method,
     NoiseModel,
     PhantomSpec,
     StudyConfig,
@@ -23,6 +25,7 @@ from spinenav.simharness import (
     study_report,
     summarize,
 )
+from spinenav.workflow import Modality
 
 PHANTOM = generate_phantom(PhantomSpec(), seed=42)
 ZERO_NOISE = NoiseModel(tracker_sigma0=0.0, detector_sigma=0.0, kinematic_sigma=0.0)
@@ -227,27 +230,83 @@ def test_study_deterministic_across_runs_and_threads():
             assert va == vb
 
 
-def _assert_study_equals_direct_trials(cfg, methods):
-    """Every run_study trial equals run_trial on its own generator."""
+ROBOT_2D = Method("automatic_intraop_2d_robot", Modality.INTRAOP_2D_AUTO_FIDUCIAL, True)
+
+
+def _assert_study_equals_direct_trials(cfg, methods, direct=run_trial):
+    """Every run_study trial equals direct (run_trial, or the per-trial
+    reference) on its own generator."""
     res = run_study(cfg, PHANTOM, methods)
     assert [m.method for m in res.methods] == list(methods)
     for m in res.methods:
         cells = cfg.cells(m.method.modality)
         for t, trial in enumerate(m.trials):
-            direct = run_trial(PHANTOM, m.method, cells[t % len(cells)], cfg,
-                               _trial_rng(cfg.noise.seed, m.method.stream_key(), t))
-            assert trial == direct  # rmse_mm and error compared with ==
+            one = direct(PHANTOM, m.method, cells[t % len(cells)], cfg,
+                         _trial_rng(cfg.noise.seed, m.method.stream_key(), t))
+            assert trial == one  # rmse_mm and error compared with ==
     return res
 
 
 @pytest.mark.parametrize("methods", [DEFAULT_METHODS, DEFAULT_METHODS[::-1],
-                                     DEFAULT_METHODS[2:]],
-                         ids=["default", "reversed", "robot_only"])
+                                     DEFAULT_METHODS[2:], DEFAULT_METHODS + (ROBOT_2D,)],
+                         ids=["default", "reversed", "robot_only", "robot_2d"])
 def test_study_trials_equal_direct_trials(methods):
-    # the robot method shares its navigation partner's chain within a
-    # study; each trial must still be the one run_trial gives
+    # methods sharing a stream key share one stacked chain pass; each trial
+    # must still be the one run_trial gives, and a robot method's kinematic
+    # draw follows its chain's draws on either modality
     res = _assert_study_equals_direct_trials(StudyConfig(samples_per_method=36), methods)
     assert all(m.n_failed == 0 for m in res.methods)
+
+
+@pytest.mark.parametrize("jitter", [5.0, 60.0])
+def test_study_trials_equal_per_trial_reference(jitter):
+    # the stacked passes against the per-trial chain they replaced, bit for
+    # bit, failed 2D trials (ParallelRays at 60 degrees) included
+    cfg = StudyConfig(samples_per_method=50, view_jitter_deg=jitter)
+    res = _assert_study_equals_direct_trials(cfg, DEFAULT_METHODS + (ROBOT_2D,),
+                                             direct=reference.run_trial)
+    assert (res.method("automatic_intraop_2d_navigation").n_failed > 0) == (jitter == 60.0)
+    assert res.method(ROBOT_2D.label).n_failed == \
+        res.method("automatic_intraop_2d_navigation").n_failed
+
+
+@pytest.mark.parametrize("method", DEFAULT_METHODS + (ROBOT_2D,), ids=lambda m: m.label)
+def test_run_trial_equals_per_trial_reference(method):
+    cfg = StudyConfig(view_jitter_deg=60.0)
+    cells = cfg.cells(method.modality)
+    for t in range(40):
+        rngs = [_trial_rng(3, 17, t) for _ in range(2)]
+        assert (run_trial(PHANTOM, method, cells[t % len(cells)], cfg, rngs[0])
+                == reference.run_trial(PHANTOM, method, cells[t % len(cells)], cfg, rngs[1]))
+        # a succeeded trial leaves its generator where the per-trial chain did
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_registration_transform_is_the_one_stack_chain():
+    # the placement study's per-chain entry point: same transforms as the
+    # reference, the generator left where the chain leaves it, and a failed
+    # chain raises its own error
+    cfg = StudyConfig(view_jitter_deg=60.0)
+    failures = 0
+    for method in (DEFAULT_METHODS[0], DEFAULT_METHODS[1]):
+        for t in range(40):
+            factors = cfg.cells(method.modality)[t % 4]
+            rng, ref_rng = _trial_rng(5, 0, t), _trial_rng(5, 0, t)
+            try:
+                (r_est, t_est), (r_gt, t_gt) = reference.registration_transform(
+                    PHANTOM, method.modality, factors, cfg.noise, ref_rng, 60.0)
+            except SpineNavError as e:
+                with pytest.raises(type(e), match=str(e)):
+                    simharness._registration_transform(PHANTOM, method, factors, cfg.noise,
+                                                       rng, 60.0)
+                failures += 1
+                continue
+            est, gt = simharness._registration_transform(PHANTOM, method, factors, cfg.noise,
+                                                         rng, 60.0)
+            assert np.array_equal(est.rotation, r_est) and np.array_equal(est.translation, t_est)
+            assert np.array_equal(gt.rotation, r_gt) and np.array_equal(gt.translation, t_gt)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert failures > 0
 
 
 @pytest.mark.parametrize("methods", [DEFAULT_METHODS, DEFAULT_METHODS[::-1]],
@@ -272,16 +331,18 @@ def test_study_failed_shared_chains_equal_direct_trials(monkeypatch, methods):
     key = DEFAULT_METHODS[0].stream_key()
     odd = {_random_rigid(_trial_rng(cfg.noise.seed, key, t)).translation.tobytes(): t
            for t in range(1, cfg.samples_per_method, 2)}
-    chain = simharness._registration_transform
+    chains = simharness._registration_chains
 
-    def failing_on_odd_trials(phantom, method, factors, noise, rng, jitter_deg):
-        t_est, t_gt = chain(phantom, method, factors, noise, rng, jitter_deg)
-        t = odd.get(t_gt.translation.tobytes())
-        if method.modality is DEFAULT_METHODS[0].modality and t is not None:
-            raise DegenerateGeometry(f"injected at trial {t}")
-        return t_est, t_gt
+    def failing_on_odd_trials(phantom, modality, factors, noise, rngs, jitter_deg):
+        out = chains(phantom, modality, factors, noise, rngs, jitter_deg)
+        errors = list(out.errors)
+        for k, t_gt in enumerate(out.gt_translations):
+            t = odd.get(t_gt.tobytes())
+            if modality is DEFAULT_METHODS[0].modality and t is not None:
+                errors[k] = DegenerateGeometry(f"injected at trial {t}")
+        return out._replace(errors=errors)
 
-    monkeypatch.setattr(simharness, "_registration_transform", failing_on_odd_trials)
+    monkeypatch.setattr(simharness, "_registration_chains", failing_on_odd_trials)
     res = _assert_study_equals_direct_trials(cfg, methods)
     for m in res.methods:
         if m.method.modality is DEFAULT_METHODS[0].modality:
@@ -295,20 +356,22 @@ def test_study_failed_shared_chains_equal_direct_trials(monkeypatch, methods):
                                              (DEFAULT_METHODS[:1] + DEFAULT_METHODS[2:], 1)],
                          ids=["default", "reversed", "preop_pair"])
 def test_study_runs_one_chain_per_stream_key_and_trial(monkeypatch, methods, chains):
+    # one stacked chain pass per stream key, covering each trial once
     calls = []
-    chain = simharness._registration_transform
+    chain = simharness._registration_chains
 
     def counted(*args):
-        calls.append(args[1].label)
+        calls.append((args[1], len(args[4])))
         return chain(*args)
 
-    monkeypatch.setattr(simharness, "_registration_transform", counted)
+    monkeypatch.setattr(simharness, "_registration_chains", counted)
     run_study(StudyConfig(samples_per_method=12), PHANTOM, methods)
-    assert len(calls) == chains * 12
-    assert simharness._STUDY_CHAINS.get() is None
+    assert len(calls) == chains
+    assert sorted(calls, key=str) == sorted({(m.modality, 12) for m in methods}, key=str)
+    # a direct run_trial still runs its own chain
     run_trial(PHANTOM, methods[0], StudyConfig().cells(methods[0].modality)[0],
               StudyConfig(), _trial_rng(1, methods[0].stream_key(), 0))
-    assert len(calls) == chains * 12 + 1
+    assert calls[-1] == (methods[0].modality, 1) and len(calls) == chains + 1
 
 
 def test_calibration_hits_target_mean():
