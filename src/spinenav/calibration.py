@@ -28,14 +28,14 @@ from .errors import (
     raised_where,
 )
 from .fileio import atomic_write
-from .geom import RigidTransform, cross3, row_dot
+from .geom import ArrayValue, RigidTransform, all_finite, cross3, frozen_array, row_dot
 from .registration import FiducialSet, RegistrationResult, register_points
 
 VIEW_LABELS = ("AP", "LP")
 
 
-@dataclass(frozen=True)
-class ToolDefinition:
+@dataclass(frozen=True, eq=False)
+class ToolDefinition(ArrayValue):
     """Calibrated tracked tool: tip offset and working axis in the body frame."""
 
     body_frame: str
@@ -44,23 +44,18 @@ class ToolDefinition:
     calib_residual_rms: float
 
     def __post_init__(self):
-        tip = np.array(self.tip_offset, dtype=float).reshape(3)
-        ax = np.array(self.axis, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(tip)) and np.all(np.isfinite(ax))
-                and np.isfinite(self.calib_residual_rms)):
-            raise ValueError("tool definition values must be finite")
+        frozen_array(self, "tip_offset", self.tip_offset, 3)
+        ax = frozen_array(self, "axis", self.axis, 3)
+        if not np.isfinite(self.calib_residual_rms):
+            raise ValueError("calibration residual must be finite")
         if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
             raise ValueError("tool axis must be a unit vector")
         if self.calib_residual_rms < 0.0:
             raise ValueError("calibration residual cannot be negative")
-        tip.setflags(write=False)
-        ax.setflags(write=False)
-        object.__setattr__(self, "tip_offset", tip)
-        object.__setattr__(self, "axis", ax)
 
 
-@dataclass(frozen=True)
-class PivotResult:
+@dataclass(frozen=True, eq=False)
+class PivotResult(ArrayValue):
     """Output of a pivot calibration."""
 
     tip_offset: np.ndarray
@@ -69,9 +64,7 @@ class PivotResult:
 
     def __post_init__(self):
         for name in ("tip_offset", "pivot_point"):
-            v = np.array(getattr(self, name), dtype=float).reshape(3)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            frozen_array(self, name, getattr(self, name), 3)
 
     def tool_definition(self, body_frame: str = "ToolBody",
                         axis=None) -> ToolDefinition:
@@ -111,8 +104,8 @@ def pivot_calibrate(poses, min_poses: int = 10) -> PivotResult:
 # -- projective model ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionModel:
+@dataclass(frozen=True, eq=False)
+class ProjectionModel(ArrayValue):
     """3x4 projective map from CArm-frame mm to detector mm.
 
     Normalized so the third row's rotational part has unit norm; rank 3.
@@ -123,12 +116,10 @@ class ProjectionModel:
     frame: str = "CArm"
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float).reshape(3, 4)
+        m = frozen_array(self, "matrix", self.matrix, (3, 4), check=False)
         if self.view_label not in VIEW_LABELS:
             raise ValueError(f"view_label must be one of {VIEW_LABELS}")
         check_projections(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     @staticmethod
     def from_matrix(matrix, view_label: str, frame: str = "CArm") -> "ProjectionModel":
@@ -162,7 +153,7 @@ def check_projections(m: np.ndarray) -> None:
     stack (T, 3, 4). Raises ValueError unless every matrix is finite, of
     rank 3, with a non-singular left 3x3 block and a unit-norm third
     rotational row."""
-    if not np.isfinite(m).all():
+    if not all_finite(m):
         raise ValueError("projection matrix must be finite")
     sv = np.linalg.svd(m, compute_uv=False)
     if np.any(sv[..., 2] / sv[..., 0] < 1e-12):
@@ -186,14 +177,14 @@ def check_projections(m: np.ndarray) -> None:
 def check_detections(uv: np.ndarray, confidence: np.ndarray) -> None:
     """Detection2D's value guard on one view's detections (N, 2) and
     confidences (N,), or once on stacks (T, N, 2) and (T, N)."""
-    if not (np.all(np.isfinite(uv)) and np.all(np.isfinite(confidence))):
+    if not (all_finite(uv) and all_finite(confidence)):
         raise ValueError("detections and confidences must be finite")
     if np.any(confidence < 0.0) or np.any(confidence > 1.0):
         raise ValueError("confidence must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Detection2D:
+@dataclass(frozen=True, eq=False)
+class Detection2D(ArrayValue):
     """Labeled 2D fiducial detections (detector mm) for one view."""
 
     view_label: str
@@ -203,16 +194,12 @@ class Detection2D:
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        uv = np.array(self.uv, dtype=float).reshape(len(labels), 2)
-        conf = np.array(self.confidence, dtype=float).reshape(len(labels))
+        uv = frozen_array(self, "uv", self.uv, (len(labels), 2), check=False)
+        conf = frozen_array(self, "confidence", self.confidence, len(labels), check=False)
         if len(set(labels)) != len(labels):
             raise ValueError("detection labels must be unique per view")
         check_detections(uv, conf)
-        uv.setflags(write=False)
-        conf.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "uv", uv)
-        object.__setattr__(self, "confidence", conf)
 
     @staticmethod
     def from_pairs(view_label, pairs, confidence=None) -> "Detection2D":
@@ -439,8 +426,8 @@ def pinhole_matrices(rotations: np.ndarray, translations: np.ndarray,
 # -- synthetic projection rasters ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticProjectionImage:
+@dataclass(frozen=True, eq=False)
+class SyntheticProjectionImage(ArrayValue):
     """16-bit raster of fiducial blobs plus the detector-geometry sidecar.
 
     pixel (row, col) maps to detector mm (origin + mm_per_pixel * (col, row)).
@@ -452,14 +439,10 @@ class SyntheticProjectionImage:
     origin_mm: np.ndarray   # detector mm of pixel (0, 0)
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=np.uint16)
-        origin = np.array(self.origin_mm, dtype=float).reshape(2)
-        if self.mm_per_pixel <= 0.0:
+        frozen_array(self, "pixels", self.pixels, np.shape(self.pixels), np.uint16)
+        frozen_array(self, "origin_mm", self.origin_mm, 2)
+        if not self.mm_per_pixel > 0.0:
             raise ValueError("mm_per_pixel must be positive")
-        px.setflags(write=False)
-        origin.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
-        object.__setattr__(self, "origin_mm", origin)
 
     def pixel_to_mm(self, rows, cols):
         return np.stack([self.origin_mm[0] + np.asarray(cols) * self.mm_per_pixel,

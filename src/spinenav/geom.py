@@ -39,10 +39,10 @@ _REORTHO_TRIGGER = 1e-12
 _EYE3 = np.eye(3)
 
 
-def _orthonormality_residual(r: np.ndarray):
+def _orthonormality_residual(r: np.ndarray, axis=(-2, -1)):
     """max |R^T R - I| of a 3x3 matrix, or of each matrix in a (..., 3, 3)
-    stack."""
-    return np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=(-2, -1))
+    stack (axis=None: the largest over the whole stack, 0 for an empty one)."""
+    return np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=axis, initial=0.0)
 
 
 def _polar_orthonormalize(r: np.ndarray) -> np.ndarray:
@@ -82,6 +82,48 @@ def row_dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def all_finite(a) -> bool:
+    """np.isfinite(a).all(), counted: count_nonzero costs less than all()
+    on the small arrays of the value types."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def frozen_array(obj, name: str, value, shape, dtype=float, check: bool = True) -> np.ndarray:
+    """Set obj's field name to value as a read-only array copy of the
+    declared shape and dtype, and return it. Raises ValueError ("... must be
+    finite") on a NaN or infinite entry; check=False leaves that to a type
+    whose own stacked guard already rejects non-finite values."""
+    a = np.array(value, dtype=dtype).reshape(shape)
+    if check and not all_finite(a):
+        raise ValueError(f"{type(obj).__name__} {name} must be finite")
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
+
+
+class ArrayValue:
+    """Equality for frozen dataclasses with array fields (declare them
+    eq=False, so dataclass does not shadow these): array fields compare
+    with np.array_equal and hash by their bytes (after + 0.0, which folds
+    -0.0 into 0.0, so equal values hash alike); other fields use == and
+    hash."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self):
+        return hash(tuple((v + 0.0).tobytes() if isinstance(v, np.ndarray) else v
+                          for v in self._values()))
+
+
 def axis_basis(direction) -> tuple:
     """Right-handed orthonormal basis (x, y, z) with z along direction.
 
@@ -96,21 +138,17 @@ def axis_basis(direction) -> tuple:
     return x, cross3(z, x), z
 
 
-@dataclass(frozen=True)
-class RigidTransform:
+@dataclass(frozen=True, eq=False)
+class RigidTransform(ArrayValue):
     """Rotation (orthonormal, det +1) plus translation in mm."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=float).reshape(3, 3)
-        t = np.array(self.translation, dtype=float).reshape(3)
+        r = frozen_array(self, "rotation", self.rotation, (3, 3))
+        t = frozen_array(self, "translation", self.translation, 3, check=False)
         check_rigid(r, t)
-        r.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
 
     # -- constructors --------------------------------------------------------
 
@@ -152,15 +190,6 @@ class RigidTransform:
     def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
         return compose(self, other)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RigidTransform):
-            return NotImplemented
-        return (np.array_equal(self.rotation, other.rotation)
-                and np.array_equal(self.translation, other.translation))
-
-    def __hash__(self):
-        return hash((self.rotation.tobytes(), self.translation.tobytes()))
-
 
 def check_rigid(r: np.ndarray, t: np.ndarray) -> None:
     """RigidTransform's guard on one rotation (3, 3) and translation (3,),
@@ -168,11 +197,11 @@ def check_rigid(r: np.ndarray, t: np.ndarray) -> None:
     rotation is orthonormal with determinant +1 within 1e-9 and every
     translation is finite."""
     # written as not (x <= tol), so a NaN residual fails the gate
-    if not (_orthonormality_residual(r) <= _ORTHO_TOL).all():
+    if not _orthonormality_residual(r, axis=None) <= _ORTHO_TOL:
         raise ValueError("rotation is not orthonormal within 1e-9")
     if not (np.abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL).all():
         raise ValueError("rotation determinant is not +1 within 1e-9")
-    if not np.isfinite(t).all():
+    if not all_finite(t):
         raise ValueError("translation must be finite")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LimitViolation, NoSafePath, Unreachable
-from .geom import RigidTransform, axis_basis, cross3, snap_rotation
+from .geom import ArrayValue, RigidTransform, axis_basis, cross3, frozen_array, snap_rotation
 
 MAX_JOINT_STEP_RAD = 0.05
 # inverse kinematics: convergence tolerances, iteration cap, damping floor
@@ -32,8 +32,8 @@ IK_DAMPING = 0.01
 IK_RESTARTS = 8
 
 
-@dataclass(frozen=True)
-class Capsule:
+@dataclass(frozen=True, eq=False)
+class Capsule(ArrayValue):
     """Segment p0-p1 swept by a sphere of the given radius (p0 == p1 is a
     sphere)."""
 
@@ -45,19 +45,15 @@ class Capsule:
         if not (np.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("capsule radius must be positive and finite")
         for name in ("p0", "p1"):
-            v = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"capsule {name} must be finite")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            frozen_array(self, name, getattr(self, name), 3)
 
 
 def sphere(center, radius: float) -> Capsule:
     return Capsule(center, center, radius)
 
 
-@dataclass(frozen=True)
-class RobotModel:
+@dataclass(frozen=True, eq=False)
+class RobotModel(ArrayValue):
     """DH table (a mm, alpha rad, d mm, theta_offset rad), joint limits, and
     per-link collision capsules expressed in each link's frame.
 
@@ -71,10 +67,8 @@ class RobotModel:
     link_capsules: tuple     # 6 entries, each a tuple of Capsule
 
     def __post_init__(self):
-        dh = np.array(self.dh_rows, dtype=float).reshape(6, 4)
-        lim = np.array(self.joint_limits, dtype=float).reshape(6, 2)
-        if not (np.all(np.isfinite(dh)) and np.all(np.isfinite(lim))):
-            raise ValueError("DH rows and joint limits must be finite")
+        dh = frozen_array(self, "dh_rows", self.dh_rows, (6, 4))
+        lim = frozen_array(self, "joint_limits", self.joint_limits, (6, 2))
         if np.any(lim[:, 0] >= lim[:, 1]):
             raise ValueError("joint limits must satisfy min < max")
         caps = tuple(tuple(c for c in link) for link in self.link_capsules)
@@ -85,10 +79,7 @@ class RobotModel:
         links = np.zeros((6, 4, 4))
         links[:, 2, 1], links[:, 2, 2] = np.sin(dh[:, 1]), np.cos(dh[:, 1])
         links[:, 2, 3], links[:, 3, 3] = dh[:, 2], 1.0
-        for v in (dh, lim, links):
-            v.setflags(write=False)
-        object.__setattr__(self, "dh_rows", dh)
-        object.__setattr__(self, "joint_limits", lim)
+        links.setflags(write=False)
         object.__setattr__(self, "link_capsules", caps)
         object.__setattr__(self, "_dh_links", links)
         object.__setattr__(self, "reach_mm", float(np.sum(np.hypot(dh[:, 0], dh[:, 2]))))
@@ -120,30 +111,18 @@ class RobotModel:
                           np.asarray(d["joint_limits"], float), caps)
 
 
-@dataclass(frozen=True)
-class JointVector:
+@dataclass(frozen=True, eq=False)
+class JointVector(ArrayValue):
     """Six joint positions in rad."""
 
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float).reshape(6)
-        if not np.isfinite(q).all():
-            raise ValueError("joint positions must be finite")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-    def __eq__(self, other):
-        if not isinstance(other, JointVector):
-            return NotImplemented
-        return np.array_equal(self.q, other.q)
-
-    def __hash__(self):
-        return hash(self.q.tobytes())
+        frozen_array(self, "q", self.q, 6)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+@dataclass(frozen=True, eq=False)
+class Trajectory(ArrayValue):
     """Timed joint-space path. Times strictly increase; after densification
     consecutive joint steps never exceed MAX_JOINT_STEP_RAD."""
 
@@ -153,18 +132,12 @@ class Trajectory:
     collision_checked: bool = False
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float).reshape(-1)
-        q = np.array(self.joints, dtype=float).reshape(len(t), 6)
+        t = frozen_array(self, "times", self.times, -1)
+        frozen_array(self, "joints", self.joints, (len(t), 6))
         if len(t) < 1:
             raise ValueError("trajectory needs at least one sample")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
-            raise ValueError("trajectory times and joints must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("trajectory times must strictly increase")
-        t.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "joints", q)
 
     def __len__(self):
         return len(self.times)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelMismatch, NegativeBreach
+from .geom import ArrayValue, frozen_array
 
 GRADE_ORDER = "ABCDE"
 
 
-@dataclass(frozen=True)
-class ScrewPlan:
+@dataclass(frozen=True, eq=False)
+class ScrewPlan(ArrayValue):
     """Planned (or achieved) screw axis in the patient frame."""
 
     level: str
@@ -29,36 +30,17 @@ class ScrewPlan:
     length: float
 
     def __post_init__(self):
-        e = np.array(self.entry, dtype=float).reshape(3)
-        d = np.array(self.direction, dtype=float).reshape(3)
-        if not np.all(np.isfinite([e, d])):
-            raise ValueError("screw entry and direction must be finite")
+        frozen_array(self, "entry", self.entry, 3)
+        d = frozen_array(self, "direction", self.direction, 3)
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise ValueError("screw direction must be a unit vector")
         if not 2.0 <= self.diameter <= 10.0:
             raise ValueError("screw diameter out of range [2, 10] mm")
         if not 20.0 <= self.length <= 100.0:
             raise ValueError("screw length out of range [20, 100] mm")
-        e.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "entry", e)
-        object.__setattr__(self, "direction", d)
 
     def tip(self) -> np.ndarray:
         return self.entry + self.length * self.direction
-
-    def __eq__(self, other):
-        if not isinstance(other, ScrewPlan):
-            return NotImplemented
-        return (self.level == other.level
-                and np.array_equal(self.entry, other.entry)
-                and np.array_equal(self.direction, other.direction)
-                and self.diameter == other.diameter
-                and self.length == other.length)
-
-    def __hash__(self):
-        return hash((self.level, self.entry.tobytes(), self.direction.tobytes(),
-                     self.diameter, self.length))
 
     def to_dict(self) -> dict:
         return {"level": self.level,
@@ -74,8 +56,8 @@ class ScrewPlan:
                          float(d["diameter_mm"]), float(d["length_mm"]))
 
 
-@dataclass(frozen=True)
-class PedicleModel:
+@dataclass(frozen=True, eq=False)
+class PedicleModel(ArrayValue):
     """Corridor centerline p0->p1 with a piecewise-linear radius profile
     over normalized arc position s in [0, 1]."""
 
@@ -85,10 +67,8 @@ class PedicleModel:
     radius_profile: tuple  # of (s, radius_mm), s strictly increasing 0 -> 1
 
     def __post_init__(self):
-        p0 = np.array(self.p0, dtype=float).reshape(3)
-        p1 = np.array(self.p1, dtype=float).reshape(3)
-        if not np.all(np.isfinite([p0, p1])):
-            raise ValueError("corridor endpoints p0 and p1 must be finite")
+        frozen_array(self, "p0", self.p0, 3)
+        frozen_array(self, "p1", self.p1, 3)
         prof = tuple((float(s), float(r)) for s, r in self.radius_profile)
         if not np.all(np.isfinite(prof)):
             raise ValueError("radius profile knots must be finite")
@@ -97,10 +77,6 @@ class PedicleModel:
             raise ValueError("radius profile s must increase strictly from 0 to 1")
         if not all(r > 0.0 for _, r in prof):
             raise ValueError("corridor radii must be positive")
-        p0.setflags(write=False)
-        p1.setflags(write=False)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "radius_profile", prof)
 
     def radius_at(self, s):
@@ -113,17 +89,6 @@ class PedicleModel:
 
     def axis_length(self) -> float:
         return float(np.linalg.norm(self.p1 - self.p0))
-
-    def __eq__(self, other):
-        if not isinstance(other, PedicleModel):
-            return NotImplemented
-        return (self.level == other.level and np.array_equal(self.p0, other.p0)
-                and np.array_equal(self.p1, other.p1)
-                and self.radius_profile == other.radius_profile)
-
-    def __hash__(self):
-        return hash((self.level, self.p0.tobytes(), self.p1.tobytes(),
-                     self.radius_profile))
 
     def to_dict(self) -> dict:
         return {"level": self.level,
@@ -213,8 +178,8 @@ def breach_depth(screw: ScrewPlan, pedicle: PedicleModel) -> float:
 def grade_gertzbein(breach_mm: float) -> Grade:
     """A: no breach; B: <2; C: <4; D: <6; E: >=6 (boundaries go to the worse
     bin, e.g. exactly 2.0 mm grades C). Raises NegativeBreach."""
-    if breach_mm < 0.0:
-        raise NegativeBreach("breach depth cannot be negative")
+    if not breach_mm >= 0.0:  # NaN fails too
+        raise NegativeBreach("breach depth must be a non-negative number")
     if breach_mm == 0.0:
         value = "A"
     elif breach_mm < 2.0:

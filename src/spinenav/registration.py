@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, LabelMismatch, TooFewPoints, raised_where
-from .geom import (RigidTransform, compose, snap_rotation, transform_from_dict,
-                   transform_to_dict)
+from .geom import (ArrayValue, RigidTransform, all_finite, compose, frozen_array,
+                   snap_rotation, transform_from_dict, transform_to_dict)
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
@@ -31,12 +31,12 @@ _PRUNE_SLACK = 1e-9
 def check_fiducial_points(points: np.ndarray) -> None:
     """FiducialSet's value guard on one point set (N, 3), or once on a stack
     (T, N, 3): raises ValueError unless every position is finite."""
-    if not np.all(np.isfinite(points)):
+    if not all_finite(points):
         raise ValueError("fiducial positions must be finite")
 
 
-@dataclass(frozen=True)
-class FiducialSet:
+@dataclass(frozen=True, eq=False)
+class FiducialSet(ArrayValue):
     """Labeled 3D points (mm) expressed in a named frame."""
 
     frame: str
@@ -45,15 +45,13 @@ class FiducialSet:
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        pts = np.array(self.points, dtype=float).reshape(len(labels), 3)
+        pts = frozen_array(self, "points", self.points, (len(labels), 3), check=False)
         if len(labels) == 0:
             raise ValueError("fiducial set needs at least one point")
         if len(set(labels)) != len(labels):
             raise ValueError("fiducial labels must be unique")
         check_fiducial_points(pts)
-        pts.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "points", pts)
 
     @staticmethod
     def from_pairs(frame: str, pairs) -> "FiducialSet":
@@ -75,15 +73,6 @@ class FiducialSet:
     def transformed(self, t: RigidTransform, frame: str | None = None) -> "FiducialSet":
         return FiducialSet(frame if frame is not None else self.frame,
                            self.labels, t.apply(self.points))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiducialSet):
-            return NotImplemented
-        return (self.frame == other.frame and self.labels == other.labels
-                and np.array_equal(self.points, other.points))
-
-    def __hash__(self):
-        return hash((self.frame, self.labels, self.points.tobytes()))
 
     def to_dict(self) -> dict:
         return {"frame": self.frame,
@@ -141,8 +130,8 @@ class RegistrationResult:
                                   int(d["n_points"]), converged)
 
 
-@dataclass(frozen=True)
-class TrePrediction:
+@dataclass(frozen=True, eq=False)
+class TrePrediction(ArrayValue):
     """Expected TRE at a target point for a given fiducial configuration."""
 
     target: np.ndarray
@@ -153,13 +142,11 @@ class TrePrediction:
 
     def __post_init__(self):
         for name in ("target", "principal_axis_spans", "target_offsets"):
-            v = np.array(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            frozen_array(self, name, getattr(self, name), 3)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+@dataclass(frozen=True, eq=False)
+class SurfaceModel(ArrayValue):
     """Triangle mesh in mm: vertices (V, 3) and triangle index triples (T, 3).
     Read-only; its query structures are built on first use and kept."""
 
@@ -168,20 +155,14 @@ class SurfaceModel:
     triangles: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vertices, dtype=float).reshape(-1, 3)
-        t = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("surface vertices must be finite")
+        v = frozen_array(self, "vertices", self.vertices, (-1, 3))
+        t = frozen_array(self, "triangles", self.triangles, (-1, 3), np.int64)
         if t.min(initial=0) < 0 or (t.size and t.max() >= len(v)):
             raise ValueError("triangle indices out of range")
         a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
         areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         if t.size and np.any(areas < 1e-12):
             raise ValueError("mesh contains degenerate (zero-area) triangles")
-        v.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
 
     @functools.cached_property
     def _query_index(self) -> tuple:
@@ -213,16 +194,6 @@ class SurfaceModel:
         vn /= np.linalg.norm(vn, axis=1, keepdims=True)
         vn.setflags(write=False)
         return vn
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SurfaceModel):
-            return NotImplemented
-        return (self.frame == other.frame
-                and np.array_equal(self.vertices, other.vertices)
-                and np.array_equal(self.triangles, other.triangles))
-
-    def __hash__(self):
-        return hash((self.frame, self.vertices.tobytes(), self.triangles.tobytes()))
 
     def to_dict(self) -> dict:
         return {"frame": self.frame,

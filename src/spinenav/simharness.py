@@ -122,15 +122,6 @@ class NoiseModel:
         return NoiseModel(**d)
 
 
-def _tracker_noise(noise: NoiseModel, n: int, distance: float, view_axis,
-                   rng: np.random.Generator, multiplier: float = 1.0) -> np.ndarray:
-    """(n, 3) anisotropic tracker noise: per-axis sigma(d), scaled by
-    depth_anisotropy along the viewing axis."""
-    u, v, axis = axis_basis(view_axis)
-    sigma = noise.tracker_sigma_at(distance) * multiplier
-    return _anisotropic(noise, sigma, (u, v, axis), rng.normal(size=(n, 3)))
-
-
 def _anisotropic(noise: NoiseModel, sigma, basis, g: np.ndarray) -> np.ndarray:
     """sigma * (g_u u + g_v v + depth_anisotropy g_w axis) from standard
     normal draws g (..., n, 3); sigma and the basis vectors (u, v, axis)
@@ -142,13 +133,16 @@ def _anisotropic(noise: NoiseModel, sigma, basis, g: np.ndarray) -> np.ndarray:
 
 def sample_noisy_measurement(noise: NoiseModel, true_point, tracker_distance: float,
                              view_axis, rng: np.random.Generator | None = None):
-    """One noisy 3D measurement of true_point. Pass an explicit generator to
+    """One noisy 3D measurement of true_point (3,), or of each point of a
+    stack (N, 3): anisotropic tracker noise at sigma(d) per axis, scaled by
+    depth_anisotropy along the viewing axis. Pass an explicit generator to
     draw a stream; without one, a fresh generator from noise.seed is used
     (so repeated calls return the same draw)."""
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     p = np.asarray(true_point, dtype=float)
-    return p + _tracker_noise(noise, 1, tracker_distance, view_axis, rng)[0]
+    return p + _anisotropic(noise, noise.tracker_sigma_at(tracker_distance),
+                            axis_basis(view_axis), rng.normal(size=p.shape))
 
 
 # -- phantom ----------------------------------------------------------------------
@@ -300,7 +294,6 @@ class StudyConfig:
     samples_per_method: int = 150
     noise: NoiseModel = field(default_factory=NoiseModel)
     view_jitter_deg: float = 5.0
-    threads: int = 1  # accepted but unused: trials run serially
 
     def __post_init__(self):
         n = self.samples_per_method
@@ -329,8 +322,6 @@ class StudyConfig:
                 for td in self.tracker_distances_mm for dd in det]
 
     def to_dict(self) -> dict:
-        # threads is not experiment identity, so it stays out of serialized
-        # configs (and out of the provenance hash)
         return {"modality": self.modality.value,
                 "robot_assisted": self.robot_assisted,
                 "user_groups": list(self.user_groups),
@@ -392,12 +383,6 @@ def _pose_rotations(q: np.ndarray) -> np.ndarray:
     normalized here, then again inside quaternion_rotations, as
     RigidTransform.from_quaternion of a normalized quaternion does."""
     return quaternion_rotations(q / np.sqrt(row_dot(q, q))[:, None])
-
-
-def _random_rigid(rng: np.random.Generator, translation_scale: float = 40.0) -> RigidTransform:
-    """One random pose from rng: the one-stack case of _pose_rotations."""
-    r = _pose_rotations(rng.normal(size=(1, 4)))[0]
-    return RigidTransform(r, rng.uniform(-translation_scale, translation_scale, size=3))
 
 
 def _apply(rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -694,8 +679,7 @@ def _trial_rng(study_seed: int, method_key: int, trial_idx: int) -> np.random.Ge
 def run_study(config: StudyConfig, phantom: Phantom,
               methods=DEFAULT_METHODS) -> StudyResult:
     """Exactly samples_per_method trials per method, balanced round-robin
-    over the factor cells; deterministic for a given config.noise.seed
-    (config.threads is ignored).
+    over the factor cells; deterministic for a given config.noise.seed.
 
     The trials run as stacked passes, one per stream key: one draw pass
     over the trials' generators and one math pass over their chains, which

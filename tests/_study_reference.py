@@ -86,7 +86,8 @@ def quaternion_rotation(q):
 
 
 def random_rigid(rng, translation_scale=40.0):
-    """simharness._random_rigid as (rotation, translation)."""
+    """One ground-truth pose (rotation, translation) as the study draws it:
+    a normal quaternion, then a uniform translation."""
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     r = quaternion_rotation(q)

@@ -10,8 +10,6 @@ from spinenav.simharness import (
     NoiseModel,
     PhantomSpec,
     StudyConfig,
-    _random_rigid,
-    _tracker_noise,
     _trial_rng,
     calibrate_tracker_sigma0,
     generate_phantom,
@@ -111,7 +109,7 @@ def test_noise_variance_matches_model_within_1pct():
     rng = np.random.default_rng(5)
     d = 2200.0
     axis = np.array([0.0, 0.0, 1.0])
-    draws = _tracker_noise(noise, 1_000_000, d, axis, rng)
+    draws = sample_noisy_measurement(noise, np.zeros((1_000_000, 3)), d, axis, rng)
     sigma = noise.tracker_sigma_at(d)
     # perpendicular components at sigma(d), axial at anisotropy * sigma(d)
     assert np.var(draws[:, 0]) == pytest.approx(sigma ** 2, rel=0.01)
@@ -136,8 +134,8 @@ def test_distance_growth_increases_sigma():
     # paired empirical check: same draws scaled by the larger sigma
     rng_a = np.random.default_rng(3)
     rng_b = np.random.default_rng(3)
-    a = _tracker_noise(base, 20_000, d, [0, 0, 1], rng_a)
-    b = _tracker_noise(double, 20_000, d, [0, 0, 1], rng_b)
+    a = sample_noisy_measurement(base, np.zeros((20_000, 3)), d, [0, 0, 1], rng_a)
+    b = sample_noisy_measurement(double, np.zeros((20_000, 3)), d, [0, 0, 1], rng_b)
     assert np.std(b[:, 0]) > np.std(a[:, 0])
 
 
@@ -217,17 +215,14 @@ def test_zero_noise_study_all_means_zero():
         assert m.pooled.mean < 1e-6
 
 
-def test_study_deterministic_across_runs_and_threads():
-    cfg1 = StudyConfig(samples_per_method=24, threads=1)
-    cfg4 = StudyConfig(samples_per_method=24, threads=4)
-    r1 = run_study(cfg1, PHANTOM)
-    r2 = run_study(cfg1, PHANTOM)
-    r4 = run_study(cfg4, PHANTOM)
-    for a, b in ((r1, r2), (r1, r4)):
-        for ma, mb in zip(a.methods, b.methods):
-            va = [t.rmse_mm for t in ma.trials]
-            vb = [t.rmse_mm for t in mb.trials]
-            assert va == vb
+def test_study_deterministic_across_runs():
+    cfg = StudyConfig(samples_per_method=24)
+    r1 = run_study(cfg, PHANTOM)
+    r2 = run_study(cfg, PHANTOM)
+    for ma, mb in zip(r1.methods, r2.methods):
+        va = [t.rmse_mm for t in ma.trials]
+        vb = [t.rmse_mm for t in mb.trials]
+        assert va == vb
 
 
 ROBOT_2D = Method("automatic_intraop_2d_robot", Modality.INTRAOP_2D_AUTO_FIDUCIAL, True)
@@ -329,7 +324,7 @@ def test_study_failed_shared_chains_equal_direct_trials(monkeypatch, methods):
     # and robot trials must each report the failure of their own trial
     cfg = StudyConfig(samples_per_method=24)
     key = DEFAULT_METHODS[0].stream_key()
-    odd = {_random_rigid(_trial_rng(cfg.noise.seed, key, t)).translation.tobytes(): t
+    odd = {reference.random_rigid(_trial_rng(cfg.noise.seed, key, t))[1].tobytes(): t
            for t in range(1, cfg.samples_per_method, 2)}
     chains = simharness._registration_chains
 
