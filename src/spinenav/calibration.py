@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadInput,
     CoplanarPoints,
+    DegenerateGeometry,
     InsufficientRotation,
     LabelMismatch,
     ParallelRays,
@@ -28,7 +30,8 @@ from .errors import (
     raised_where,
 )
 from .fileio import atomic_write
-from .geom import ArrayValue, RigidTransform, all_finite, cross3, frozen_array, row_dot
+from .geom import (ArrayValue, RigidTransform, all_finite, cross3, finite_scalars,
+                   frozen_array, row_dot)
 from .registration import FiducialSet, RegistrationResult, register_points
 
 VIEW_LABELS = ("AP", "LP")
@@ -46,12 +49,11 @@ class ToolDefinition(ArrayValue):
     def __post_init__(self):
         frozen_array(self, "tip_offset", self.tip_offset, 3)
         ax = frozen_array(self, "axis", self.axis, 3)
-        if not np.isfinite(self.calib_residual_rms):
-            raise ValueError("calibration residual must be finite")
+        finite_scalars(self, "calib_residual_rms")
         if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
-            raise ValueError("tool axis must be a unit vector")
+            raise BadInput("tool axis must be a unit vector")
         if self.calib_residual_rms < 0.0:
-            raise ValueError("calibration residual cannot be negative")
+            raise BadInput("calibration residual cannot be negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +67,7 @@ class PivotResult(ArrayValue):
     def __post_init__(self):
         for name in ("tip_offset", "pivot_point"):
             frozen_array(self, name, getattr(self, name), 3)
+        finite_scalars(self, "residual_rms")
 
     def tool_definition(self, body_frame: str = "ToolBody",
                         axis=None) -> ToolDefinition:
@@ -118,7 +121,7 @@ class ProjectionModel(ArrayValue):
     def __post_init__(self):
         m = frozen_array(self, "matrix", self.matrix, (3, 4), check=False)
         if self.view_label not in VIEW_LABELS:
-            raise ValueError(f"view_label must be one of {VIEW_LABELS}")
+            raise BadInput(f"view_label must be one of {VIEW_LABELS}")
         check_projections(m)
 
     @staticmethod
@@ -150,14 +153,14 @@ def scale_normalized(m: np.ndarray) -> np.ndarray:
 
 def check_projections(m: np.ndarray) -> None:
     """ProjectionModel's matrix guard on one matrix (3, 4), or once on a
-    stack (T, 3, 4). Raises ValueError unless every matrix is finite, of
+    stack (T, 3, 4). Raises BadInput unless every matrix is finite, of
     rank 3, with a non-singular left 3x3 block and a unit-norm third
     rotational row."""
     if not all_finite(m):
-        raise ValueError("projection matrix must be finite")
+        raise BadInput("projection matrix must be finite")
     sv = np.linalg.svd(m, compute_uv=False)
     if np.any(sv[..., 2] / sv[..., 0] < 1e-12):
-        raise ValueError("projection matrix must have rank 3")
+        raise BadInput("projection matrix must have rank 3")
     # Hadamard: |det| of the left 3x3 block is at most the product of its
     # row norms; a vanishing ratio puts the camera centre at infinity. The
     # sums run left to right, as in a * (e i - f h) - b * (d i - f g) + ...
@@ -168,19 +171,19 @@ def check_projections(m: np.ndarray) -> None:
     terms = block[..., 0, :] * cross3(block[..., 1, :].T, block[..., 2, :].T).T
     det = terms[..., 0] + terms[..., 1] + terms[..., 2]
     if not np.all(np.abs(det) > 1e-12 * np.sqrt(rows)):
-        raise ValueError("projection matrix's left 3x3 block is singular: "
-                         "its camera centre is at infinity")
+        raise BadInput("projection matrix's left 3x3 block is singular: "
+                       "its camera centre is at infinity")
     if np.any(np.abs(np.sqrt(row_dot(m[..., 2, :3], m[..., 2, :3])) - 1.0) > 1e-9):
-        raise ValueError("projection matrix must be scale-normalized")
+        raise BadInput("projection matrix must be scale-normalized")
 
 
 def check_detections(uv: np.ndarray, confidence: np.ndarray) -> None:
     """Detection2D's value guard on one view's detections (N, 2) and
     confidences (N,), or once on stacks (T, N, 2) and (T, N)."""
     if not (all_finite(uv) and all_finite(confidence)):
-        raise ValueError("detections and confidences must be finite")
+        raise BadInput("detections and confidences must be finite")
     if np.any(confidence < 0.0) or np.any(confidence > 1.0):
-        raise ValueError("confidence must lie in [0, 1]")
+        raise BadInput("confidence must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +200,7 @@ class Detection2D(ArrayValue):
         uv = frozen_array(self, "uv", self.uv, (len(labels), 2), check=False)
         conf = frozen_array(self, "confidence", self.confidence, len(labels), check=False)
         if len(set(labels)) != len(labels):
-            raise ValueError("detection labels must be unique per view")
+            raise BadInput("detection labels must be unique per view")
         check_detections(uv, conf)
         object.__setattr__(self, "labels", labels)
 
@@ -257,10 +260,13 @@ def dlt_calibrate_batch(world: np.ndarray, image: np.ndarray):
     and their detections image (T, N, 2) -> projection matrices (T, 3, 4),
     oriented for positive depths but not scale-normalized, plus
     {stack row: CoplanarPoints} for each stack whose points do not span a
-    volume (its matrix is left NaN)."""
+    volume and {stack row: DegenerateGeometry} for each other stack whose
+    detections all coincide (a failed stack's matrix is left NaN)."""
     sv = np.linalg.svd(world - world.mean(axis=1)[:, None, :], compute_uv=False)
     coplanar = sv[:, 2] / sv[:, 0] < 1e-6
-    x, uv = world[~coplanar], image[~coplanar]
+    coincident = np.all(image == image[:, :1], axis=(1, 2))
+    ok = ~(coplanar | coincident)
+    x, uv = world[ok], image[ok]
     n = x.shape[1]
     t3 = _hartley_normalization(x)
     t2 = _hartley_normalization(uv)
@@ -283,8 +289,9 @@ def dlt_calibrate_batch(world: np.ndarray, image: np.ndarray):
     depths = (x1 @ p[:, 2, :, None])[..., 0]
     flip = np.sum(depths > 0, axis=1) < n / 2
     out = np.full((len(world), 3, 4), np.nan)
-    out[~coplanar] = np.where(flip[:, None, None], -p, p)
-    return out, raised_where(coplanar, CoplanarPoints, "calibration points are coplanar")
+    out[ok] = np.where(flip[:, None, None], -p, p)
+    return out, {**raised_where(coincident, DegenerateGeometry, "calibration detections coincide"),
+                 **raised_where(coplanar, CoplanarPoints, "calibration points are coplanar")}
 
 
 def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionModel:
@@ -292,8 +299,9 @@ def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionM
     one-stack case of dlt_calibrate_batch.
 
     11-parameter direct linear transform with Hartley normalization on both
-    sides, minimizing algebraic error. Raises TooFewPoints (< 6) or
-    CoplanarPoints when the 3D points do not span a volume.
+    sides, minimizing algebraic error. Raises BadInput for a non-finite 3D
+    point, TooFewPoints (< 6), CoplanarPoints when the 3D points do not span
+    a volume, or DegenerateGeometry when the detections all coincide.
     """
     world = list(world)
     labels = [w[0] for w in world]
@@ -302,6 +310,8 @@ def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionM
     if len(world) < 6:
         raise TooFewPoints("DLT needs at least 6 correspondences")
     x = np.asarray([w[1] for w in world], dtype=float)
+    if not all_finite(x):
+        raise BadInput("calibration points must be finite")
     uv = np.asarray([image.position(l) for l in labels], dtype=float)
     p, failed = dlt_calibrate_batch(x[None], uv[None])
     if failed:
@@ -324,11 +334,11 @@ def triangulate_batch(view_a, view_b):
     views. Returns (points (T, N, 3) mm, ray gaps (T, N) mm, {stack row:
     ParallelRays} for each stack with a point whose rays are within 5
     degrees of parallel; that stack's points are not meaningful). Raises
-    ValueError for non-finite uv or unequal point counts."""
+    BadInput for non-finite uv or unequal point counts."""
     centers, rays = [], []
     for m, uv in (view_a, view_b):
         if not np.all(np.isfinite(uv)):
-            raise ValueError("detector coordinates must be finite")
+            raise BadInput("detector coordinates must be finite")
         m3 = m[:, :, :3]
         uvh = np.concatenate([uv, np.ones(uv.shape[:2] + (1,))], axis=2)
         d = np.linalg.solve(np.broadcast_to(m3[:, None], uv.shape[:2] + (3, 3)),
@@ -337,7 +347,7 @@ def triangulate_batch(view_a, view_b):
         rays.append(d / np.sqrt(row_dot(d, d))[..., None])
     (c1, c2), (d1, d2) = centers, rays
     if d1.shape != d2.shape:
-        raise ValueError("both views must carry the same number of points")
+        raise BadInput("both views must carry the same number of points")
     cos12 = row_dot(d1, d2)
     failed = raised_where(np.any(np.abs(cos12) >= np.cos(np.deg2rad(5.0)), axis=1),
                           ParallelRays, "view rays are within 5 degrees of parallel")
@@ -363,7 +373,7 @@ def triangulate(view_a, view_b):
     camera centre is computed once and its rays in one stacked solve.
     Returns (point mm, ray_gap mm) for one point and (points (N, 3) mm,
     ray gaps (N,) mm) for a stack, the gap being the length of the common
-    perpendicular. Raises ValueError for non-finite uv, and ParallelRays
+    perpendicular. Raises BadInput for non-finite uv, and ParallelRays
     when any point's rays are within 5 degrees of parallel.
     """
     (model_a, uv_a), (model_b, uv_b) = view_a, view_b
@@ -441,8 +451,9 @@ class SyntheticProjectionImage(ArrayValue):
     def __post_init__(self):
         frozen_array(self, "pixels", self.pixels, np.shape(self.pixels), np.uint16)
         frozen_array(self, "origin_mm", self.origin_mm, 2)
+        finite_scalars(self, "mm_per_pixel")
         if not self.mm_per_pixel > 0.0:
-            raise ValueError("mm_per_pixel must be positive")
+            raise BadInput("mm_per_pixel must be positive")
 
     def pixel_to_mm(self, rows, cols):
         return np.stack([self.origin_mm[0] + np.asarray(cols) * self.mm_per_pixel,
@@ -468,11 +479,11 @@ def read_projection_image(path) -> SyntheticProjectionImage:
     raw = path.read_bytes()
     parts = raw.split(b"\n", 3)
     if parts[0] != b"P5":
-        raise ValueError("expected binary PGM (P5)")
+        raise BadInput("expected binary PGM (P5)")
     w, h = (int(v) for v in parts[1].split())
     maxval = int(parts[2])
     if maxval != 65535:
-        raise ValueError("expected 16-bit PGM")
+        raise BadInput("expected 16-bit PGM")
     pixels = np.frombuffer(parts[3][:2 * w * h], dtype=">u2").reshape(h, w)
     sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
     return SyntheticProjectionImage(sidecar["view"], pixels.astype(np.uint16),

@@ -4,13 +4,16 @@ report.
 Every command is deterministic given its inputs and --seed; the seed and a
 config hash are echoed into a provenance header in every output file. Files
 are written to a temp path and atomically renamed, so failures never leave
-partial outputs. Exit codes: 0 success, 2 bad input, 3 numerical failure,
-4 study with more than 10% failed trials (reports still written).
+partial outputs. Exit codes: 0 success, 2 for a SpineNavError and 3 for a
+NumericalFailure (the error class's exit_code), 4 study with more than 10%
+failed trials (reports still written); any other exception is a bug and
+propagates (exit 1, with a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -47,6 +50,7 @@ from .registration import (
     verify_registration,
 )
 from .simharness import (
+    DEFAULT_PHANTOM_SEED,
     DEFAULT_SEED,
     PhantomSpec,
     StudyConfig,
@@ -58,37 +62,7 @@ from .simharness import (
 )
 
 EXIT_OK = 0
-EXIT_BAD_INPUT = 2
-EXIT_NUMERICAL = 3
 EXIT_TOO_MANY_FAILURES = 4
-
-# degeneracy / convergence failures vs malformed inputs
-_NUMERICAL_ERRORS = (
-    err.InsufficientRotation,
-    err.DegenerateGeometry,
-    err.CoplanarPoints,
-    err.ParallelRays,
-    err.PatternAmbiguous,
-    err.PointAtInfinity,
-    err.Unreachable,
-    err.LimitViolation,
-    err.NoSafePath,
-    err.DegenerateSpec,
-)
-_INPUT_ERRORS = (
-    err.TooFewPoints,
-    err.TooFewPoses,
-    err.TooFewBlobs,
-    err.TooFewCommonLabels,
-    err.LabelMismatch,
-    err.SchemaVersionMismatch,
-    err.IOFailure,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    KeyError,
-    TypeError,
-    ValueError,
-)
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -98,23 +72,44 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 def _write_json(path: Path, payload: dict, seed: int,
                 config: dict | None = None) -> None:
-    write_json(path, {"provenance": provenance(seed, config), **payload})
+    write_json(path, {"provenance": provenance(seed, config), **payload}, parents=True)
 
 
 def _write_csv(path: Path, body: str, seed: int, config: dict | None = None) -> None:
-    atomic_write(path, csv_with_provenance(provenance(seed, config), body))
+    atomic_write(path, csv_with_provenance(provenance(seed, config), body), parents=True)
 
 
-def _load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+@contextlib.contextmanager
+def _parsing(source):
+    """The block turns an input document from source into values: its
+    KeyError, IndexError, TypeError or ValueError (a malformed document, JSON
+    decode errors included) is raised as BadInput naming source."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as e:
+        detail = f"missing key {e}" if isinstance(e, KeyError) else e
+        raise err.BadInput(f"{source}: {detail}") from e
+
+
+def _read(path, convert=lambda doc: doc, parse=json.loads):
+    """convert(parse(text)) of the input file at path: IOFailure when the
+    file cannot be read, BadInput when its document is malformed."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise err.IOFailure(str(e)) from e
+    with _parsing(path):
+        return convert(parse(raw.decode("utf-8")))
 
 
 def _apply_overrides(config: dict, overrides) -> dict:
     """--set dotted.key=value updates; values parsed as JSON when possible."""
+    if not isinstance(config, dict):
+        raise err.BadInput(f"a config must be a JSON object, got {type(config).__name__}")
     out = json.loads(json.dumps(config))
     for item in overrides or ():
         if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
+            raise err.BadInput(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
@@ -125,7 +120,7 @@ def _apply_overrides(config: dict, overrides) -> dict:
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ValueError(f"config key {key!r} indexes into a scalar")
+                raise err.BadInput(f"config key {key!r} indexes into a scalar")
         node[parts[-1]] = value
     return out
 
@@ -135,11 +130,11 @@ def _apply_overrides(config: dict, overrides) -> dict:
 
 def cmd_calibrate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data = _load_json(args.input)
+    data = _read(args.input)
     if args.target == "pivot":
-        poses = [transform_from_dict(d) for d in
-                 (data["poses"] if isinstance(data, dict) else data)]
+        with _parsing(args.input):
+            poses = [transform_from_dict(d) for d in
+                     (data["poses"] if isinstance(data, dict) else data)]
         result = pivot_calibrate(poses, min_poses=args.min_poses)
         _write_json(out_dir / "pivot_report.json", {
             "tip_offset_mm": [float(v) for v in result.tip_offset],
@@ -148,9 +143,11 @@ def cmd_calibrate(args) -> int:
             "n_poses": len(poses),
         }, args.seed)
     else:  # carm
-        world = [(p["label"], np.asarray(p["xyz_mm"], float)) for p in data["world"]]
-        det = Detection2D.from_pairs(data["view"],
-                                     [(p["label"], p["uv_mm"]) for p in data["image"]])
+        with _parsing(args.input):
+            world = [(p["label"], np.asarray(p["xyz_mm"], float).reshape(3))
+                     for p in data["world"]]
+            det = Detection2D.from_pairs(data["view"],
+                                         [(p["label"], p["uv_mm"]) for p in data["image"]])
         model = dlt_calibrate(world, det)
         _write_json(out_dir / "carm_report.json", {
             "view": model.view_label,
@@ -163,32 +160,31 @@ def cmd_calibrate(args) -> int:
 
 def cmd_register(args) -> int:
     if not np.isfinite(args.threshold):
-        raise ValueError(f"--threshold must be finite, got {args.threshold!r}")
+        raise err.BadInput(f"--threshold must be finite, got {args.threshold!r}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.method == "points":
-        fixed = FiducialSet.from_dict(_load_json(args.fixed))
-        moving = FiducialSet.from_dict(_load_json(args.moving))
+        fixed = _read(args.fixed, FiducialSet.from_dict)
+        moving = _read(args.moving, FiducialSet.from_dict)
         result = register_points(fixed, moving)
     elif args.method == "icp":
-        probed = np.asarray(_load_json(args.probed)["points_mm"], float)
-        surface_path = Path(args.surface)
-        if surface_path.suffix.lower() == ".stl":
-            surface = SurfaceModel.from_stl(surface_path.read_text(encoding="utf-8"))
+        probed = _read(args.probed, lambda d: np.asarray(d["points_mm"], float).reshape(-1, 3))
+        if Path(args.surface).suffix.lower() == ".stl":
+            surface = _read(args.surface, SurfaceModel.from_stl, parse=str)
         else:
-            surface = SurfaceModel.from_dict(_load_json(surface_path))
-        init = (transform_from_dict(_load_json(args.init)) if args.init
+            surface = _read(args.surface, SurfaceModel.from_dict)
+        init = (_read(args.init, transform_from_dict) if args.init
                 else RigidTransform.identity())
         result = icp_register(probed, surface, init)
     else:  # auto2d
-        jig = FiducialSet.from_dict(_load_json(args.jig))
-        views = []
-        for v in _load_json(args.views):
-            model = ProjectionModel.from_dict(v)
-            det = Detection2D.from_pairs(v["view"],
-                                         [(p["label"], p["uv_mm"])
-                                          for p in v["detections"]])
-            views.append((model, det))
+        jig = _read(args.jig, FiducialSet.from_dict)
+        data = _read(args.views)
+        with _parsing(args.views):
+            views = [(ProjectionModel.from_dict(v),
+                      Detection2D.from_pairs(v["view"], [(p["label"], p["uv_mm"])
+                                                         for p in v["detections"]]))
+                     for v in data]
+            if len(views) != 2:
+                raise err.BadInput(f"expected exactly two views, got {len(views)}")
         result = register_patient_2d(jig, views)
     decision = verify_registration(result, args.threshold)
     _write_json(out_dir / "registration_report.json", {
@@ -206,15 +202,14 @@ def cmd_register(args) -> int:
 
 def cmd_plan_validate(args) -> int:
     if not np.isfinite(args.margin):
-        raise ValueError(f"--margin must be finite, got {args.margin!r}")
+        raise err.BadInput(f"--margin must be finite, got {args.margin!r}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    plans = plans_from_json(Path(args.plans).read_text(encoding="utf-8"))
-    pedicles = pedicles_from_json(Path(args.pedicles).read_text(encoding="utf-8"))
+    plans = _read(args.plans, plans_from_json, parse=str)
+    pedicles = _read(args.pedicles, pedicles_from_json, parse=str)
     rows = []
     for plan in plans:
         if plan.level not in pedicles:
-            raise ValueError(f"no pedicle model for level {plan.level!r}")
+            raise err.BadInput(f"no pedicle model for level {plan.level!r}")
         v = validate_plan(plan, pedicles[plan.level], args.margin)
         rows.append({"level": plan.level, "accepted": v.accepted,
                      "breach_mm": v.breach_mm,
@@ -236,10 +231,10 @@ def _study_config(raw: dict, args) -> StudyConfig:
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    raw = _apply_overrides(_load_json(args.config) if args.config else {}, args.set)
+    raw = _apply_overrides(_read(args.config) if args.config else {}, args.set)
     if args.what == "study":
-        config = _study_config(raw, args)
+        with _parsing("study config"):
+            config = _study_config(raw, args)
         phantom = generate_phantom(PhantomSpec(), seed=args.phantom_seed)
         result = run_study(config, phantom)
         summarize(result, out_dir)
@@ -250,15 +245,16 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     # session: placement study with radiation accounting
-    allowed = {"screws", "noise_multiplier", "study"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown session config keys {sorted(unknown)}")
-    screws = raw.get("screws", 2)
-    if isinstance(screws, bool) or not isinstance(screws, int):
-        raise ValueError(f"screws must be an integer, got {screws!r}")
-    multiplier = float(raw.get("noise_multiplier", 1.0))
-    config = _study_config(raw.get("study", {}), args)
+    with _parsing("session config"):
+        allowed = {"screws", "noise_multiplier", "study"}
+        unknown = set(raw) - allowed
+        if unknown:
+            raise err.BadInput(f"unknown session config keys {sorted(unknown)}")
+        screws = raw.get("screws", 2)
+        if isinstance(screws, bool) or not isinstance(screws, int):
+            raise err.BadInput(f"screws must be an integer, got {screws!r}")
+        multiplier = float(raw.get("noise_multiplier", 1.0))
+        config = _study_config(raw.get("study", {}), args)
     levels = max((screws + 1) // 2, 1)
     phantom = generate_phantom(PhantomSpec(levels=levels), seed=args.phantom_seed)
     result = run_placement_study(config, phantom, screws, multiplier)
@@ -287,15 +283,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_grade(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    screws = plans_from_json(Path(args.screws).read_text(encoding="utf-8"))
+    screws = _read(args.screws, plans_from_json, parse=str)
     if not screws:
-        raise ValueError("empty screw list")
-    pedicles = pedicles_from_json(Path(args.pedicles).read_text(encoding="utf-8"))
+        raise err.BadInput("empty screw list")
+    pedicles = _read(args.pedicles, pedicles_from_json, parse=str)
     rows = []
     for screw in screws:
         if screw.level not in pedicles:
-            raise ValueError(f"no pedicle model for level {screw.level!r}")
+            raise err.BadInput(f"no pedicle model for level {screw.level!r}")
         breach = breach_depth(screw, pedicles[screw.level])
         rows.append((screw.level, breach, grade_gertzbein(breach).value))
     _write_csv(out_dir / "grades.csv", grade_report_csv(rows), args.seed)
@@ -303,9 +298,8 @@ def cmd_grade(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(out_dir / "study_results.csv", study_csv(_load_json(args.results)))
+    atomic_write(Path(args.out) / "study_results.csv", _read(args.results, study_csv),
+                 parents=True)
     return EXIT_OK
 
 
@@ -372,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--threads", type=int, default=0,
                         help="accepted for compatibility; no longer changes "
                              "execution (trials run serially)")
-        pp.add_argument("--phantom-seed", type=int, default=42)
+        pp.add_argument("--phantom-seed", type=int, default=DEFAULT_PHANTOM_SEED)
         pp.set_defaults(func=cmd_simulate)
 
     pp = sub.add_parser("grade", parents=[common],
@@ -393,10 +387,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as e:
-        return _fail(type(e).__name__, str(e), EXIT_NUMERICAL)
-    except _INPUT_ERRORS as e:
-        return _fail(type(e).__name__, str(e), EXIT_BAD_INPUT)
+    except err.SpineNavError as e:
+        return _fail(type(e).__name__, str(e), e.exit_code)
 
 
 if __name__ == "__main__":

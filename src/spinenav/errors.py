@@ -2,11 +2,26 @@
 
 Every operational failure raises a subclass of SpineNavError so callers can
 catch toolkit errors without masking programming mistakes (TypeError etc.).
+Each class carries its CLI exit code: 3 for a NumericalFailure, 2 for any
+other SpineNavError. Any other exception is a bug (exit 1, with a traceback).
 """
 
 
 class SpineNavError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
+
+
+class NumericalFailure(SpineNavError):
+    """The input is well formed, but the computation cannot succeed on it."""
+
+    exit_code = 3
+
+
+class BadInput(SpineNavError, ValueError):
+    """A value or document failed validation (a ValueError too, for callers
+    that catch ValueError)."""
 
 
 def raised_where(mask, error_type: type, message: str) -> dict:
@@ -33,7 +48,7 @@ class TooFewPoints(SpineNavError):
     """Fewer correspondences than the algorithm can use."""
 
 
-class DegenerateGeometry(SpineNavError):
+class DegenerateGeometry(NumericalFailure):
     """Point/surface geometry leaves the solution under-determined."""
 
 
@@ -47,15 +62,15 @@ class TooFewPoses(SpineNavError):
     """Not enough tracked poses for pivot calibration."""
 
 
-class InsufficientRotation(SpineNavError):
+class InsufficientRotation(NumericalFailure):
     """Pivot poses lack rotational diversity; system is rank deficient."""
 
 
-class CoplanarPoints(SpineNavError):
+class CoplanarPoints(NumericalFailure):
     """Projective calibration points all lie on one plane."""
 
 
-class PointAtInfinity(SpineNavError):
+class PointAtInfinity(NumericalFailure):
     """Point projects onto the camera plane (homogeneous w ~ 0)."""
 
 
@@ -63,11 +78,11 @@ class TooFewBlobs(SpineNavError):
     """Raster contains too few blobs to attempt pattern matching."""
 
 
-class PatternAmbiguous(SpineNavError):
+class PatternAmbiguous(NumericalFailure):
     """More than one label assignment fits the detected blobs."""
 
 
-class ParallelRays(SpineNavError):
+class ParallelRays(NumericalFailure):
     """Back-projected rays are too close to parallel to triangulate."""
 
 
@@ -77,15 +92,15 @@ class TooFewCommonLabels(SpineNavError):
 
 # -- kinematics -------------------------------------------------------------
 
-class Unreachable(SpineNavError):
+class Unreachable(NumericalFailure):
     """Inverse kinematics found no solution from any restart."""
 
 
-class LimitViolation(SpineNavError):
+class LimitViolation(NumericalFailure):
     """A solution exists but only outside the joint limits."""
 
 
-class NoSafePath(SpineNavError):
+class NoSafePath(NumericalFailure):
     """Every candidate approach orientation collides."""
 
 
@@ -128,7 +143,7 @@ class SchemaVersionMismatch(SpineNavError):
 
 # -- simulation harness / I/O -----------------------------------------------
 
-class DegenerateSpec(SpineNavError):
+class DegenerateSpec(NumericalFailure):
     """Phantom parameters cannot produce a usable phantom."""
 
 

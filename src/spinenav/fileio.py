@@ -20,18 +20,22 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def atomic_write(path, data: str | bytes) -> None:
+def atomic_write(path, data: str | bytes, parents: bool = False) -> None:
     """Write text (as UTF-8) or bytes to path so that readers see the old
     file or the new one, never a partial one.
 
     The data goes to a uniquely named temporary file in the target directory,
-    which then replaces path. On any failure the temporary file is removed
-    and path is left as it was; OS errors surface as IOFailure.
+    which then replaces path. parents=True first creates that directory and
+    its missing parents; otherwise a missing directory is an error. On any
+    failure the temporary file is removed and path is left as it was; OS
+    errors surface as IOFailure.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
                                    dir=path.parent)
         try:
@@ -47,9 +51,9 @@ def atomic_write(path, data: str | bytes) -> None:
         raise IOFailure(str(err)) from err
 
 
-def write_json(path, doc: dict) -> None:
+def write_json(path, doc: dict, parents: bool = False) -> None:
     """Atomic JSON report: keys sorted, one-space indent, trailing newline."""
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n", parents)
 
 
 def provenance(seed: int, config: dict | None = None) -> dict:

@@ -10,11 +10,12 @@ chain, so cycles are rejected outright.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleDetected, NoPath
+from .errors import BadInput, CycleDetected, NoPath
 
 # Frames are plain string identifiers. These are the canonical names used by
 # the workflow; the graph accepts any identifier (e.g. an extra tracked guard
@@ -90,15 +91,26 @@ def all_finite(a) -> bool:
 
 def frozen_array(obj, name: str, value, shape, dtype=float, check: bool = True) -> np.ndarray:
     """Set obj's field name to value as a read-only array copy of the
-    declared shape and dtype, and return it. Raises ValueError ("... must be
-    finite") on a NaN or infinite entry; check=False leaves that to a type
-    whose own stacked guard already rejects non-finite values."""
-    a = np.array(value, dtype=dtype).reshape(shape)
+    declared shape and dtype, and return it. Raises BadInput when value does
+    not convert to that shape and dtype, and ("... must be finite") on a NaN
+    or infinite entry; check=False leaves that to a type whose own stacked
+    guard already rejects non-finite values."""
+    try:
+        a = np.array(value, dtype=dtype).reshape(shape)
+    except (TypeError, ValueError) as err:
+        raise BadInput(f"{type(obj).__name__} {name}: {err}") from err
     if check and not all_finite(a):
-        raise ValueError(f"{type(obj).__name__} {name} must be finite")
+        raise BadInput(f"{type(obj).__name__} {name} must be finite")
     a.setflags(write=False)
     object.__setattr__(obj, name, a)
     return a
+
+
+def finite_scalars(obj, *names: str) -> None:
+    """Raise BadInput ("... must be finite") unless each named field is."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise BadInput(f"{type(obj).__name__} {name} must be finite")
 
 
 class ArrayValue:
@@ -193,16 +205,16 @@ class RigidTransform(ArrayValue):
 
 def check_rigid(r: np.ndarray, t: np.ndarray) -> None:
     """RigidTransform's guard on one rotation (3, 3) and translation (3,),
-    or once on stacks (T, 3, 3) and (T, 3). Raises ValueError unless every
+    or once on stacks (T, 3, 3) and (T, 3). Raises BadInput unless every
     rotation is orthonormal with determinant +1 within 1e-9 and every
     translation is finite."""
     # written as not (x <= tol), so a NaN residual fails the gate
     if not _orthonormality_residual(r, axis=None) <= _ORTHO_TOL:
-        raise ValueError("rotation is not orthonormal within 1e-9")
-    if not (np.abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL).all():
-        raise ValueError("rotation determinant is not +1 within 1e-9")
+        raise BadInput("rotation is not orthonormal within 1e-9")
+    if not np.abs(np.linalg.det(r) - 1.0).max(initial=0.0) <= _ORTHO_TOL:
+        raise BadInput("rotation determinant is not +1 within 1e-9")
     if not all_finite(t):
-        raise ValueError("translation must be finite")
+        raise BadInput("translation must be finite")
 
 
 # Rotation of a unit quaternion (w, x, y, z), row by row: entry k is
@@ -282,6 +294,9 @@ class FrameEdge:
     dst: str
     transform: RigidTransform
     timestamp: float = 0.0
+
+    def __post_init__(self):
+        finite_scalars(self, "timestamp")
 
 
 @dataclass(frozen=True)

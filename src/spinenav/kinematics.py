@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LimitViolation, NoSafePath, Unreachable
+from .errors import BadInput, LimitViolation, NoSafePath, Unreachable
 from .geom import ArrayValue, RigidTransform, axis_basis, cross3, frozen_array, snap_rotation
 
 MAX_JOINT_STEP_RAD = 0.05
@@ -43,7 +43,7 @@ class Capsule(ArrayValue):
 
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError("capsule radius must be positive and finite")
+            raise BadInput("capsule radius must be positive and finite")
         for name in ("p0", "p1"):
             frozen_array(self, name, getattr(self, name), 3)
 
@@ -70,10 +70,10 @@ class RobotModel(ArrayValue):
         dh = frozen_array(self, "dh_rows", self.dh_rows, (6, 4))
         lim = frozen_array(self, "joint_limits", self.joint_limits, (6, 2))
         if np.any(lim[:, 0] >= lim[:, 1]):
-            raise ValueError("joint limits must satisfy min < max")
+            raise BadInput("joint limits must satisfy min < max")
         caps = tuple(tuple(c for c in link) for link in self.link_capsules)
         if len(caps) != 6:
-            raise ValueError("link_capsules must have one entry per joint")
+            raise BadInput("link_capsules must have one entry per joint")
         # rows 2 and 3 of each DH link transform, (0, sin a, cos a, d) and
         # (0, 0, 0, 1), do not depend on q: built once here
         links = np.zeros((6, 4, 4))
@@ -135,9 +135,9 @@ class Trajectory(ArrayValue):
         t = frozen_array(self, "times", self.times, -1)
         frozen_array(self, "joints", self.joints, (len(t), 6))
         if len(t) < 1:
-            raise ValueError("trajectory needs at least one sample")
+            raise BadInput("trajectory needs at least one sample")
         if np.any(np.diff(t) <= 0.0):
-            raise ValueError("trajectory times must strictly increase")
+            raise BadInput("trajectory times must strictly increase")
 
     def __len__(self):
         return len(self.times)
@@ -164,11 +164,11 @@ class Trajectory(ArrayValue):
                  collision_checked: bool = False) -> "Trajectory":
         rows = [r.split(",") for r in text.strip().splitlines()[1:] if r]
         if not rows:
-            raise ValueError("trajectory CSV has no sample rows")
+            raise BadInput("trajectory CSV has no sample rows")
         short = [k for k, fields in enumerate(rows, start=1) if len(fields) != 7]
         if short:
-            raise ValueError(f"trajectory CSV sample row {short[0]} does not have "
-                             "7 fields (time_s, q1-q6)")
+            raise BadInput(f"trajectory CSV sample row {short[0]} does not have "
+                           "7 fields (time_s, q1-q6)")
         vals = np.array([[float(v) for v in fields] for fields in rows])
         return Trajectory(vals[:, 0], vals[:, 1:7], planning_mode, collision_checked)
 
@@ -190,14 +190,14 @@ class CollisionScene:
 
     def __post_init__(self):
         if not (np.isfinite(self.safety_margin) and self.safety_margin >= 0.0):
-            raise ValueError("safety margin must be finite and non-negative")
+            raise BadInput("safety margin must be finite and non-negative")
         resolved = []
         for entry in self.obstacles:
             label, capsule = entry[0], entry[1]
             frame = entry[2] if len(entry) > 2 else self.base_frame
             if frame != self.base_frame:
                 if self.frame_graph is None:
-                    raise ValueError(
+                    raise BadInput(
                         f"obstacle {label!r} in frame {frame!r} needs a frame_graph")
                 t = self.frame_graph.resolve(frame, self.base_frame)
                 capsule = Capsule(t.apply(capsule.p0), t.apply(capsule.p1),
@@ -386,18 +386,18 @@ DESCENT_SPEED_MM_S = 5.0
 
 def _axis_target(tool_axis_target, standoff_mm: float):
     """Entry point and unit tool axis of a screw-axis target; raises
-    ValueError for a non-finite entry, a zero or non-finite direction, or a
+    BadInput for a non-finite entry, a zero or non-finite direction, or a
     negative or non-finite standoff."""
     entry, direction = tool_axis_target
     entry = np.asarray(entry, dtype=float)
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
     if not np.isfinite(entry).all():
-        raise ValueError("tool-axis entry point must be finite")
+        raise BadInput("tool-axis entry point must be finite")
     if not (np.isfinite(norm) and norm > 0.0):
-        raise ValueError("tool-axis direction must be finite and non-zero")
+        raise BadInput("tool-axis direction must be finite and non-zero")
     if not (np.isfinite(standoff_mm) and standoff_mm >= 0.0):
-        raise ValueError("standoff must be finite and non-negative")
+        raise BadInput("standoff must be finite and non-negative")
     return entry, direction / norm
 
 
@@ -460,7 +460,7 @@ def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
 
     The flange z axis is the tool axis and the flange origin the tool tip.
     A zero standoff collapses to the single approach phase ending on the
-    entry point. Raises ValueError for an invalid target or standoff (see
+    entry point. Raises BadInput for an invalid target or standoff (see
     _axis_target), Unreachable / LimitViolation from ik.
     """
     entry, direction = _axis_target(tool_axis_target, standoff_mm)
@@ -595,7 +595,7 @@ def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
     a prefix of the densified plan, so the first clear roll is the one a
     check of whole plans finds.
 
-    Raises ValueError for an invalid target or standoff, NoSafePath when
+    Raises BadInput for an invalid target or standoff, NoSafePath when
     every orientation collides (or is unreachable after at least one
     orientation planned), Unreachable when none plans."""
     entry, direction = _axis_target(tool_axis_target, standoff_mm)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelMismatch, NegativeBreach
-from .geom import ArrayValue, frozen_array
+from .errors import BadInput, LevelMismatch, NegativeBreach
+from .geom import ArrayValue, finite_scalars, frozen_array
 
 GRADE_ORDER = "ABCDE"
 
@@ -33,11 +33,11 @@ class ScrewPlan(ArrayValue):
         frozen_array(self, "entry", self.entry, 3)
         d = frozen_array(self, "direction", self.direction, 3)
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("screw direction must be a unit vector")
+            raise BadInput("screw direction must be a unit vector")
         if not 2.0 <= self.diameter <= 10.0:
-            raise ValueError("screw diameter out of range [2, 10] mm")
+            raise BadInput("screw diameter out of range [2, 10] mm")
         if not 20.0 <= self.length <= 100.0:
-            raise ValueError("screw length out of range [20, 100] mm")
+            raise BadInput("screw length out of range [20, 100] mm")
 
     def tip(self) -> np.ndarray:
         return self.entry + self.length * self.direction
@@ -71,12 +71,12 @@ class PedicleModel(ArrayValue):
         frozen_array(self, "p1", self.p1, 3)
         prof = tuple((float(s), float(r)) for s, r in self.radius_profile)
         if not np.all(np.isfinite(prof)):
-            raise ValueError("radius profile knots must be finite")
+            raise BadInput("radius profile knots must be finite")
         svals = [s for s, _ in prof]
         if svals[0] != 0.0 or svals[-1] != 1.0 or np.any(np.diff(svals) <= 0):
-            raise ValueError("radius profile s must increase strictly from 0 to 1")
+            raise BadInput("radius profile s must increase strictly from 0 to 1")
         if not all(r > 0.0 for _, r in prof):
-            raise ValueError("corridor radii must be positive")
+            raise BadInput("corridor radii must be positive")
         object.__setattr__(self, "radius_profile", prof)
 
     def radius_at(self, s):
@@ -113,7 +113,8 @@ class Grade:
 
     def __post_init__(self):
         if self.value not in GRADE_ORDER:
-            raise ValueError("grade must be one of A-E")
+            raise BadInput("grade must be one of A-E")
+        finite_scalars(self, "breach_mm")
 
     def rank(self) -> int:
         return GRADE_ORDER.index(self.value)
@@ -125,12 +126,18 @@ class PlanValidation:
     breach_mm: float
     min_clearance_mm: float
 
+    def __post_init__(self):
+        finite_scalars(self, "breach_mm", "min_clearance_mm")
+
 
 @dataclass(frozen=True)
 class PlanDeviation:
     entry_offset_mm: float
     angle_deg: float
     tip_offset_mm: float
+
+    def __post_init__(self):
+        finite_scalars(self, "entry_offset_mm", "angle_deg", "tip_offset_mm")
 
 
 def _max_depth(screw: ScrewPlan, pedicle: PedicleModel) -> tuple:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, LabelMismatch, TooFewPoints, raised_where
-from .geom import (ArrayValue, RigidTransform, all_finite, compose, frozen_array,
-                   snap_rotation, transform_from_dict, transform_to_dict)
+from .errors import BadInput, DegenerateGeometry, LabelMismatch, TooFewPoints, raised_where
+from .geom import (ArrayValue, RigidTransform, all_finite, compose, finite_scalars,
+                   frozen_array, snap_rotation, transform_from_dict, transform_to_dict)
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
@@ -30,9 +30,9 @@ _PRUNE_SLACK = 1e-9
 
 def check_fiducial_points(points: np.ndarray) -> None:
     """FiducialSet's value guard on one point set (N, 3), or once on a stack
-    (T, N, 3): raises ValueError unless every position is finite."""
+    (T, N, 3): raises BadInput unless every position is finite."""
     if not all_finite(points):
-        raise ValueError("fiducial positions must be finite")
+        raise BadInput("fiducial positions must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +47,9 @@ class FiducialSet(ArrayValue):
         labels = tuple(str(x) for x in self.labels)
         pts = frozen_array(self, "points", self.points, (len(labels), 3), check=False)
         if len(labels) == 0:
-            raise ValueError("fiducial set needs at least one point")
+            raise BadInput("fiducial set needs at least one point")
         if len(set(labels)) != len(labels):
-            raise ValueError("fiducial labels must be unique")
+            raise BadInput("fiducial labels must be unique")
         check_fiducial_points(pts)
         object.__setattr__(self, "labels", labels)
 
@@ -104,11 +104,13 @@ class RegistrationResult:
     converged: bool = True
 
     def __post_init__(self):
+        finite_scalars(self, "fre_rms")
         res = tuple(float(r) for r in self.per_point_residuals)
         object.__setattr__(self, "per_point_residuals", res)
         expected = float(np.sqrt(np.mean(np.square(res)))) if res else 0.0
-        if abs(self.fre_rms - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("fre_rms inconsistent with per-point residuals")
+        # written as not (x <= tol), so a NaN residual fails the gate
+        if not abs(self.fre_rms - expected) <= 1e-12 * max(1.0, expected):
+            raise BadInput("fre_rms inconsistent with per-point residuals")
 
     def to_dict(self) -> dict:
         return {"transform": transform_to_dict(self.transform),
@@ -120,10 +122,10 @@ class RegistrationResult:
     @staticmethod
     def from_dict(d: dict) -> "RegistrationResult":
         """Inverse of to_dict. A missing "converged" reads as True; a present
-        one must be a JSON boolean (the string "false" raises ValueError)."""
+        one must be a JSON boolean (the string "false" raises BadInput)."""
         converged = d.get("converged", True)
         if not isinstance(converged, bool):
-            raise ValueError(f"converged must be a boolean, got {converged!r}")
+            raise BadInput(f"converged must be a boolean, got {converged!r}")
         return RegistrationResult(transform_from_dict(d["transform"]),
                                   float(d["fre_rms_mm"]),
                                   tuple(d["per_point_residuals_mm"]),
@@ -143,6 +145,7 @@ class TrePrediction(ArrayValue):
     def __post_init__(self):
         for name in ("target", "principal_axis_spans", "target_offsets"):
             frozen_array(self, name, getattr(self, name), 3)
+        finite_scalars(self, "expected_tre_rms", "fle_rms")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +161,11 @@ class SurfaceModel(ArrayValue):
         v = frozen_array(self, "vertices", self.vertices, (-1, 3))
         t = frozen_array(self, "triangles", self.triangles, (-1, 3), np.int64)
         if t.min(initial=0) < 0 or (t.size and t.max() >= len(v)):
-            raise ValueError("triangle indices out of range")
+            raise BadInput("triangle indices out of range")
         a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
         areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         if t.size and np.any(areas < 1e-12):
-            raise ValueError("mesh contains degenerate (zero-area) triangles")
+            raise BadInput("mesh contains degenerate (zero-area) triangles")
 
     @functools.cached_property
     def _query_index(self) -> tuple:
@@ -241,7 +244,7 @@ class SurfaceModel(ArrayValue):
                     tris.append(tuple(current))
                     current = []
         if not tris:
-            raise ValueError("no facets found in STL input")
+            raise BadInput("no facets found in STL input")
         return SurfaceModel(frame, np.asarray(verts, dtype=float),
                             np.asarray(tris, dtype=np.int64))
 
@@ -365,7 +368,7 @@ def predict_tre(fiducials: FiducialSet, fle_rms: float, target) -> TrePrediction
     if len(fiducials) < 3:
         raise TooFewPoints("TRE prediction needs at least 3 fiducials")
     if not fle_rms > 0.0:
-        raise ValueError("fle_rms must be positive")
+        raise BadInput("fle_rms must be positive")
     pts = fiducials.points
     _check_not_collinear(pts, "fiducial")
     centroid = pts.mean(axis=0)
@@ -413,10 +416,12 @@ def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel,
     peak below an all-pairs scan of 256 queries.
 
     Returns (closest (N, 3), distance (N,), triangle index (N,)). Raises
-    ValueError for non-finite query points. The triangle data and the tree
+    BadInput for non-finite query points. The triangle data and the tree
     over the centroids are built once per surface (SurfaceModel._query_index).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not all_finite(pts):
+        raise BadInput("query points must be finite")
     a, ab, ac, centroids, radii, tree, r_max, extent = surface._query_index
     out_pts = np.empty_like(pts)
     out_dist = np.empty(len(pts))
@@ -573,11 +578,14 @@ def icp_register(probed, surface: SurfaceModel,
     Residual contract: on noise-free data the RMS residual never increases.
     A rise (probe noise, near the optimum) stops the solve as converged at
     the lowest-residual iterate. residual_history, if given, receives one
-    entry per closest-point query. Raises DegenerateGeometry when the pose is
-    unobservable (rotationally symmetric surface sampling): the step matrix
-    at the returned correspondences has a singular value ratio below 2e-2.
+    entry per closest-point query. Raises BadInput for a non-finite probed
+    point, and DegenerateGeometry when the pose is unobservable (rotationally
+    symmetric surface sampling): the step matrix at the returned
+    correspondences has a singular value ratio below 2e-2.
     """
     probed = np.asarray(probed, dtype=float).reshape(-1, 3)
+    if not all_finite(probed):
+        raise BadInput("probed points must be finite")
     if len(probed) < 10:
         raise TooFewPoints("surface registration needs at least 10 probed points")
     t = init if init is not None else RigidTransform.identity()

@@ -31,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import calibration as cal
-from .errors import DegenerateSpec, GuardFailed, SpineNavError
+from .errors import BadInput, DegenerateSpec, GuardFailed, SpineNavError
 from .fileio import atomic_write, csv_with_provenance, provenance, write_json
-from .geom import (RigidTransform, axis_basis, check_rigid, compose, cross3, invert,
-                   quaternion_rotations, row_dot)
+from .geom import (RigidTransform, axis_basis, check_rigid, compose, cross3,
+                   finite_scalars, invert, quaternion_rotations, row_dot)
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
 from .planning import (
@@ -95,14 +95,12 @@ class NoiseModel:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("tracker_sigma0", "depth_anisotropy", "distance_ref",
-                     "distance_growth", "detector_sigma", "kinematic_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        finite_scalars(self, "tracker_sigma0", "depth_anisotropy", "distance_ref",
+                       "distance_growth", "detector_sigma", "kinematic_sigma")
         for name in ("tracker_sigma0", "depth_anisotropy", "detector_sigma",
-                     "kinematic_sigma"):
+                     "kinematic_sigma", "seed"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+                raise BadInput(f"{name} must be >= 0")
 
     def tracker_sigma_at(self, distance_mm: float) -> float:
         return self.tracker_sigma0 * (
@@ -155,8 +153,7 @@ class PhantomSpec:
     extent_mm: float = 160.0
 
     def __post_init__(self):
-        if not math.isfinite(self.extent_mm):
-            raise ValueError("extent_mm must be finite")
+        finite_scalars(self, "extent_mm")
 
 
 @dataclass(frozen=True)
@@ -171,8 +168,8 @@ class Phantom:
 
     def __post_init__(self):
         if set(self.fiducials.labels) & set(self.targets.labels):
-            raise ValueError("registration fiducials and verification targets "
-                             "must use disjoint labels")
+            raise BadInput("registration fiducials and verification targets "
+                           "must use disjoint labels")
         object.__setattr__(self, "pedicles", tuple(self.pedicles))
 
 
@@ -208,6 +205,8 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> Phantom:
         raise DegenerateSpec("need at least one vertebral level")
     if spec.extent_mm <= 0:
         raise DegenerateSpec("extent must be positive")
+    if seed < 0:
+        raise BadInput(f"phantom seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     spine_length = spec.levels * LEVEL_SPACING_MM
 
@@ -298,18 +297,17 @@ class StudyConfig:
     def __post_init__(self):
         n = self.samples_per_method
         if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"samples_per_method must be an integer, got {n!r}")
+            raise BadInput(f"samples_per_method must be an integer, got {n!r}")
         if n < 1:
-            raise ValueError("samples_per_method must be >= 1")
-        if not math.isfinite(self.view_jitter_deg):
-            raise ValueError("view_jitter_deg must be finite")
+            raise BadInput("samples_per_method must be >= 1")
+        finite_scalars(self, "view_jitter_deg")
         for name in ("user_groups", "tool_angles_deg", "tracker_distances_mm",
                      "detector_distances_mm"):
             values = tuple(getattr(self, name))
             if not values:
-                raise ValueError(f"{name} must be non-empty")
+                raise BadInput(f"{name} must be non-empty")
             if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} entries must be finite")
+                raise BadInput(f"{name} entries must be finite")
 
     def cells(self, modality: Modality) -> list:
         """Balanced factor grid; detector distance applies to 2D imaging only."""
@@ -363,6 +361,13 @@ class StudyStats:
     sd: float
     ci95: float  # mean + 1.96 sd
     n: int
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
+            raise BadInput(f"StudyStats n must be a non-negative integer, got {self.n!r}")
+        check = math.isfinite if self.n else math.isnan  # no values: NaN statistics
+        if not all(check(v) for v in (self.mean, self.sd, self.ci95)):
+            raise BadInput("StudyStats mean, sd and ci95 must be finite (NaN when n is 0)")
 
     @staticmethod
     def from_values(values) -> "StudyStats":
@@ -486,7 +491,7 @@ def _registration_chains(phantom: Phantom, modality: Modality, factors: list,
     computed value, so drawing first is exact. The math pass then runs each
     step once over the stack of trials still running: a trial whose step
     fails with a SpineNavError keeps that error and drops out of the later
-    steps. A failed guard (ValueError) aborts the whole pass.
+    steps. A failed guard (BadInput) aborts the whole pass.
     """
     count, fid = len(rngs), phantom.fiducials
     point_based = modality is Modality.PREOP_CT_POINT_BASED
@@ -792,9 +797,9 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
     grade percentages (always rows A-E) and the radiation tally.
     """
     if screws_per_arm < 1:
-        raise ValueError("screws_per_arm must be >= 1")
+        raise BadInput("screws_per_arm must be >= 1")
     if screws_per_arm > len(phantom.pedicles):
-        raise ValueError(f"phantom has only {len(phantom.pedicles)} pedicles")
+        raise BadInput(f"phantom has only {len(phantom.pedicles)} pedicles")
     noise = replace(config.noise,
                     tracker_sigma0=config.noise.tracker_sigma0 * noise_multiplier,
                     detector_sigma=config.noise.detector_sigma * noise_multiplier,
@@ -927,26 +932,32 @@ def study_report(result: StudyResult) -> dict:
 def study_csv(report: dict) -> str:
     """study_results.csv from a study_report document (or the parsed JSON
     file): a fixed column set, floats via repr so identical runs are
-    identical bytes, provenance in leading comment lines."""
+    identical bytes, provenance in leading comment lines. Raises BadInput
+    for a malformed provenance, modality or pooled row."""
+    prov = report["provenance"]
+    if {k: type(v) for k, v in dict(prov).items()} != {
+            k: type(v) for k, v in provenance(0).items()}:
+        raise BadInput(f"malformed provenance {prov!r}")
     lines = ["method,modality,n,mean_mm,sd_mm,ci95_mm"]
     for m in report["methods"]:
         pooled = m["pooled"]
-        lines.append(",".join([m["label"], m["modality"], str(pooled["n"]),
-                               repr(pooled["mean_mm"]), repr(pooled["sd_mm"]),
-                               repr(pooled["ci95_mu_plus_1p96sigma_mm"])]))
-    return csv_with_provenance(report["provenance"], "\n".join(lines) + "\n")
+        s = StudyStats(pooled["mean_mm"], pooled["sd_mm"],
+                       pooled["ci95_mu_plus_1p96sigma_mm"], pooled["n"])
+        lines.append(",".join([m["label"], Modality(m["modality"]).value, str(s.n),
+                               repr(s.mean), repr(s.sd), repr(s.ci95)]))
+    return csv_with_provenance(prov, "\n".join(lines) + "\n")
 
 
 def summarize(result: StudyResult, out_dir) -> dict:
     """Write study_results.csv and study_results.json; byte-identical when
-    re-run on the same results. Raises on empty results, writes atomically."""
+    re-run on the same results. Raises on empty results, writes atomically
+    (creating out_dir if it is missing)."""
     if not result.methods or all(m.pooled.n == 0 for m in result.methods):
-        raise ValueError("refusing to summarize empty results")
+        raise BadInput("refusing to summarize empty results")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"csv": out_dir / "study_results.csv",
              "json": out_dir / "study_results.json"}
     report = study_report(result)
-    atomic_write(paths["csv"], study_csv(report))
-    write_json(paths["json"], report)
+    atomic_write(paths["csv"], study_csv(report), parents=True)
+    write_json(paths["json"], report, parents=True)
     return paths

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadInput,
     DuplicateName,
     GuardFailed,
     IllegalTransition,
@@ -32,6 +33,7 @@ from .errors import (
     SchemaVersionMismatch,
 )
 from .fileio import atomic_write
+from .geom import finite_scalars
 from .kinematics import Trajectory
 from .planning import PlanValidation, ScrewPlan
 from .registration import RegistrationResult, verify_registration
@@ -113,6 +115,9 @@ class Event:
     residual_rms: float | None = None
     timestamp: float = 0.0
 
+    def __post_init__(self):
+        finite_scalars(self, "timestamp")
+
 
 @dataclass(frozen=True)
 class AcquisitionEntry:
@@ -122,6 +127,9 @@ class AcquisitionEntry:
     purpose: Purpose
     view: str
     timestamp: float = 0.0
+
+    def __post_init__(self):
+        finite_scalars(self, "timestamp")
 
 
 @dataclass(frozen=True)
@@ -410,7 +418,7 @@ class ModuleRegistry:
 
     def register_module(self, name: str, layer: str, topics_subscribed=()) -> ModuleHandle:
         if layer not in LAYERS:
-            raise ValueError(f"layer must be one of {LAYERS}")
+            raise BadInput(f"layer must be one of {LAYERS}")
         with self._lock:
             if name in self._modules:
                 raise DuplicateName(f"module {name!r} already registered")
@@ -427,7 +435,7 @@ class ModuleRegistry:
         with self._lock:
             src = self._modules.get(source_module)
             if src is None:
-                raise ValueError(f"unknown source module {source_module!r}")
+                raise BadInput(f"unknown source module {source_module!r}")
             allowed = self._topic_layers.get(topic)
             if allowed is not None and src.layer not in allowed:
                 raise LayerViolation(
@@ -475,16 +483,17 @@ def _event_to_dict(e: Event) -> dict:
 
 def _json_bool(value, what: str) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"{what} must be a JSON boolean, got {value!r}")
+        raise BadInput(f"{what} must be a JSON boolean, got {value!r}")
     return value
 
 
 def _event_from_dict(d: dict) -> Event:
-    """Inverse of _event_to_dict. Raises KeyError, TypeError or ValueError
-    for a malformed event: a flag that is not a JSON boolean, views that are
-    not a list of strings, or a timestamp that is not a finite number."""
+    """Inverse of _event_to_dict. Raises BadInput, KeyError, TypeError or
+    ValueError for a malformed event: a flag that is not a JSON boolean,
+    views that are not a list of strings, or a timestamp that is not a
+    finite number."""
     if not isinstance(d, dict):
-        raise TypeError(f"an event must be a JSON object, got {d!r}")
+        raise BadInput(f"an event must be a JSON object, got {d!r}")
     traj = None
     if "trajectory" in d:
         td = d["trajectory"]
@@ -498,11 +507,10 @@ def _event_from_dict(d: dict) -> Event:
                              vd["min_clearance_mm"])
     views = d.get("views", [])
     if not (isinstance(views, list) and all(isinstance(v, str) for v in views)):
-        raise ValueError(f"views must be a list of strings, got {views!r}")
+        raise BadInput(f"views must be a list of strings, got {views!r}")
     timestamp = d.get("timestamp", 0.0)
-    if (isinstance(timestamp, bool) or not isinstance(timestamp, (int, float))
-            or not np.isfinite(timestamp)):
-        raise ValueError(f"timestamp must be a finite number, got {timestamp!r}")
+    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
+        raise BadInput(f"timestamp must be a finite number, got {timestamp!r}")
     return Event(
         kind=EventKind(d["kind"]),
         scope=d.get("scope"),

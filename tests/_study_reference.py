@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from spinenav.errors import (
+    BadInput,
     CoplanarPoints,
     DegenerateGeometry,
     ParallelRays,
@@ -36,40 +37,40 @@ from spinenav.workflow import Modality
 def rigid_guard(r, t):
     """RigidTransform.__post_init__'s checks on one (3, 3), (3,) pair."""
     if not np.abs(r.T @ r - np.eye(3)).max() <= 1e-9:
-        raise ValueError("rotation is not orthonormal within 1e-9")
+        raise BadInput("rotation is not orthonormal within 1e-9")
     if not abs(np.linalg.det(r) - 1.0) <= 1e-9:
-        raise ValueError("rotation determinant is not +1 within 1e-9")
+        raise BadInput("rotation determinant is not +1 within 1e-9")
     if not np.isfinite(t).all():
-        raise ValueError("translation must be finite")
+        raise BadInput("translation must be finite")
 
 
 def projection_guard(m):
     """ProjectionModel.__post_init__'s matrix checks on one (3, 4) matrix."""
     if not np.isfinite(m).all():
-        raise ValueError("projection matrix must be finite")
+        raise BadInput("projection matrix must be finite")
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[2] / sv[0] < 1e-12:
-        raise ValueError("projection matrix must have rank 3")
+        raise BadInput("projection matrix must have rank 3")
     (a, b, c, _), (d, e, f, _), (g, h, i, _) = m.tolist()
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     rows = (a * a + b * b + c * c) * (d * d + e * e + f * f) * (g * g + h * h + i * i)
     if not abs(det) > 1e-12 * math.sqrt(rows):
-        raise ValueError("projection matrix's left 3x3 block is singular: "
-                         "its camera centre is at infinity")
+        raise BadInput("projection matrix's left 3x3 block is singular: "
+                       "its camera centre is at infinity")
     if abs(np.linalg.norm(m[2, :3]) - 1.0) > 1e-9:
-        raise ValueError("projection matrix must be scale-normalized")
+        raise BadInput("projection matrix must be scale-normalized")
 
 
 def fiducial_guard(points):
     """FiducialSet.__post_init__'s value check on one (N, 3) set."""
     if not np.all(np.isfinite(points)):
-        raise ValueError("fiducial positions must be finite")
+        raise BadInput("fiducial positions must be finite")
 
 
 def detection_guard(uv):
     """Detection2D.__post_init__'s value check on one view's (N, 2) uv."""
     if not np.all(np.isfinite(uv)):
-        raise ValueError("detections and confidences must be finite")
+        raise BadInput("detections and confidences must be finite")
 
 
 # -- kernels ------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def triangulate(ma, uva, mb, uvb):
     for m, uv in ((ma, uva), (mb, uvb)):
         uv = np.asarray(uv, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(uv)):
-            raise ValueError("detector coordinates must be finite")
+            raise BadInput("detector coordinates must be finite")
         uvh = np.hstack([uv, np.ones((len(uv), 1))])
         d = np.linalg.solve(np.broadcast_to(m[:, :3], (len(uv), 3, 3)),
                             uvh[:, :, None])[:, :, 0]

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import os
@@ -8,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinenav import cli
+from spinenav import cli, errors
+from spinenav.calibration import pinhole_projection, project
 from spinenav.cli import main
 from spinenav.geom import RigidTransform, transform_to_dict
-from spinenav.registration import icp_register
+from spinenav.registration import FiducialSet, icp_register
+
+from _helpers import look_at
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -66,7 +70,7 @@ def test_calibrate_pivot_missing_file(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "FileNotFoundError"
+    assert err["error"] == "IOFailure"
 
 
 def test_calibrate_pivot_insufficient_rotation(tmp_path, capsys):
@@ -167,7 +171,7 @@ def test_register_auto2d_singular_camera_is_bad_input(tmp_path, capsys):
                  "--views", str(views), "--out", str(tmp_path / "out")])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "ValueError"
+    assert err["error"] == "BadInput"
     assert "camera centre is at infinity" in err["message"]
 
 
@@ -189,7 +193,7 @@ def test_non_finite_threshold_or_margin_is_bad_input(tmp_path, capsys, argv, fla
     code = main([*argv, f"{flag}={value}", "--out", str(out)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+    assert err["error"] == "BadInput"
     assert flag in err["message"]
     assert not out.exists()
 
@@ -294,7 +298,7 @@ def test_simulate_study_non_finite_config_is_bad_input(tmp_path, capsys, overrid
     code = main(["simulate", "study", "--out", str(tmp_path), "--set", override])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+    assert err["error"] == "BadInput"
     assert override.split("=")[0] in err["message"]
 
 
@@ -314,7 +318,7 @@ def test_simulate_session_non_integer_screws_is_bad_input(tmp_path, capsys, valu
                  "--set", f"screws={value}"])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+    assert err["error"] == "BadInput"
     assert "screws" in err["message"]
     assert not (tmp_path / "session_report.json").exists()
 
@@ -343,3 +347,264 @@ def test_report_reemits_identical_csv(tmp_path):
     assert code == 0
     assert (re_out / "study_results.csv").read_bytes() == \
         (out / "study_results.csv").read_bytes()
+
+
+# -- typed failures and exit codes ---------------------------------------------------
+
+
+def _error_classes(cls=errors.SpineNavError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+ERROR_CLASSES = sorted(set(_error_classes()), key=lambda c: c.__name__)
+NUMERICAL = {"CoplanarPoints", "DegenerateGeometry", "DegenerateSpec", "InsufficientRotation",
+             "LimitViolation", "NoSafePath", "ParallelRays", "PatternAmbiguous",
+             "PointAtInfinity", "Unreachable"}
+_GRADE = ["grade", "--screws", str(DATA / "achieved_screws.json"),
+          "--pedicles", str(DATA / "pedicles.json")]
+
+
+def _instance(cls):
+    return cls("AP", "x") if cls is errors.IllegalTransition else cls("raised on purpose")
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, cls):
+    def fail(rows):
+        raise _instance(cls)
+
+    monkeypatch.setattr(cli, "grade_report_csv", fail)
+    code = main([*_GRADE, "--out", str(tmp_path)])
+    assert code == (3 if cls.__name__ in NUMERICAL | {"NumericalFailure"} else 2)
+    assert json.loads(capsys.readouterr().err)["error"] == cls.__name__
+
+
+def test_numerical_failures_are_exactly_the_ten_exit_3_classes():
+    assert {c.__name__ for c in ERROR_CLASSES if issubclass(c, errors.NumericalFailure)
+            and c is not errors.NumericalFailure} == NUMERICAL
+    assert issubclass(errors.BadInput, ValueError)
+
+
+@pytest.mark.parametrize("builtin", [KeyError, TypeError, ValueError, np.linalg.LinAlgError])
+def test_builtin_error_after_parsing_propagates(tmp_path, monkeypatch, builtin):
+    # a builtin exception from a library call is a bug: exit 1, traceback
+    def fail(rows):
+        raise builtin("raised on purpose")
+
+    monkeypatch.setattr(cli, "grade_report_csv", fail)
+    with pytest.raises(builtin, match="raised on purpose"):
+        main([*_GRADE, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("sub", [(), ("sub",)], ids=["file", "below-a-file"])
+def test_out_naming_a_file_is_io_failure(tmp_path, capsys, sub):
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    code = main([*_GRADE, "--out", str(afile.joinpath(*sub))])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "IOFailure"
+    assert afile.read_text(encoding="utf-8") == "keep"
+
+
+@pytest.mark.parametrize("what", ["study", "session"])
+@pytest.mark.parametrize("overrides", [(), ("--set", "screws=1")], ids=["plain", "set"])
+def test_config_that_is_not_an_object_is_bad_input(tmp_path, capsys, what, overrides):
+    path = tmp_path / "config.json"
+    path.write_text("[]", encoding="utf-8")
+    code = main(["simulate", what, "--config", str(path), *overrides,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BadInput"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["simulate", "study", "--seed", "-1"], "seed must be >= 0"),
+    (["simulate", "session", "--phantom-seed", "-1"], "phantom seed must be >= 0"),
+])
+def test_negative_seed_is_bad_input(tmp_path, capsys, argv, fragment):
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], fragment in err["message"]) == ("BadInput", True), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_carm_coincident_detections_is_numerical_failure(tmp_path, capsys):
+    doc = _read_json(DATA / "carm_calibration.json")
+    for p in doc["image"]:
+        p["uv_mm"] = [1.0, 2.0]
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["calibrate", "carm", "--input", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DegenerateGeometry"
+    assert "coincide" in err["message"]
+
+
+# -- malformed input documents ---------------------------------------------------------
+
+
+def _views_doc(jig: FiducialSet) -> list:
+    """Two calibrated views of the jig with exact detections."""
+    target = jig.points.mean(axis=0)
+    views = []
+    for label, source in (("AP", target + [0.0, -700.0, 0.0]),
+                          ("LP", target + [700.0, 0.0, 0.0])):
+        model = pinhole_projection(look_at(source, target), 1000.0, label)
+        uv = project(model, jig.points)
+        views.append({**model.to_dict(), "detections": [
+            {"label": l, "uv_mm": [float(u), float(v)]} for l, (u, v) in zip(jig.labels, uv)]})
+    return views
+
+
+@functools.cache
+def _documents(tmp: Path) -> dict:
+    """command -> (argv with {name} placeholders, {name: valid document})."""
+    from spinenav.meshes import bumpy_ellipsoid, sample_surface_points
+    rng = np.random.default_rng(8)
+    surface = bumpy_ellipsoid(rng, subdivisions=2)
+    probed = sample_surface_points(surface, 30, rng) - np.array([1.0, 0.5, 0.0])
+    jig = FiducialSet.from_dict(_read_json(DATA / "fiducials_fixed.json"))
+    study_out = tmp / "study"
+    assert main(["simulate", "study", "--set", "samples_per_method=6",
+                 "--out", str(study_out)]) == 0
+    study = _read_json(study_out / "study_results.json")
+    # the keys report reads: the provenance and each method's pooled row
+    results = {"provenance": study["provenance"], "methods": [
+        {"label": m["label"], "modality": m["modality"],
+         "pooled": {k: m["pooled"][k] for k in ("n", "mean_mm", "sd_mm",
+                                                "ci95_mu_plus_1p96sigma_mm")}}
+        for m in study["methods"]]}
+    pedicles = _read_json(DATA / "pedicles.json")
+    screws = _read_json(DATA / "achieved_screws.json")
+    return {
+        "calibrate pivot": ("calibrate pivot --input {input}",
+                            {"input": _read_json(DATA / "pivot_poses.json")}),
+        "calibrate carm": ("calibrate carm --input {input}",
+                           {"input": _read_json(DATA / "carm_calibration.json")}),
+        "register points": ("register points --fixed {fixed} --moving {moving}",
+                            {"fixed": _read_json(DATA / "fiducials_fixed.json"),
+                             "moving": _read_json(DATA / "fiducials_moving.json")}),
+        "register icp": ("register icp --probed {probed} --surface {surface} --init {init}",
+                         {"probed": {"points_mm": probed.tolist()},
+                          "surface": surface.to_dict(),
+                          "init": transform_to_dict(RigidTransform.identity())}),
+        "register auto2d": ("register auto2d --jig {jig} --views {views}",
+                            {"jig": jig.to_dict(), "views": _views_doc(jig)}),
+        "plan validate": ("plan validate --plans {plans} --pedicles {pedicles}",
+                          {"plans": screws, "pedicles": pedicles}),
+        "grade": ("grade --screws {screws} --pedicles {pedicles}",
+                  {"screws": screws, "pedicles": pedicles}),
+        "report": ("report --results {results}", {"results": results}),
+    }
+
+
+def _run(tmp_path, argv, docs) -> int:
+    """main on argv with each {name} replaced by a file holding docs[name]."""
+    files = {}
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc), encoding="utf-8")
+    return main([*argv.format(**files).split(), "--out", str(tmp_path / "out")])
+
+
+def _positions(doc, path=()):
+    """(path, value) of doc itself and of everything in it; a list is
+    entered through its first entry."""
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _positions(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from _positions(doc[0], path + (0,))
+
+
+_BAD = {"null": None, "x": "x", "nan": float("nan")}
+
+
+def _corrupted(doc, path, kind):
+    """A copy of doc whose value at path is set to null, "x" or NaN, dropped,
+    or made one entry short."""
+    if not path:
+        return _BAD[kind]
+    out = copy.deepcopy(doc)
+    node = functools.reduce(lambda node, key: node[key], path[:-1], out)
+    if kind == "drop":
+        del node[path[-1]]
+    elif kind == "short":
+        node[path[-1]] = node[path[-1]][:-1]
+    else:
+        node[path[-1]] = _BAD[kind]
+    return out
+
+
+def _corruptions(doc):
+    """(path, kind, corrupted copy of doc): each position set to null, "x"
+    or NaN, each key dropped, each list of numbers made one entry short."""
+    for path, value in _positions(doc):
+        kinds = list(_BAD)
+        if path and isinstance(path[-1], str):
+            kinds.append("drop")
+        if isinstance(value, list) and value and all(
+                isinstance(v, (int, float)) for v in value):
+            kinds.append("short")
+        for kind in kinds:
+            yield path, kind, _corrupted(doc, path, kind)
+
+
+# the corruptions a command accepts (exit 0), all of a name it only
+# carries along: the pivot file's comment, frame names, labels that need no
+# partner (auto2d leaves out a jig fiducial or a detection without one and
+# registers the other five), and the free text of a study report
+ACCEPTED = {
+    *(("calibrate pivot", "input", ("comment",), kind) for kind in (*_BAD, "drop")),
+    *((command, name, ("frame",), kind) for kind in _BAD
+      for command, name in (("register points", "fixed"), ("register points", "moving"),
+                            ("register icp", "surface"), ("register auto2d", "jig"))),
+    *(("register auto2d", name, path, kind) for kind in _BAD
+      for name, path in (("jig", ("points", 0, "label")),
+                         ("views", (0, "detections", 0, "label")))),
+    *(("report", "results", path, "x") for path in (
+        ("provenance", "tool"), ("provenance", "version"), ("provenance", "config_hash"),
+        ("methods", 0, "label"))),
+}
+
+
+@pytest.mark.parametrize("command", ["calibrate pivot", "calibrate carm", "register points",
+                                     "register icp", "register auto2d", "plan validate",
+                                     "grade", "report"])
+def test_corrupted_input_documents_fail_typed(tmp_path_factory, tmp_path, capsys, command):
+    argv, docs = _documents(tmp_path_factory.getbasetemp() / "documents")[command]
+    wrong = []
+    for name, doc in docs.items():
+        for path, kind, bad in _corruptions(doc):
+            try:
+                code = _run(tmp_path, argv, {**docs, name: bad})
+            except Exception as e:  # a bug: listed with the wrong exit codes
+                code = repr(e)
+            capsys.readouterr()
+            if code not in ((0,) if (command, name, path, kind) in ACCEPTED else (2, 3)):
+                wrong.append((name, path, kind, code))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("command, name, mutate, fragment", [
+    ("register points", "fixed", lambda d: d.pop("frame"), "missing key 'frame'"),
+    ("calibrate pivot", "input", lambda d: d["poses"][0].pop("t"), "missing key 't'"),
+    ("grade", "screws", lambda d: d[0].pop("entry_mm"), "missing key 'entry_mm'"),
+    ("register auto2d", "views", lambda d: d.pop(), "exactly two views"),
+    ("register icp", "probed", lambda d: d["points_mm"][0].__setitem__(0, float("nan")),
+     "probed points must be finite"),
+])
+def test_malformed_input_routes(tmp_path_factory, tmp_path, capsys, command, name, mutate,
+                                fragment):
+    # each reached exit 2 only through a builtin exception before
+    argv, docs = _documents(tmp_path_factory.getbasetemp() / "documents")[command]
+    docs = copy.deepcopy(docs)
+    mutate(docs[name])
+    assert _run(tmp_path, argv, docs) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], fragment in err["message"]) == ("BadInput", True), err

@@ -10,6 +10,7 @@ from _helpers import look_at
 from spinenav import calibration as cal
 from spinenav import simharness
 from spinenav.errors import (
+    BadInput,
     CoplanarPoints,
     ParallelRays,
     PointAtInfinity,
@@ -182,7 +183,7 @@ def test_stacked_guards_equal_reference(count):
             broken = list(args)
             broken[arg] = _bad_row(args[arg], -1, value)
             want = _outcome(ref, *(a[-1] for a in broken))
-            assert want[0] is ValueError
+            assert want[0] is BadInput
             assert _outcome(stacked, *broken) == want
             assert _outcome(stacked, *(a[-1:] for a in broken)) == want
 

@@ -1,6 +1,7 @@
 """The value-type idiom shared by every array-carrying dataclass: each array
 field is a read-only copy that rejects non-finite entries, and == and hash
-compare array fields by value."""
+compare array fields by value. Float scalar fields of the value types reject
+non-finite values too."""
 
 import dataclasses
 
@@ -14,11 +15,13 @@ from spinenav.calibration import (
     SyntheticProjectionImage,
     ToolDefinition,
 )
-from spinenav.errors import NegativeBreach
-from spinenav.geom import RigidTransform
+from spinenav.errors import BadInput, NegativeBreach
+from spinenav.geom import FrameEdge, RigidTransform
 from spinenav.kinematics import Capsule, JointVector, RobotModel, Trajectory, default_robot
-from spinenav.planning import PedicleModel, ScrewPlan, grade_gertzbein
-from spinenav.registration import FiducialSet, SurfaceModel, TrePrediction
+from spinenav.planning import (Grade, PedicleModel, PlanDeviation, PlanValidation, ScrewPlan,
+                               grade_gertzbein)
+from spinenav.registration import FiducialSet, RegistrationResult, SurfaceModel, TrePrediction
+from spinenav.workflow import AcquisitionEntry, Event, EventKind, Purpose
 
 _ROBOT = default_robot()
 
@@ -139,3 +142,53 @@ def test_grade_rejects_nan_breach():
 def test_projection_image_rejects_nan_pixel_size():
     with pytest.raises(ValueError, match="mm_per_pixel"):
         SyntheticProjectionImage(**{**VALID[SyntheticProjectionImage], "mm_per_pixel": np.nan})
+
+
+# one valid set of constructor arguments per type with float scalar fields
+SCALAR_VALID = {
+    RegistrationResult: dict(transform=RigidTransform.identity(), fre_rms=0.5,
+                             per_point_residuals=(0.5,), n_points=1),
+    TrePrediction: VALID[TrePrediction],
+    PivotResult: VALID[PivotResult],
+    SyntheticProjectionImage: VALID[SyntheticProjectionImage],
+    Grade: dict(value="B", breach_mm=1.0),
+    FrameEdge: dict(src="Tracker", dst="DRB", transform=RigidTransform.identity(),
+                    timestamp=1.0),
+    PlanValidation: dict(accepted=True, breach_mm=0.0, min_clearance_mm=1.0),
+    PlanDeviation: dict(entry_offset_mm=0.5, angle_deg=2.0, tip_offset_mm=1.0),
+    Event: dict(kind=EventKind.ACQUIRE_PREOP_CT, timestamp=1.0),
+    AcquisitionEntry: dict(scope="session", purpose=Purpose.REGISTRATION, view="AP",
+                           timestamp=1.0),
+}
+
+SCALAR_FIELDS = [
+    (RegistrationResult, "fre_rms"),
+    (TrePrediction, "expected_tre_rms"), (TrePrediction, "fle_rms"),
+    (PivotResult, "residual_rms"),
+    (SyntheticProjectionImage, "mm_per_pixel"),
+    (Grade, "breach_mm"),
+    (FrameEdge, "timestamp"),
+    (PlanValidation, "breach_mm"), (PlanValidation, "min_clearance_mm"),
+    (PlanDeviation, "entry_offset_mm"), (PlanDeviation, "angle_deg"),
+    (PlanDeviation, "tip_offset_mm"),
+    (Event, "timestamp"),
+    (AcquisitionEntry, "timestamp"),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", SCALAR_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in SCALAR_FIELDS])
+def test_float_scalar_fields_reject_non_finite(cls, name, bad):
+    cls(**SCALAR_VALID[cls])
+    args = {**SCALAR_VALID[cls], name: bad}
+    if cls is RegistrationResult:
+        # residuals that match the FRE: only the finiteness check can fail
+        args["per_point_residuals"] = (bad,)
+    with pytest.raises(BadInput, match="finite"):
+        cls(**args)
+
+
+def test_shape_mismatch_is_bad_input():
+    with pytest.raises(BadInput, match="translation"):
+        RigidTransform(np.eye(3), [1.0, 2.0])
