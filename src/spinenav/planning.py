@@ -67,8 +67,10 @@ class PedicleModel(ArrayValue):
     radius_profile: tuple  # of (s, radius_mm), s strictly increasing 0 -> 1
 
     def __post_init__(self):
-        frozen_array(self, "p0", self.p0, 3)
-        frozen_array(self, "p1", self.p1, 3)
+        p0 = frozen_array(self, "p0", self.p0, 3)
+        axis = frozen_array(self, "p1", self.p1, 3) - p0
+        if not axis @ axis > 0.0:  # _max_depth divides by it
+            raise BadInput("pedicle axis must have positive length")
         prof = tuple((float(s), float(r)) for s, r in self.radius_profile)
         if not np.all(np.isfinite(prof)):
             raise BadInput("radius profile knots must be finite")

@@ -44,6 +44,8 @@ class FiducialSet(ArrayValue):
     points: np.ndarray  # (N, 3)
 
     def __post_init__(self):
+        if not isinstance(self.frame, str) or not self.frame:
+            raise BadInput("fiducial set frame must be a non-empty string")
         labels = tuple(str(x) for x in self.labels)
         pts = frozen_array(self, "points", self.points, (len(labels), 3), check=False)
         if len(labels) == 0:
@@ -158,6 +160,8 @@ class SurfaceModel(ArrayValue):
     triangles: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.frame, str) or not self.frame:
+            raise BadInput("surface frame must be a non-empty string")
         v = frozen_array(self, "vertices", self.vertices, (-1, 3))
         t = frozen_array(self, "triangles", self.triangles, (-1, 3), np.int64)
         if t.min(initial=0) < 0 or (t.size and t.max() >= len(v)):

@@ -16,8 +16,8 @@ key: a draw pass takes each trial's draws from its own generator in the
 per-trial order, then a math pass runs each step of the registration chain
 once over the stack of trials (calibration.*_batch,
 registration.register_points_batch). A trial whose step fails keeps that
-step's SpineNavError and drops out of the later steps. run_trial and the
-placement study's chains are the one-trial case of the same passes.
+step's SpineNavError and drops out of the later steps. Each placement arm
+runs as one such pass; run_trial and re-registrations are one-trial passes.
 """
 
 from __future__ import annotations
@@ -450,6 +450,13 @@ class _Chains(NamedTuple):
     translations: np.ndarray
     errors: list
 
+    def transforms(self, k: int):
+        """Trial k's (t_est, t_gt), or its SpineNavError raised."""
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        return (RigidTransform(self.rotations[k], self.translations[k]),
+                RigidTransform(self.gt_rotations[k], self.gt_translations[k]))
+
 
 class _Running:
     """The trials of a stacked chain still running, and each stopped
@@ -596,15 +603,11 @@ def _triangulated_jigs(world: np.ndarray, factors: list, jitter: np.ndarray,
 def _registration_transform(phantom: Phantom, method: Method, factors: dict,
                             noise: NoiseModel, rng: np.random.Generator,
                             jitter_deg: float):
-    """One registration chain, the one-stack case of _registration_chains:
-    returns (t_est, t_gt) mapping patient -> image/CArm coordinates, or
-    raises the chain's SpineNavError."""
-    chains = _registration_chains(phantom, method.modality, [factors], noise, [rng],
-                                  jitter_deg)
-    if chains.errors[0] is not None:
-        raise chains.errors[0]
-    return (RigidTransform(chains.rotations[0], chains.translations[0]),
-            RigidTransform(chains.gt_rotations[0], chains.gt_translations[0]))
+    """The one-stack case of _registration_chains, for the placement study's
+    re-registrations (its only caller): returns (t_est, t_gt) mapping patient
+    -> image/CArm coordinates, or raises the chain's SpineNavError."""
+    return _registration_chains(phantom, method.modality, [factors], noise, [rng],
+                                jitter_deg).transforms(0)
 
 
 def _run_trials(phantom: Phantom, methods: list, factors: list, config: StudyConfig,
@@ -795,6 +798,9 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
     genuine): registration images once per level, verification images per
     screw, one registration chain per screw placement. Outputs Table-shaped
     grade percentages (always rows A-E) and the radiation tally.
+
+    Each arm runs its screws' chains as one stacked pass, raising screw k's
+    error on reaching it; screw 0's re-registrations run one stack at a time.
     """
     if screws_per_arm < 1:
         raise BadInput("screws_per_arm must be >= 1")
@@ -805,23 +811,25 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
                     detector_sigma=config.noise.detector_sigma * noise_multiplier,
                     kinematic_sigma=config.noise.kinematic_sigma * noise_multiplier)
     scaled = replace(config, noise=noise)
+    pedicles = phantom.pedicles[:screws_per_arm]
+    levels = sorted({p.level.rsplit("-", 1)[0] for p in pedicles})
+    approvals, plans = [], {}
+    for pedicle in pedicles:
+        plan = _centered_plan(pedicle)
+        validation = validate_plan(plan, pedicle, safety_margin_mm=0.5)
+        approvals.append(Event(EventKind.APPROVE_PLAN, plan=plan, validation=validation))
+        plans[pedicle.level] = plan
+    cells = scaled.cells(scaled.modality)
     arms = []
     for arm_idx, (arm_name, mode, robot) in enumerate(
             (("navigation", Mode.NAVIGATION_ONLY, False),
              ("robot", Mode.ROBOT_ASSISTED, True))):
         method = Method(f"{arm_name}_placement", scaled.modality, robot)
-        pedicles = phantom.pedicles[:screws_per_arm]
-        levels = sorted({p.level.rsplit("-", 1)[0] for p in pedicles})
         session = new_session(mode, scaled.modality)
         session = advance(session, Event(EventKind.ACQUIRE_PREOP_CT))
         session = advance(session, Event(EventKind.SUBMIT_PATIENT_DATA))
-        plans = {}
-        for pedicle in pedicles:
-            plan = _centered_plan(pedicle)
-            validation = validate_plan(plan, pedicle, safety_margin_mm=0.5)
-            session = advance(session, Event(EventKind.APPROVE_PLAN, plan=plan,
-                                             validation=validation))
-            plans[pedicle.level] = plan
+        for event in approvals:
+            session = advance(session, event)
         session = advance(session, Event(EventKind.FINISH_PLANNING))
         session = advance(session, Event(EventKind.PREPARE_OT))
         session = advance(session, Event(EventKind.CALIBRATE_INSTRUMENTS))
@@ -834,14 +842,15 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
                 EventKind.ACQUIRE_REGISTRATION_IMAGES, scope=lv, views=("AP", "LP")))
         session = advance(session, Event(EventKind.BEGIN_REGISTRATION))
 
-        cells = scaled.cells(scaled.modality)
+        rngs = [_trial_rng(scaled.noise.seed + 7919 * (arm_idx + 1), 0, k)
+                for k in range(screws_per_arm)]
+        chains = _registration_chains(
+            phantom, scaled.modality, [cells[k % len(cells)] for k in range(screws_per_arm)],
+            scaled.noise, rngs, scaled.view_jitter_deg)
         grades = []
         registered = False
-        for s_idx, pedicle in enumerate(pedicles):
-            rng = _trial_rng(scaled.noise.seed + 7919 * (arm_idx + 1), 0, s_idx)
-            factors = cells[s_idx % len(cells)]
-            t_est, t_gt = _registration_transform(
-                phantom, method, factors, scaled.noise, rng, scaled.view_jitter_deg)
+        for s_idx, (pedicle, rng) in enumerate(zip(pedicles, rngs)):
+            t_est, t_gt = chains.transforms(s_idx)
             if not registered:
                 # submit for verification; a rejected registration loops back
                 # and is re-acquired, exactly as the workflow enforces
@@ -859,7 +868,7 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
                     except GuardFailed:
                         session = advance(session, Event(EventKind.RE_REGISTER))
                         t_est, t_gt = _registration_transform(
-                            phantom, method, factors, scaled.noise, rng,
+                            phantom, method, cells[0], scaled.noise, rng,
                             scaled.view_jitter_deg)
                 else:
                     raise DegenerateSpec(

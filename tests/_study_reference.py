@@ -1,4 +1,5 @@
-"""Per-trial reference forms of the accuracy study's registration chains.
+"""Per-trial reference forms of the accuracy study's registration chains
+and of the placement study's per-screw loop.
 
 These are the one-trial-at-a-time implementations that the stacked passes
 (calibration.*_batch, registration.register_points_batch, the simharness
@@ -7,6 +8,7 @@ oracle tests can require bit-identical results from the stacked code.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,21 +16,31 @@ from spinenav.errors import (
     BadInput,
     CoplanarPoints,
     DegenerateGeometry,
+    DegenerateSpec,
+    GuardFailed,
     ParallelRays,
     PointAtInfinity,
     SpineNavError,
     TooFewCommonLabels,
     TooFewPoints,
 )
-from spinenav.registration import fit_rigid
+from spinenav.registration import RegistrationResult, fit_rigid
 from spinenav.simharness import (
     _CALIBRATOR_OFFSETS,
     SOURCE_DETECTOR_DISTANCE_MM,
+    ArmResult,
+    PlacementStudyResult,
     TrialResult,
     _angle_multiplier,
+    _apply_error_to_plan,
+    _centered_plan,
+    _checked_trajectory,
+    _trial_rng,
 )
-from spinenav.geom import axis_basis, cross3
-from spinenav.workflow import Modality
+from spinenav.geom import RigidTransform, axis_basis, cross3
+from spinenav.planning import breach_depth, grade_gertzbein, grade_percent, validate_plan
+from spinenav.workflow import (Event, EventKind, Modality, Mode, advance, new_session,
+                               radiation_report)
 
 
 # -- guards -------------------------------------------------------------------------
@@ -284,3 +296,110 @@ def run_trial(phantom, method, factors, config, rng):
     err = np.linalg.norm(mapped - truth, axis=1)
     return TrialResult(method.label, method.modality, method.robot_assisted, factors,
                        float(np.sqrt(np.mean(err ** 2))))
+
+
+# -- placement study ----------------------------------------------------------------
+
+
+def _placement_transforms(phantom, modality, factors, noise, rng, jitter_deg):
+    """registration_transform as the RigidTransforms (t_est, t_gt)."""
+    (r_est, t_est), (r_gt, t_gt) = registration_transform(phantom, modality, factors,
+                                                          noise, rng, jitter_deg)
+    return RigidTransform(r_est, t_est), RigidTransform(r_gt, t_gt)
+
+
+def run_placement_study(config, phantom, screws_per_arm, noise_multiplier=1.0):
+    """simharness.run_placement_study, screw by screw: one chain per screw
+    placement, run when the session reaches that screw."""
+    if screws_per_arm < 1:
+        raise BadInput("screws_per_arm must be >= 1")
+    if screws_per_arm > len(phantom.pedicles):
+        raise BadInput(f"phantom has only {len(phantom.pedicles)} pedicles")
+    noise = replace(config.noise,
+                    tracker_sigma0=config.noise.tracker_sigma0 * noise_multiplier,
+                    detector_sigma=config.noise.detector_sigma * noise_multiplier,
+                    kinematic_sigma=config.noise.kinematic_sigma * noise_multiplier)
+    scaled = replace(config, noise=noise)
+    arms = []
+    for arm_idx, (arm_name, mode, robot) in enumerate(
+            (("navigation", Mode.NAVIGATION_ONLY, False),
+             ("robot", Mode.ROBOT_ASSISTED, True))):
+        pedicles = phantom.pedicles[:screws_per_arm]
+        levels = sorted({p.level.rsplit("-", 1)[0] for p in pedicles})
+        session = new_session(mode, scaled.modality)
+        session = advance(session, Event(EventKind.ACQUIRE_PREOP_CT))
+        session = advance(session, Event(EventKind.SUBMIT_PATIENT_DATA))
+        plans = {}
+        for pedicle in pedicles:
+            plan = _centered_plan(pedicle)
+            validation = validate_plan(plan, pedicle, safety_margin_mm=0.5)
+            session = advance(session, Event(EventKind.APPROVE_PLAN, plan=plan,
+                                             validation=validation))
+            plans[pedicle.level] = plan
+        session = advance(session, Event(EventKind.FINISH_PLANNING))
+        session = advance(session, Event(EventKind.PREPARE_OT))
+        session = advance(session, Event(EventKind.CALIBRATE_INSTRUMENTS))
+        session = advance(session, Event(EventKind.ATTACH_DRB))
+        if robot:
+            session = advance(session, Event(EventKind.POSITION_ROBOT_CART))
+        session = advance(session, Event(EventKind.MOUNT_CARM))
+        for lv in levels:
+            session = advance(session, Event(
+                EventKind.ACQUIRE_REGISTRATION_IMAGES, scope=lv, views=("AP", "LP")))
+        session = advance(session, Event(EventKind.BEGIN_REGISTRATION))
+
+        cells = scaled.cells(scaled.modality)
+        grades = []
+        registered = False
+        for s_idx, pedicle in enumerate(pedicles):
+            rng = _trial_rng(scaled.noise.seed + 7919 * (arm_idx + 1), 0, s_idx)
+            factors = cells[s_idx % len(cells)]
+            t_est, t_gt = _placement_transforms(
+                phantom, scaled.modality, factors, scaled.noise, rng, scaled.view_jitter_deg)
+            if not registered:
+                for _ in range(50):
+                    mapped = t_est.apply(phantom.fiducials.points)
+                    truth = t_gt.apply(phantom.fiducials.points)
+                    res = np.linalg.norm(mapped - truth, axis=1)
+                    reg = RegistrationResult(t_est, float(np.sqrt(np.mean(res ** 2))),
+                                             tuple(res), len(res))
+                    session = advance(session, Event(EventKind.SUBMIT_REGISTRATION,
+                                                     registration=reg))
+                    try:
+                        session = advance(session, Event(EventKind.BEGIN_NAVIGATION))
+                        break
+                    except GuardFailed:
+                        session = advance(session, Event(EventKind.RE_REGISTER))
+                        t_est, t_gt = _placement_transforms(
+                            phantom, scaled.modality, factors, scaled.noise, rng,
+                            scaled.view_jitter_deg)
+                else:
+                    raise DegenerateSpec(
+                        "registration never passed verification at this noise level")
+                registered = True
+            else:
+                session = advance(session, Event(EventKind.NEXT_SCREW))
+            if robot:
+                session = advance(session, Event(EventKind.POSITION_ROBOT,
+                                                 trajectory=_checked_trajectory()))
+            plan = plans[pedicle.level]
+            achieved = _apply_error_to_plan(
+                plan, t_est, t_gt,
+                scaled.noise.kinematic_sigma if robot else 0.0, rng)
+            session = advance(session, Event(EventKind.BEGIN_PLACEMENT,
+                                             level=pedicle.level))
+            screw_id = f"{pedicle.level}#{s_idx + 1}"
+            session = advance(session, Event(EventKind.CONFIRM_PLACEMENT,
+                                             level=pedicle.level, scope=screw_id,
+                                             achieved=achieved))
+            session = advance(session, Event(EventKind.ACQUIRE_VERIFICATION_IMAGES,
+                                             scope=screw_id, views=("AP", "LP")))
+            breach = breach_depth(achieved, pedicle)
+            grades.append((pedicle.level, breach, grade_gertzbein(breach).value))
+        session = advance(session, Event(EventKind.COMPLETE_SESSION))
+
+        report = radiation_report(session.acquisition_log, session.placed_screws)
+        percent = grade_percent(g for _, _, g in grades)
+        arms.append(ArmResult(arm_name, mode, tuple(grades), percent,
+                              report.mean_per_screw, report.to_csv()))
+    return PlacementStudyResult(tuple(arms), screws_per_arm)

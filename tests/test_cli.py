@@ -444,6 +444,20 @@ def test_calibrate_carm_coincident_detections_is_numerical_failure(tmp_path, cap
     assert "coincide" in err["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grade_zero_length_pedicle_axis_is_bad_input(tmp_path, capsys):
+    pedicles = _read_json(DATA / "pedicles.json")
+    pedicles[0]["axis_mm"][1] = pedicles[0]["axis_mm"][0]
+    path = tmp_path / "pedicles.json"
+    path.write_text(json.dumps(pedicles), encoding="utf-8")
+    code = main(["grade", "--screws", str(DATA / "achieved_screws.json"),
+                 "--pedicles", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == (
+        "BadInput", f"{path}: pedicle axis must have positive length")
+
+
 # -- malformed input documents ---------------------------------------------------------
 
 
@@ -556,12 +570,13 @@ def _corruptions(doc):
 
 
 # the corruptions a command accepts (exit 0), all of a name it only
-# carries along: the pivot file's comment, frame names, labels that need no
-# partner (auto2d leaves out a jig fiducial or a detection without one and
-# registers the other five), and the free text of a study report
+# carries along: the pivot file's comment, a frame name that is some other
+# string, labels that need no partner (auto2d leaves out a jig fiducial or a
+# detection without one and registers the other five), and the free text of
+# a study report
 ACCEPTED = {
     *(("calibrate pivot", "input", ("comment",), kind) for kind in (*_BAD, "drop")),
-    *((command, name, ("frame",), kind) for kind in _BAD
+    *((command, name, ("frame",), "x")
       for command, name in (("register points", "fixed"), ("register points", "moving"),
                             ("register icp", "surface"), ("register auto2d", "jig"))),
     *(("register auto2d", name, path, kind) for kind in _BAD

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinenav.errors import LevelMismatch, NegativeBreach
+from spinenav.errors import BadInput, LevelMismatch, NegativeBreach
 from spinenav.geom import axis_basis
 from spinenav.planning import (
     PedicleModel,
@@ -289,6 +289,11 @@ def test_pedicle_model_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match="finite"):
         PedicleModel("L3-left", values["p0"], values["p1"],
                      ((0.0, 4.0), (1.0, 4.0)))
+
+
+def test_pedicle_model_rejects_zero_length_axis():
+    with pytest.raises(BadInput, match="pedicle axis must have positive length"):
+        PedicleModel("L3-left", np.ones(3), np.ones(3), ((0.0, 4.0), (1.0, 4.0)))
 
 
 @pytest.mark.parametrize("profile", [

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinenav.errors import DegenerateGeometry, LabelMismatch, TooFewPoints
+from spinenav.errors import BadInput, DegenerateGeometry, LabelMismatch, TooFewPoints
 from spinenav.geom import RigidTransform, compose, invert
 from spinenav import meshes
 from spinenav.meshes import bumpy_ellipsoid, icosphere, sample_surface_points
@@ -107,6 +107,15 @@ def test_register_errors():
         register_points(_fidset(line), _fidset(line))
     # 3 points are fine when non-collinear
     assert register_points(s3, s3).n_points == 3
+
+
+@pytest.mark.parametrize("frame", [None, float("nan"), "", 3])
+def test_frames_must_be_non_empty_strings(frame):
+    with pytest.raises(BadInput, match="fiducial set frame must be a non-empty string"):
+        _fidset(TETRA, frame=frame)
+    surf = icosphere()
+    with pytest.raises(BadInput, match="surface frame must be a non-empty string"):
+        SurfaceModel(frame, surf.vertices, surf.triangles)
 
 
 def test_fit_rigid_batch_matches_single():

@@ -3,7 +3,7 @@ import pytest
 
 import _study_reference as reference
 from spinenav import simharness
-from spinenav.errors import DegenerateGeometry, DegenerateSpec, SpineNavError
+from spinenav.errors import DegenerateGeometry, DegenerateSpec, ParallelRays, SpineNavError
 from spinenav.simharness import (
     DEFAULT_METHODS,
     Method,
@@ -23,7 +23,7 @@ from spinenav.simharness import (
     study_report,
     summarize,
 )
-from spinenav.workflow import Modality
+from spinenav.workflow import EventKind, Modality
 
 PHANTOM = generate_phantom(PhantomSpec(), seed=42)
 ZERO_NOISE = NoiseModel(tracker_sigma0=0.0, detector_sigma=0.0, kinematic_sigma=0.0)
@@ -278,7 +278,7 @@ def test_run_trial_equals_per_trial_reference(method):
 
 
 def test_registration_transform_is_the_one_stack_chain():
-    # the placement study's per-chain entry point: same transforms as the
+    # the placement study's re-registration entry point: same transforms as the
     # reference, the generator left where the chain leaves it, and a failed
     # chain raises its own error
     cfg = StudyConfig(view_jitter_deg=60.0)
@@ -409,6 +409,57 @@ def test_placement_degrades_monotonically_with_noise_scale():
         for arm in res.arms:
             assert arm.grade_percent["A"] <= prev[arm.arm] + 1e-9
             prev[arm.arm] = arm.grade_percent["A"]
+
+
+def _placement_outcome(run, config, multiplier):
+    try:
+        return run(config, PH5, 10, noise_multiplier=multiplier)
+    except SpineNavError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("modality", list(Modality), ids=lambda m: m.name)
+@pytest.mark.parametrize("jitter", [5.0, 60.0])
+def test_placement_study_equals_per_screw_reference(modality, jitter):
+    # the stacked chain pass per arm against the screw-by-screw loop, on
+    # the reference chains: equal grades, percentages and radiation, or the
+    # same error at the same point
+    failures = set()
+    for multiplier in (1, 3, 6, 12):
+        for seed in (1, 2, 3):
+            cfg = StudyConfig(modality=modality, view_jitter_deg=jitter,
+                              noise=NoiseModel(seed=seed))
+            got = _placement_outcome(run_placement_study, cfg, multiplier)
+            assert got == _placement_outcome(reference.run_placement_study, cfg, multiplier)
+            if isinstance(got, tuple):
+                failures.add(got[0])
+    parallel = modality is Modality.INTRAOP_2D_AUTO_FIDUCIAL and jitter == 60.0
+    assert failures == {ParallelRays if parallel else DegenerateSpec}
+
+
+def test_placement_runs_one_chain_pass_per_arm(monkeypatch):
+    # one stacked pass over each arm's 10 screws, then one one-stack chain
+    # per re-registration of screw 0
+    calls = []
+    chain, step = simharness._registration_chains, simharness.advance
+
+    def counted(*args):
+        calls.append(len(args[4]))
+        return chain(*args)
+
+    def logged(session, event):
+        if event.kind is EventKind.RE_REGISTER:
+            calls.append("re-register")
+        return step(session, event)
+
+    monkeypatch.setattr(simharness, "_registration_chains", counted)
+    monkeypatch.setattr(simharness, "advance", logged)
+    run_placement_study(StudyConfig(noise=NoiseModel(seed=3)), PH5, 10, noise_multiplier=3)
+    second = calls.index(10, 1)
+    navigation, robot = calls[1:second], calls[second + 1:]
+    assert calls[0] == 10 and navigation and robot
+    for arm in (navigation, robot):
+        assert arm == ["re-register", 1] * (len(arm) // 2)
 
 
 def test_placement_rejects_bad_screw_counts():
