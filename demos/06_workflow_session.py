@@ -57,6 +57,6 @@ session = advance(session, Event(K.COMPLETE_SESSION))
 print("final phase:", session.phase.value)
 
 report = radiation_report(session.acquisition_log, session.placed_screws)
-print(f"\nC-arm exposures: {session.acquisition_log.count()} total, "
+print(f"\nC-arm exposures: {len(session.acquisition_log)} total, "
       f"{report.mean_per_screw:.1f} per screw")
 print(report.to_csv())

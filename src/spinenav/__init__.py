@@ -60,7 +60,6 @@ from .planning import (
     validate_plan,
 )
 from .workflow import (
-    AcquisitionLog,
     Event,
     EventKind,
     Modality,
@@ -72,7 +71,6 @@ from .workflow import (
     load_session,
     new_session,
     radiation_report,
-    record_acquisition,
     save_session,
 )
 from .simharness import (

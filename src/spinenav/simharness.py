@@ -600,16 +600,6 @@ def _triangulated_jigs(world: np.ndarray, factors: list, jitter: np.ndarray,
     return jigs
 
 
-def _registration_transform(phantom: Phantom, method: Method, factors: dict,
-                            noise: NoiseModel, rng: np.random.Generator,
-                            jitter_deg: float):
-    """The one-stack case of _registration_chains, for the placement study's
-    re-registrations (its only caller): returns (t_est, t_gt) mapping patient
-    -> image/CArm coordinates, or raises the chain's SpineNavError."""
-    return _registration_chains(phantom, method.modality, [factors], noise, [rng],
-                                jitter_deg).transforms(0)
-
-
 def _run_trials(phantom: Phantom, methods: list, factors: list, config: StudyConfig,
                 rngs: list) -> list:
     """Trials (factors[k], rngs[k]) of methods that share one stream key,
@@ -824,7 +814,6 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
     for arm_idx, (arm_name, mode, robot) in enumerate(
             (("navigation", Mode.NAVIGATION_ONLY, False),
              ("robot", Mode.ROBOT_ASSISTED, True))):
-        method = Method(f"{arm_name}_placement", scaled.modality, robot)
         session = new_session(mode, scaled.modality)
         session = advance(session, Event(EventKind.ACQUIRE_PREOP_CT))
         session = advance(session, Event(EventKind.SUBMIT_PATIENT_DATA))
@@ -867,9 +856,9 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
                         break
                     except GuardFailed:
                         session = advance(session, Event(EventKind.RE_REGISTER))
-                        t_est, t_gt = _registration_transform(
-                            phantom, method, cells[0], scaled.noise, rng,
-                            scaled.view_jitter_deg)
+                        t_est, t_gt = _registration_chains(
+                            phantom, scaled.modality, [cells[0]], scaled.noise, [rng],
+                            scaled.view_jitter_deg).transforms(0)
                 else:
                     raise DegenerateSpec(
                         "registration never passed verification at this noise level")

@@ -3,10 +3,11 @@ guards, C-arm acquisition accounting, a typed publish/subscribe module
 registry, and session persistence.
 
 The workflow runs two major stages (pre-op, intra-op) across 16 phases; the
-two robot phases exist only in robot-assisted mode. Guards are hard errors:
-navigation cannot start without an accepted registration, screw placement
-without a validated plan, robot positioning without a collision-checked
-trajectory. A rejected registration loops back to re-register.
+two robot phases exist only in robot-assisted mode. TRANSITIONS holds each
+mode's edges; advance looks the event up there, then runs the edge's guard.
+Guards are hard errors: navigation cannot start without an accepted
+registration, screw placement without a validated plan, robot positioning
+without a collision-checked trajectory. A rejected registration loops back.
 
 A session has one persisted form, its event log: a header line, then one
 JSON event per line. Loading replays the events through advance, so every
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -133,19 +134,6 @@ class AcquisitionEntry:
 
 
 @dataclass(frozen=True)
-class AcquisitionLog:
-    entries: tuple = ()
-
-    def count(self) -> int:
-        return len(self.entries)
-
-
-def record_acquisition(log: AcquisitionLog, entry: AcquisitionEntry) -> AcquisitionLog:
-    """Append-only update; returns a new log."""
-    return AcquisitionLog(log.entries + (entry,))
-
-
-@dataclass(frozen=True)
 class ScrewRecord:
     level: str
     screw_id: str
@@ -164,8 +152,13 @@ class SessionState:
     last_registration: RegistrationResult | None = None
     registration_accepted: bool = False
     placed_screws: tuple = ()          # ScrewRecord
-    acquisition_log: AcquisitionLog = field(default_factory=AcquisitionLog)
+    acquisition_log: tuple = ()        # AcquisitionEntry
     events: tuple = ()                 # applied event history
+
+    def __post_init__(self):
+        finite_scalars(self, "registration_threshold_mm")
+        if self.registration_threshold_mm < 0:
+            raise BadInput("SessionState registration_threshold_mm must be >= 0")
 
     def validated_levels(self) -> set:
         return {p.level for p in self.validated_plans}
@@ -187,129 +180,104 @@ def new_session(mode: Mode, modality: Modality,
 
 # -- transition machinery ------------------------------------------------------
 
+_SHARED_EDGES = {
+    (Phase.PRE_OP_IMAGING, EventKind.ACQUIRE_PREOP_CT): Phase.PATIENT_INPUT,
+    (Phase.PATIENT_INPUT, EventKind.SUBMIT_PATIENT_DATA): Phase.PLANNING,
+    (Phase.PLANNING, EventKind.APPROVE_PLAN): Phase.PLANNING,
+    (Phase.PLANNING, EventKind.FINISH_PLANNING): Phase.OT_PREPARATION,
+    (Phase.OT_PREPARATION, EventKind.PREPARE_OT): Phase.INSTRUMENT_CALIBRATION,
+    (Phase.INSTRUMENT_CALIBRATION, EventKind.CALIBRATE_INSTRUMENTS): Phase.DRB_ATTACHMENT,
+    (Phase.CARM_MOUNTING, EventKind.MOUNT_CARM): Phase.INTRA_OP_IMAGING,
+    (Phase.INTRA_OP_IMAGING, EventKind.ACQUIRE_REGISTRATION_IMAGES): Phase.INTRA_OP_IMAGING,
+    (Phase.INTRA_OP_IMAGING, EventKind.BEGIN_REGISTRATION): Phase.PATIENT_REGISTRATION,
+    (Phase.PATIENT_REGISTRATION, EventKind.SUBMIT_REGISTRATION):
+        Phase.REGISTRATION_VERIFICATION,
+    (Phase.REGISTRATION_VERIFICATION, EventKind.BEGIN_NAVIGATION): Phase.NAVIGATION,
+    (Phase.REGISTRATION_VERIFICATION, EventKind.RE_REGISTER): Phase.PATIENT_REGISTRATION,
+    (Phase.SCREW_PLACEMENT, EventKind.CONFIRM_PLACEMENT): Phase.VERIFICATION_IMAGING,
+    (Phase.VERIFICATION_IMAGING, EventKind.ACQUIRE_VERIFICATION_IMAGES):
+        Phase.VERIFICATION_IMAGING,
+    (Phase.VERIFICATION_IMAGING, EventKind.NEXT_SCREW): Phase.NAVIGATION,
+    (Phase.VERIFICATION_IMAGING, EventKind.COMPLETE_SESSION): Phase.COMPLETE,
+}
 
-def _advance_phase(session: SessionState, event: Event, phase: Phase,
-                   **changes) -> SessionState:
-    return replace(session, phase=phase, events=session.events + (event,),
-                   **changes)
+# Every edge of the workflow, per mode: (phase, event kind) -> next phase.
+# Each kind labels one edge per mode, so its guard can key on the kind alone.
+TRANSITIONS = {
+    Mode.NAVIGATION_ONLY: {
+        **_SHARED_EDGES,
+        (Phase.DRB_ATTACHMENT, EventKind.ATTACH_DRB): Phase.CARM_MOUNTING,
+        (Phase.NAVIGATION, EventKind.BEGIN_PLACEMENT): Phase.SCREW_PLACEMENT,
+    },
+    Mode.ROBOT_ASSISTED: {
+        **_SHARED_EDGES,
+        (Phase.DRB_ATTACHMENT, EventKind.ATTACH_DRB): Phase.ROBOT_CART_POSITIONING,
+        (Phase.ROBOT_CART_POSITIONING, EventKind.POSITION_ROBOT_CART): Phase.CARM_MOUNTING,
+        (Phase.NAVIGATION, EventKind.POSITION_ROBOT): Phase.ROBOT_POSITIONING,
+        (Phase.ROBOT_POSITIONING, EventKind.BEGIN_PLACEMENT): Phase.SCREW_PLACEMENT,
+    },
+}
+
+_IMAGING_PURPOSE = {EventKind.ACQUIRE_REGISTRATION_IMAGES: Purpose.REGISTRATION,
+                    EventKind.ACQUIRE_VERIFICATION_IMAGES: Purpose.VERIFICATION}
 
 
-def advance(session: SessionState, event: Event) -> SessionState:
-    """Apply one event. Raises IllegalTransition when the event has no edge
-    from the current phase (in the session's mode) and GuardFailed when the
-    edge exists but its guard rejects the payload."""
+def _guarded_changes(session: SessionState, event: Event) -> dict:
+    """Run the guard of the event's edge, if it has one, and return the
+    session fields the event sets besides phase and events."""
     kind = event.kind
-    phase = session.phase
-    robot = session.mode is Mode.ROBOT_ASSISTED
-
-    if phase is Phase.PRE_OP_IMAGING and kind is EventKind.ACQUIRE_PREOP_CT:
-        return _advance_phase(session, event, Phase.PATIENT_INPUT)
-
-    if phase is Phase.PATIENT_INPUT and kind is EventKind.SUBMIT_PATIENT_DATA:
-        return _advance_phase(session, event, Phase.PLANNING)
-
-    if phase is Phase.PLANNING and kind is EventKind.APPROVE_PLAN:
+    if kind is EventKind.APPROVE_PLAN:
         if event.plan is None or event.validation is None:
             raise GuardFailed("plan approval needs the plan and its validation")
         if not event.validation.accepted:
             raise GuardFailed(
                 f"plan for {event.plan.level} failed validation "
                 f"(breach {event.validation.breach_mm:.2f} mm)")
-        return _advance_phase(session, event, Phase.PLANNING,
-                              validated_plans=session.validated_plans + (event.plan,))
-
-    if phase is Phase.PLANNING and kind is EventKind.FINISH_PLANNING:
-        if not session.validated_plans:
-            raise GuardFailed("at least one validated plan is required")
-        return _advance_phase(session, event, Phase.OT_PREPARATION)
-
-    if phase is Phase.OT_PREPARATION and kind is EventKind.PREPARE_OT:
-        return _advance_phase(session, event, Phase.INSTRUMENT_CALIBRATION)
-
-    if phase is Phase.INSTRUMENT_CALIBRATION and kind is EventKind.CALIBRATE_INSTRUMENTS:
-        return _advance_phase(session, event, Phase.DRB_ATTACHMENT)
-
-    if phase is Phase.DRB_ATTACHMENT and kind is EventKind.ATTACH_DRB:
-        nxt = Phase.ROBOT_CART_POSITIONING if robot else Phase.CARM_MOUNTING
-        return _advance_phase(session, event, nxt)
-
-    if phase is Phase.ROBOT_CART_POSITIONING and kind is EventKind.POSITION_ROBOT_CART:
-        return _advance_phase(session, event, Phase.CARM_MOUNTING)
-
-    if phase is Phase.CARM_MOUNTING and kind is EventKind.MOUNT_CARM:
-        return _advance_phase(session, event, Phase.INTRA_OP_IMAGING)
-
-    if phase is Phase.INTRA_OP_IMAGING and kind is EventKind.ACQUIRE_REGISTRATION_IMAGES:
-        log = session.acquisition_log
-        for view in event.views:
-            log = record_acquisition(log, AcquisitionEntry(
-                event.scope or "session", Purpose.REGISTRATION, view,
-                event.timestamp))
-        return _advance_phase(session, event, Phase.INTRA_OP_IMAGING,
-                              acquisition_log=log)
-
-    if phase is Phase.INTRA_OP_IMAGING and kind is EventKind.BEGIN_REGISTRATION:
-        return _advance_phase(session, event, Phase.PATIENT_REGISTRATION)
-
-    if phase is Phase.PATIENT_REGISTRATION and kind is EventKind.SUBMIT_REGISTRATION:
+        return {"validated_plans": session.validated_plans + (event.plan,)}
+    if kind is EventKind.FINISH_PLANNING and not session.validated_plans:
+        raise GuardFailed("at least one validated plan is required")
+    if kind in _IMAGING_PURPOSE:
+        return {"acquisition_log": session.acquisition_log + tuple(
+            AcquisitionEntry(event.scope or "session", _IMAGING_PURPOSE[kind], view,
+                             event.timestamp) for view in event.views)}
+    if kind is EventKind.SUBMIT_REGISTRATION:
         if event.registration is None:
             raise GuardFailed("registration result payload required")
-        return _advance_phase(session, event, Phase.REGISTRATION_VERIFICATION,
-                              last_registration=event.registration,
-                              registration_accepted=False)
-
-    if phase is Phase.REGISTRATION_VERIFICATION and kind is EventKind.BEGIN_NAVIGATION:
+        return {"last_registration": event.registration, "registration_accepted": False}
+    if kind is EventKind.BEGIN_NAVIGATION:
         if session.last_registration is None:
             raise GuardFailed("no registration submitted")
         decision = verify_registration(session.last_registration,
                                        session.registration_threshold_mm)
         if not decision.accepted:
             raise GuardFailed(decision.reason)
-        return _advance_phase(session, event, Phase.NAVIGATION,
-                              registration_accepted=True)
-
-    if phase is Phase.REGISTRATION_VERIFICATION and kind is EventKind.RE_REGISTER:
-        return _advance_phase(session, event, Phase.PATIENT_REGISTRATION,
-                              last_registration=None,
-                              registration_accepted=False)
-
-    if phase is Phase.NAVIGATION and kind is EventKind.POSITION_ROBOT:
-        if not robot:
-            raise IllegalTransition(phase.value, kind.value)
-        if event.trajectory is None or not event.trajectory.collision_checked:
-            raise GuardFailed("robot positioning needs a collision-checked trajectory")
-        return _advance_phase(session, event, Phase.ROBOT_POSITIONING)
-
-    placement_source = Phase.ROBOT_POSITIONING if robot else Phase.NAVIGATION
-    if phase is placement_source and kind is EventKind.BEGIN_PLACEMENT:
-        if event.level is None or event.level not in session.validated_levels():
-            raise GuardFailed(f"no validated plan for level {event.level!r}")
-        return _advance_phase(session, event, Phase.SCREW_PLACEMENT)
-
-    if phase is Phase.SCREW_PLACEMENT and kind is EventKind.CONFIRM_PLACEMENT:
+        return {"registration_accepted": True}
+    if kind is EventKind.RE_REGISTER:
+        return {"last_registration": None, "registration_accepted": False}
+    if kind is EventKind.POSITION_ROBOT and (
+            event.trajectory is None or not event.trajectory.collision_checked):
+        raise GuardFailed("robot positioning needs a collision-checked trajectory")
+    if kind is EventKind.BEGIN_PLACEMENT and (
+            event.level is None or event.level not in session.validated_levels()):
+        raise GuardFailed(f"no validated plan for level {event.level!r}")
+    if kind is EventKind.CONFIRM_PLACEMENT:
         if event.level is None:
             raise GuardFailed("confirm_placement needs the screw level")
         screw_id = event.scope or f"{event.level}#{len(session.placed_screws) + 1}"
-        rec = ScrewRecord(event.level, screw_id, event.achieved)
-        return _advance_phase(session, event, Phase.VERIFICATION_IMAGING,
-                              placed_screws=session.placed_screws + (rec,))
+        return {"placed_screws": session.placed_screws
+                + (ScrewRecord(event.level, screw_id, event.achieved),)}
+    return {}
 
-    if phase is Phase.VERIFICATION_IMAGING and kind is EventKind.ACQUIRE_VERIFICATION_IMAGES:
-        log = session.acquisition_log
-        for view in event.views:
-            log = record_acquisition(log, AcquisitionEntry(
-                event.scope or "session", Purpose.VERIFICATION, view,
-                event.timestamp))
-        return _advance_phase(session, event, Phase.VERIFICATION_IMAGING,
-                              acquisition_log=log)
 
-    if phase is Phase.VERIFICATION_IMAGING and kind is EventKind.NEXT_SCREW:
-        return _advance_phase(session, event, Phase.NAVIGATION)
-
-    if phase is Phase.VERIFICATION_IMAGING and kind is EventKind.COMPLETE_SESSION:
-        return _advance_phase(session, event, Phase.COMPLETE)
-
-    raise IllegalTransition(phase.value, kind.value)
+def advance(session: SessionState, event: Event) -> SessionState:
+    """Apply one event. Raises IllegalTransition when TRANSITIONS has no edge
+    for it from the current phase (in the session's mode) and GuardFailed
+    when the edge exists but its guard rejects the payload."""
+    phase = TRANSITIONS[session.mode].get((session.phase, event.kind))
+    if phase is None:
+        raise IllegalTransition(session.phase.value, event.kind.value)
+    return replace(session, phase=phase, events=session.events + (event,),
+                   **_guarded_changes(session, event))
 
 
 # -- radiation accounting --------------------------------------------------------
@@ -342,8 +310,9 @@ class RadiationReport:
         return "\n".join(lines) + "\n"
 
 
-def radiation_report(log: AcquisitionLog, screws) -> RadiationReport:
-    """Per-screw image counts and their mean.
+def radiation_report(log, screws) -> RadiationReport:
+    """Per-screw image counts and their mean, from a log of AcquisitionEntry
+    (a session's acquisition_log).
 
     Attribution, most specific match first: an entry scoped to a screw id
     counts for that screw; scoped to a level it is split equally across that
@@ -361,7 +330,7 @@ def radiation_report(log: AcquisitionLog, screws) -> RadiationReport:
             by_level.setdefault(side_split[0], []).append(rec.screw_id)
     reg = {rec.screw_id: 0.0 for rec in screws}
     ver = {rec.screw_id: 0.0 for rec in screws}
-    for e in log.entries:
+    for e in log:
         bucket = ver if e.purpose is Purpose.VERIFICATION else reg
         if e.scope in reg:
             bucket[e.scope] += 1.0
@@ -392,13 +361,20 @@ class BusMessage:
     source_module: str
 
 
+def _names(names, what: str) -> frozenset:
+    """A collection of names; a bare string would read as its characters."""
+    if isinstance(names, str):
+        raise BadInput(f"{what} must be a collection of names, not the string {names!r}")
+    return frozenset(names)
+
+
 class ModuleHandle:
     """Subscription handle; delivered messages accumulate in order."""
 
     def __init__(self, name: str, layer: str, topics):
         self.name = name
         self.layer = layer
-        self.topics = frozenset(topics)
+        self.topics = _names(topics, "topics_subscribed")
         self.inbox: list = []
 
 
@@ -428,8 +404,11 @@ class ModuleRegistry:
 
     def declare_topic(self, topic: str, publish_layers) -> None:
         """Restrict publishing on a topic to the named layers."""
+        layers = _names(publish_layers, "publish_layers")
+        if not layers <= set(LAYERS):
+            raise BadInput(f"publish_layers must be among {LAYERS}, got {sorted(layers)}")
         with self._lock:
-            self._topic_layers[topic] = frozenset(publish_layers)
+            self._topic_layers[topic] = layers
 
     def publish(self, source_module: str, topic: str, payload) -> BusMessage:
         with self._lock:
@@ -591,10 +570,3 @@ def load_session(path) -> SessionState:
         raise SchemaVersionMismatch("malformed session header: not a header line")
     return session_from_dict({**header, "events": events})
 
-
-def save_event_trace(session: SessionState, path) -> None:
-    """The same file as save_session."""
-    save_session(session, path)
-
-
-replay_events = load_session

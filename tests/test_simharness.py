@@ -278,10 +278,15 @@ def test_run_trial_equals_per_trial_reference(method):
 
 
 def test_registration_transform_is_the_one_stack_chain():
-    # the placement study's re-registration entry point: same transforms as the
-    # reference, the generator left where the chain leaves it, and a failed
-    # chain raises its own error
+    # the placement study's re-registration, the one-stack chain: same
+    # transforms as the reference, the generator left where the chain leaves
+    # it, and a failed chain raises its own error
     cfg = StudyConfig(view_jitter_deg=60.0)
+
+    def one_stack(method, factors, rng):
+        return simharness._registration_chains(PHANTOM, method.modality, [factors],
+                                               cfg.noise, [rng], 60.0).transforms(0)
+
     failures = 0
     for method in (DEFAULT_METHODS[0], DEFAULT_METHODS[1]):
         for t in range(40):
@@ -292,12 +297,10 @@ def test_registration_transform_is_the_one_stack_chain():
                     PHANTOM, method.modality, factors, cfg.noise, ref_rng, 60.0)
             except SpineNavError as e:
                 with pytest.raises(type(e), match=str(e)):
-                    simharness._registration_transform(PHANTOM, method, factors, cfg.noise,
-                                                       rng, 60.0)
+                    one_stack(method, factors, rng)
                 failures += 1
                 continue
-            est, gt = simharness._registration_transform(PHANTOM, method, factors, cfg.noise,
-                                                         rng, 60.0)
+            est, gt = one_stack(method, factors, rng)
             assert np.array_equal(est.rotation, r_est) and np.array_equal(est.translation, t_est)
             assert np.array_equal(gt.rotation, r_gt) and np.array_equal(gt.translation, t_gt)
             assert rng.bit_generator.state == ref_rng.bit_generator.state

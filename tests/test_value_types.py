@@ -21,7 +21,8 @@ from spinenav.kinematics import Capsule, JointVector, RobotModel, Trajectory, de
 from spinenav.planning import (Grade, PedicleModel, PlanDeviation, PlanValidation, ScrewPlan,
                                grade_gertzbein)
 from spinenav.registration import FiducialSet, RegistrationResult, SurfaceModel, TrePrediction
-from spinenav.workflow import AcquisitionEntry, Event, EventKind, Purpose
+from spinenav.workflow import (AcquisitionEntry, Event, EventKind, Modality, Mode, Purpose,
+                               SessionState)
 
 _ROBOT = default_robot()
 
@@ -159,6 +160,8 @@ SCALAR_VALID = {
     Event: dict(kind=EventKind.ACQUIRE_PREOP_CT, timestamp=1.0),
     AcquisitionEntry: dict(scope="session", purpose=Purpose.REGISTRATION, view="AP",
                            timestamp=1.0),
+    SessionState: dict(mode=Mode.NAVIGATION_ONLY, modality=Modality.PREOP_CT_POINT_BASED,
+                       registration_threshold_mm=2.0),
 }
 
 SCALAR_FIELDS = [
@@ -173,6 +176,7 @@ SCALAR_FIELDS = [
     (PlanDeviation, "tip_offset_mm"),
     (Event, "timestamp"),
     (AcquisitionEntry, "timestamp"),
+    (SessionState, "registration_threshold_mm"),
 ]
 
 

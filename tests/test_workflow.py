@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinenav.errors import (
+    BadInput,
     DuplicateName,
     GuardFailed,
     IllegalTransition,
@@ -21,7 +22,6 @@ from spinenav.planning import PlanValidation, ScrewPlan
 from spinenav.registration import RegistrationResult
 from spinenav.workflow import (
     AcquisitionEntry,
-    AcquisitionLog,
     Event,
     EventKind as K,
     Modality,
@@ -30,13 +30,11 @@ from spinenav.workflow import (
     Phase,
     Purpose,
     SessionState,
+    TRANSITIONS,
     advance,
     load_session,
     new_session,
     radiation_report,
-    record_acquisition,
-    replay_events,
-    save_event_trace,
     save_session,
     session_from_dict,
     session_to_dict,
@@ -272,6 +270,7 @@ def test_model_check_guards_hold_on_all_reachable_paths(mode):
     frontier = [init]
     seen = {_abstract(init)}
     transitions = 0
+    edges = set()
     while frontier:
         state = frontier.pop()
         for ev in ALPHABET:
@@ -280,6 +279,7 @@ def test_model_check_guards_hold_on_all_reachable_paths(mode):
             except (GuardFailed, IllegalTransition):
                 continue
             transitions += 1
+            edges.add((state.phase, ev.kind))
             if new.phase in ROBOT_PHASES:
                 assert mode is Mode.ROBOT_ASSISTED
             if new.phase is Phase.NAVIGATION and state.phase is not Phase.NAVIGATION:
@@ -299,6 +299,21 @@ def test_model_check_guards_hold_on_all_reachable_paths(mode):
     assert transitions > 0
     if mode is Mode.NAVIGATION_ONLY:
         assert not any(k[0] in ROBOT_PHASES for k in seen)
+    # every edge of the table is taken on some reachable path: none is dead
+    assert edges == set(TRANSITIONS[mode])
+
+
+@pytest.mark.parametrize("mode", [Mode.NAVIGATION_ONLY, Mode.ROBOT_ASSISTED])
+def test_every_pair_outside_the_table_is_illegal(mode):
+    # the edge is looked up before any guard runs, so a missing edge is an
+    # IllegalTransition naming the pair even for an event without a payload
+    off_table = [(phase, kind) for phase in Phase for kind in K
+                 if (phase, kind) not in TRANSITIONS[mode]]
+    for phase, kind in off_table:
+        s = SessionState(mode=mode, modality=Modality.PREOP_CT_POINT_BASED, phase=phase)
+        with pytest.raises(IllegalTransition) as err:
+            advance(s, Event(kind))
+        assert (err.value.phase, err.value.event_kind) == (phase.value, kind.value)
 
 
 # -- radiation accounting --------------------------------------------------------
@@ -324,16 +339,15 @@ def test_default_policy_mean_is_three_for_any_level_count(n_levels):
 
 
 def test_radiation_empty_screw_list():
-    report = radiation_report(AcquisitionLog(), [])
+    report = radiation_report((), [])
     assert report.rows == ()
     assert report.mean_per_screw is None
 
 
 def test_radiation_session_scope_split():
-    log = AcquisitionLog()
+    log = ()
     for view in ("AP", "LP"):
-        log = record_acquisition(log, AcquisitionEntry("session",
-                                                       Purpose.REGISTRATION, view))
+        log = log + (AcquisitionEntry("session", Purpose.REGISTRATION, view),)
     from spinenav.workflow import ScrewRecord
     screws = [ScrewRecord("L1", "L1-1"), ScrewRecord("L1", "L1-2"),
               ScrewRecord("L2", "L2-1"), ScrewRecord("L2", "L2-2")]
@@ -357,7 +371,7 @@ def _screws_and_log(draw):
     entries = draw(st.lists(st.builds(
         AcquisitionEntry, st.sampled_from(scopes), st.sampled_from(list(Purpose)),
         st.sampled_from(["AP", "LP"])), max_size=40))
-    return screws, AcquisitionLog(tuple(entries))
+    return screws, tuple(entries)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -368,19 +382,19 @@ def test_radiation_shares_sum_to_the_log(screws_and_log):
     # total over the screw count
     screws, log = screws_and_log
     report = radiation_report(log, screws)
-    n_ver = sum(e.purpose is Purpose.VERIFICATION for e in log.entries)
-    n_reg = log.count() - n_ver
+    n_ver = sum(e.purpose is Purpose.VERIFICATION for e in log)
+    n_reg = len(log) - n_ver
     assert [r.screw_id for r in report.rows] == [s.screw_id for s in screws]
     assert sum(r.registration_images for r in report.rows) == pytest.approx(n_reg)
     assert sum(r.verification_images for r in report.rows) == pytest.approx(n_ver)
-    assert report.mean_per_screw == pytest.approx(log.count() / len(screws))
+    assert report.mean_per_screw == pytest.approx(len(log) / len(screws))
 
 
 def test_acquisition_counts_replayable_from_trace(tmp_path):
     s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1", "L2"))
     trace = tmp_path / "events.jsonl"
-    save_event_trace(s, trace)
-    replayed = replay_events(trace)
+    save_session(s, trace)
+    replayed = load_session(trace)
     assert replayed.acquisition_log == s.acquisition_log
     assert radiation_report(replayed.acquisition_log, replayed.placed_screws) \
         == radiation_report(s.acquisition_log, s.placed_screws)
@@ -443,6 +457,22 @@ def test_bus_publishes_safely_from_many_threads():
     assert seqs == sorted(seqs)  # delivered in sequence order
 
 
+def test_bus_rejects_a_string_of_topics():
+    # a bare string would subscribe to its characters
+    reg = ModuleRegistry()
+    with pytest.raises(BadInput, match="topics_subscribed"):
+        reg.register_module("a", "Software", "pose")
+    assert reg.register_module("a", "Software", ("pose",)).topics == {"pose"}
+
+
+@pytest.mark.parametrize("layers", ["Hardware", ("Hardware", "Cloud")],
+                         ids=["string", "unknown_layer"])
+def test_bus_declare_topic_rejects_bad_layers(layers):
+    # a bare string would allow only its characters, refusing every publisher
+    with pytest.raises(BadInput, match="publish_layers"):
+        ModuleRegistry().declare_topic("motor_current", layers)
+
+
 def test_bus_layer_restriction():
     reg = ModuleRegistry()
     reg.register_module("driver", "Software")
@@ -485,16 +515,16 @@ def test_replay_empty_trace_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text("\n", encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch):
-        replay_events(path)
+        load_session(path)
 
 
 def test_replay_malformed_line_rejected(tmp_path):
     s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
     path = tmp_path / "events.jsonl"
-    save_event_trace(s, path)
+    save_session(s, path)
     path.write_text(path.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch):
-        replay_events(path)
+        load_session(path)
 
 
 @pytest.mark.parametrize("line", [
@@ -507,12 +537,12 @@ def test_replay_malformed_line_rejected(tmp_path):
 def test_replay_malformed_event_rejected(tmp_path, line):
     s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
     path = tmp_path / "events.jsonl"
-    save_event_trace(s, path)
+    save_session(s, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     lines.insert(2, line)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch, match="line 3"):
-        replay_events(path)
+        load_session(path)
 
 
 @pytest.mark.parametrize("key, sub, value", [
@@ -549,7 +579,7 @@ def test_replay_malformed_header_rejected(tmp_path, header):
     path = tmp_path / "events.jsonl"
     path.write_text(json.dumps(header) + "\n", encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch, match="header"):
-        replay_events(path)
+        load_session(path)
 
 
 @pytest.mark.parametrize("event, error", [
@@ -559,23 +589,22 @@ def test_replay_malformed_header_rejected(tmp_path, header):
 def test_replay_propagates_advance_errors(tmp_path, event, error):
     s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
     path = tmp_path / "events.jsonl"
-    save_event_trace(s, path)
+    save_session(s, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     lines.insert(3, json.dumps(event))  # after acquire_preop_ct, submit_patient_data
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(error):
-        replay_events(path)
+        load_session(path)
 
 
 def test_replay_unreadable_file_is_io_failure(tmp_path):
     with pytest.raises(IOFailure):
-        replay_events(tmp_path / "missing.jsonl")
+        load_session(tmp_path / "missing.jsonl")
     with pytest.raises(IOFailure):
-        replay_events(tmp_path)  # a directory
+        load_session(tmp_path)  # a directory
 
 
-@pytest.mark.parametrize("save", [save_session, save_event_trace])
-def test_failed_save_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, save):
+def test_failed_save_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
     path = tmp_path / "out.json"
     path.write_text("old contents", encoding="utf-8")
     s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
@@ -585,7 +614,7 @@ def test_failed_save_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, sa
 
     monkeypatch.setattr("os.replace", fail)
     with pytest.raises(IOFailure):
-        save(s, path)
+        save_session(s, path)
     assert path.read_text(encoding="utf-8") == "old contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -603,6 +632,28 @@ def test_save_into_missing_directory_is_io_failure(tmp_path):
     with pytest.raises(IOFailure):
         save_session(s, tmp_path / "missing" / "session.json")
     assert not list(tmp_path.iterdir())
+
+
+def test_new_session_rejects_a_negative_threshold():
+    # non-finite thresholds are covered with the other float fields
+    with pytest.raises(BadInput, match="registration_threshold_mm"):
+        new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED, -1.0)
+    assert new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED,
+                       0.0).registration_threshold_mm == 0.0
+
+
+def test_load_rejects_an_infinite_threshold(tmp_path):
+    # json writes inf as Infinity and reads it back: such a header would
+    # accept every registration on replay
+    s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1",))
+    path = tmp_path / "session.jsonl"
+    save_session(s, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"registration_threshold_mm": 2.0',
+                                 '"registration_threshold_mm": Infinity', 1),
+                    encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match="header"):
+        load_session(path)
 
 
 def test_schema_version_checked_in_dict():
@@ -628,7 +679,7 @@ def _old_snapshot(session, **edits):
                             "achieved": None} for r in session.placed_screws],
          "acquisition_log": [{"scope": e.scope, "purpose": e.purpose.value,
                               "view": e.view, "timestamp": e.timestamp}
-                             for e in session.acquisition_log.entries],
+                             for e in session.acquisition_log],
          "events": session_to_dict(session)["events"]}
     d.update(edits)
     return json.dumps(d, sort_keys=True)
@@ -650,7 +701,7 @@ def test_load_replays_guards_instead_of_trusting_a_stored_phase(tmp_path):
         load_session(path)
     # the same claim in the event log: BEGIN_NAVIGATION without a
     # registration is refused by the transition table on load
-    save_event_trace(empty, path)
+    save_session(empty, path)
     path.write_text(path.read_text(encoding="utf-8")
                     + json.dumps({"kind": "begin_navigation"}) + "\n", encoding="utf-8")
     with pytest.raises(IllegalTransition):
@@ -661,15 +712,14 @@ def test_replay_rejects_an_old_snapshot_file(tmp_path):
     s = _run_full_session(Mode.ROBOT_ASSISTED, ("L1",))
     path = tmp_path / "session.json"
     path.write_text(_old_snapshot(s), encoding="utf-8")
-    for load in (replay_events, load_session):
-        with pytest.raises(SchemaVersionMismatch, match="header"):
-            load(path)
+    with pytest.raises(SchemaVersionMismatch, match="header"):
+        load_session(path)
 
 
 def test_load_session_reads_an_event_trace_and_types_a_bad_mode(tmp_path):
     s = _run_full_session(Mode.NAVIGATION_ONLY, ("L1", "L2"))
     trace = tmp_path / "events.jsonl"
-    save_event_trace(s, trace)
+    save_session(s, trace)
     back = load_session(trace)
     assert back == s
     assert back.phase is Phase.COMPLETE
