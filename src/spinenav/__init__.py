@@ -15,7 +15,7 @@ Subpackages by concern:
 
 __version__ = "0.1.0"
 
-from .geom import FrameGraph, RigidTransform, compose, invert, resolve, transform_point
+from .geom import FrameGraph, RigidTransform, compose, invert, resolve
 from .registration import (
     FiducialSet,
     RegistrationResult,
@@ -23,13 +23,11 @@ from .registration import (
     icp_register,
     predict_tre,
     register_points,
-    rmse_paired,
     verify_registration,
 )
 from .calibration import (
     Detection2D,
     ProjectionModel,
-    ToolDefinition,
     detect_fiducials,
     dlt_calibrate,
     pivot_calibrate,
@@ -83,6 +81,5 @@ from .simharness import (
     run_placement_study,
     run_study,
     run_trial,
-    sample_noisy_measurement,
     summarize,
 )

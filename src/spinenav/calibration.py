@@ -8,9 +8,7 @@ patient registration chain that ties them together.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,31 +27,11 @@ from .errors import (
     TooFewPoses,
     raised_where,
 )
-from .fileio import atomic_write
 from .geom import (ArrayValue, RigidTransform, all_finite, cross3, finite_scalars,
                    frozen_array, row_dot)
 from .registration import FiducialSet, RegistrationResult, register_points
 
 VIEW_LABELS = ("AP", "LP")
-
-
-@dataclass(frozen=True, eq=False)
-class ToolDefinition(ArrayValue):
-    """Calibrated tracked tool: tip offset and working axis in the body frame."""
-
-    body_frame: str
-    tip_offset: np.ndarray
-    axis: np.ndarray
-    calib_residual_rms: float
-
-    def __post_init__(self):
-        frozen_array(self, "tip_offset", self.tip_offset, 3)
-        ax = frozen_array(self, "axis", self.axis, 3)
-        finite_scalars(self, "calib_residual_rms")
-        if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
-            raise BadInput("tool axis must be a unit vector")
-        if self.calib_residual_rms < 0.0:
-            raise BadInput("calibration residual cannot be negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +46,6 @@ class PivotResult(ArrayValue):
         for name in ("tip_offset", "pivot_point"):
             frozen_array(self, name, getattr(self, name), 3)
         finite_scalars(self, "residual_rms")
-
-    def tool_definition(self, body_frame: str = "ToolBody",
-                        axis=None) -> ToolDefinition:
-        """Package as a ToolDefinition; axis defaults to the tip direction."""
-        a = np.asarray(axis, float) if axis is not None else np.array(self.tip_offset)
-        a = a / np.linalg.norm(a)
-        return ToolDefinition(body_frame, self.tip_offset, a, self.residual_rms)
 
 
 def pivot_calibrate(poses, min_poses: int = 10) -> PivotResult:
@@ -130,10 +101,6 @@ class ProjectionModel(ArrayValue):
         are the caller's responsibility; see dlt_calibrate)."""
         m = np.array(matrix, dtype=float).reshape(3, 4)
         return ProjectionModel(scale_normalized(m), view_label, frame)
-
-    def camera_center(self) -> np.ndarray:
-        m = self.matrix
-        return -np.linalg.solve(m[:, :3], m[:, 3])
 
     def to_dict(self) -> dict:
         return {"view": self.view_label,
@@ -459,36 +426,6 @@ class SyntheticProjectionImage(ArrayValue):
         return np.stack([self.origin_mm[0] + np.asarray(cols) * self.mm_per_pixel,
                          self.origin_mm[1] + np.asarray(rows) * self.mm_per_pixel],
                         axis=-1)
-
-
-def write_projection_image(image: SyntheticProjectionImage, path) -> None:
-    """Write the raster as binary PGM (P5, 16-bit big-endian) plus a JSON
-    sidecar '<path>.json' carrying the detector geometry."""
-    path = Path(path)
-    h, w = image.pixels.shape
-    atomic_write(path, f"P5\n{w} {h}\n65535\n".encode("ascii")
-                 + image.pixels.astype(">u2").tobytes())
-    sidecar = {"view": image.view_label,
-               "mm_per_pixel": image.mm_per_pixel,
-               "origin_mm": [float(v) for v in image.origin_mm]}
-    atomic_write(Path(str(path) + ".json"), json.dumps(sidecar))
-
-
-def read_projection_image(path) -> SyntheticProjectionImage:
-    path = Path(path)
-    raw = path.read_bytes()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise BadInput("expected binary PGM (P5)")
-    w, h = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    if maxval != 65535:
-        raise BadInput("expected 16-bit PGM")
-    pixels = np.frombuffer(parts[3][:2 * w * h], dtype=">u2").reshape(h, w)
-    sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    return SyntheticProjectionImage(sidecar["view"], pixels.astype(np.uint16),
-                                    float(sidecar["mm_per_pixel"]),
-                                    np.asarray(sidecar["origin_mm"], float))
 
 
 def render_fiducial_raster(uv_points, view_label: str,

@@ -9,29 +9,12 @@ chain, so cycles are rejected outright.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadInput, CycleDetected, NoPath
-
-# Frames are plain string identifiers. These are the canonical names used by
-# the workflow; the graph accepts any identifier (e.g. an extra tracked guard
-# body) with no special semantics.
-CANONICAL_FRAMES = (
-    "Tracker",
-    "DRB",
-    "Patient",
-    "PreOpImage",
-    "IntraOpImage",
-    "CArm",
-    "ToolBody",
-    "ToolTip",
-    "RobotBase",
-    "RobotFlange",
-)
 
 _ORTHO_TOL = 1e-9
 _REORTHO_TRIGGER = 1e-12
@@ -258,11 +241,6 @@ def invert(t: RigidTransform) -> RigidTransform:
     return RigidTransform(r, -(r @ t.translation))
 
 
-def transform_point(t: RigidTransform, p):
-    """Apply t to a point or point stack (isometry; preserves distances)."""
-    return t.apply(p)
-
-
 # -- JSON wire format --------------------------------------------------------
 
 def transform_to_dict(t: RigidTransform) -> dict:
@@ -274,14 +252,6 @@ def transform_to_dict(t: RigidTransform) -> dict:
 def transform_from_dict(d: dict) -> RigidTransform:
     return RigidTransform(np.asarray(d["r"], dtype=float).reshape(3, 3),
                           np.asarray(d["t"], dtype=float))
-
-
-def transform_to_json(t: RigidTransform) -> str:
-    return json.dumps(transform_to_dict(t))
-
-
-def transform_from_json(s: str) -> RigidTransform:
-    return transform_from_dict(json.loads(s))
 
 
 # -- frame graph -------------------------------------------------------------
@@ -333,13 +303,6 @@ class FrameGraph:
     def with_edge(self, src: str, dst: str, transform: RigidTransform,
                   timestamp: float = 0.0) -> "FrameGraph":
         return FrameGraph(self.edges + (FrameEdge(src, dst, transform, timestamp),))
-
-    def frames(self) -> set:
-        out = set()
-        for e in self.edges:
-            out.add(e.src)
-            out.add(e.dst)
-        return out
 
     def resolve(self, src: str, dst: str) -> RigidTransform:
         return resolve(self, src, dst)

@@ -4,16 +4,16 @@ capsule-based collision checking.
 The robot is described by standard Denavit-Hartenberg rows; forward
 kinematics is the product of the six link transforms, for one joint row or a
 stack of rows, and inverse kinematics is damped least squares with adaptive
-damping and seeded restarts. Tool-axis targets are 5-DOF tasks (roll about
-the tool axis is free), and the planner exploits that free roll to steer
-around obstacles. Collision checking fills one clearance table (rows x link
-capsules x obstacles) per planning phase; one-configuration queries are
-one-row views of it.
+damping and restarts. The restart starts come from one fixed generator, so
+ik depends only on (target, seed) and every plan is reproducible. Tool-axis
+targets are 5-DOF tasks (roll about the tool axis is free), and the planner
+exploits that free roll to steer around obstacles. Collision checking fills
+one clearance table (rows x link capsules x obstacles) per planning phase;
+one-configuration queries are one-row views of it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -84,31 +84,10 @@ class RobotModel(ArrayValue):
         object.__setattr__(self, "_dh_links", links)
         object.__setattr__(self, "reach_mm", float(np.sum(np.hypot(dh[:, 0], dh[:, 2]))))
 
-    def clamp(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
-
     def within_limits(self, q, tol: float = 1e-9) -> bool:
         q = np.asarray(q, dtype=float)
         return bool(np.all(q >= self.joint_limits[:, 0] - tol)
                     and np.all(q <= self.joint_limits[:, 1] + tol))
-
-    def to_dict(self) -> dict:
-        return {
-            "dh_rows": [[float(v) for v in row] for row in self.dh_rows],
-            "joint_limits": [[float(v) for v in row] for row in self.joint_limits],
-            "link_capsules": [
-                [{"p0": [float(v) for v in c.p0], "p1": [float(v) for v in c.p1],
-                  "radius": c.radius} for c in link]
-                for link in self.link_capsules],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RobotModel":
-        caps = tuple(tuple(Capsule(np.asarray(c["p0"]), np.asarray(c["p1"]),
-                                   float(c["radius"])) for c in link)
-                     for link in d["link_capsules"])
-        return RobotModel(np.asarray(d["dh_rows"], float),
-                          np.asarray(d["joint_limits"], float), caps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,30 +126,8 @@ class Trajectory(ArrayValue):
             return 0.0
         return float(np.max(np.abs(np.diff(self.joints, axis=0))))
 
-    def final_joints(self) -> np.ndarray:
-        return self.joints[-1]
-
     def with_collision_checked(self) -> "Trajectory":
         return Trajectory(self.times, self.joints, self.planning_mode, True)
-
-    def to_csv(self) -> str:
-        lines = ["time_s,q1,q2,q3,q4,q5,q6"]
-        for t, q in zip(self.times, self.joints):
-            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in q]))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str, planning_mode: str = "loaded",
-                 collision_checked: bool = False) -> "Trajectory":
-        rows = [r.split(",") for r in text.strip().splitlines()[1:] if r]
-        if not rows:
-            raise BadInput("trajectory CSV has no sample rows")
-        short = [k for k, fields in enumerate(rows, start=1) if len(fields) != 7]
-        if short:
-            raise BadInput(f"trajectory CSV sample row {short[0]} does not have "
-                           "7 fields (time_s, q1-q6)")
-        vals = np.array([[float(v) for v in fields] for fields in rows])
-        return Trajectory(vals[:, 0], vals[:, 1:7], planning_mode, collision_checked)
 
 
 @dataclass(frozen=True)
@@ -335,9 +292,10 @@ def _wrap_into_limits(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def ik(model: RobotModel, target: RigidTransform, seed: JointVector,
-       restart_seed: int = 0) -> JointVector:
-    """Inverse kinematics by damped least squares with seeded restarts.
+def ik(model: RobotModel, target: RigidTransform, seed: JointVector) -> JointVector:
+    """Inverse kinematics by damped least squares from seed, then from up to
+    IK_RESTARTS starts drawn in order from np.random.default_rng(0) within
+    the joint limits: the result depends only on (target, seed).
 
     Each attempt converges unconstrained, then revolute joints are wrapped
     by 2 pi into their ranges; a wrapped in-limit solution is returned, so
@@ -352,7 +310,7 @@ def ik(model: RobotModel, target: RigidTransform, seed: JointVector,
     converged_any = False
     for attempt in range(IK_RESTARTS + 1):
         if attempt == 1:  # most calls converge from the seed: no generator
-            rng = np.random.default_rng(restart_seed)
+            rng = np.random.default_rng(0)
         q0 = (seed.q if attempt == 0 else
               rng.uniform(model.joint_limits[:, 0], model.joint_limits[:, 1]))
         q, ok = _dls_solve(model, target, q0)
@@ -412,11 +370,11 @@ class _Approach:
 
 
 def _approach(model: RobotModel, start: JointVector, entry, direction,
-              standoff_mm: float, roll, ik_restart_seed: int) -> _Approach:
+              standoff_mm: float, roll) -> _Approach:
     """Phase 1 of a plan at one roll: one ik call, then the quintic knots."""
     r_tool = _axis_frame(direction, roll)
     q_approach = ik(model, RigidTransform(r_tool, entry - standoff_mm * direction),
-                    start, restart_seed=ik_restart_seed).q
+                    start).q
     dq = q_approach - start.q
     t1 = max(float(np.max(np.abs(dq))) / JOINT_SPEED_RAD_S, 0.5)
     tau = np.linspace(0.0, 1.0, 25)
@@ -425,7 +383,7 @@ def _approach(model: RobotModel, start: JointVector, entry, direction,
 
 
 def _descent(model: RobotModel, approach: _Approach, entry, direction,
-             standoff_mm: float, ik_restart_seed: int) -> Trajectory:
+             standoff_mm: float) -> Trajectory:
     """Phase 2 of a plan: the straight-line descent along the axis onto the
     entry point, one ik per step of at most 1 mm (at least two steps; none
     for a zero standoff), densified. Its first row is the approach's last
@@ -436,8 +394,7 @@ def _descent(model: RobotModel, approach: _Approach, entry, direction,
     q_prev = JointVector(approach.q)
     for k in range(1, n_steps + 1):
         tip = approach_tip + (k / n_steps) * standoff_mm * direction
-        q_prev = ik(model, RigidTransform(approach.r_tool, tip), q_prev,
-                    restart_seed=ik_restart_seed)
+        q_prev = ik(model, RigidTransform(approach.r_tool, tip), q_prev)
         times.append(times[-1] + (standoff_mm / n_steps) / DESCENT_SPEED_MM_S)
         joints.append(q_prev.q)
     return densify(Trajectory(times, joints))
@@ -452,8 +409,7 @@ def _joined(approach_rows: Trajectory, descent_rows: Trajectory) -> Trajectory:
 
 
 def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
-                    standoff_mm: float, roll: float = 0.0,
-                    ik_restart_seed: int = 0) -> Trajectory:
+                    standoff_mm: float, roll: float = 0.0) -> Trajectory:
     """Two-phase plan to a screw axis: joint-space quintic to an approach
     pose (tool axis aligned, tip standoff_mm short of the entry), then a
     straight-line task-space descent along the axis onto the entry point.
@@ -464,11 +420,9 @@ def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
     _axis_target), Unreachable / LimitViolation from ik.
     """
     entry, direction = _axis_target(tool_axis_target, standoff_mm)
-    approach = _approach(model, start, entry, direction, standoff_mm, roll,
-                         ik_restart_seed)
+    approach = _approach(model, start, entry, direction, standoff_mm, roll)
     return _joined(densify(approach.knots),
-                   _descent(model, approach, entry, direction, standoff_mm,
-                            ik_restart_seed))
+                   _descent(model, approach, entry, direction, standoff_mm))
 
 
 def densify(traj: Trajectory) -> Trajectory:
@@ -517,17 +471,6 @@ def _segment_distances(p0, p1, q0, q1) -> np.ndarray:
     return np.sqrt(dot(gap, gap))
 
 
-def segment_segment_distance(p0, p1, q0, q1) -> float:
-    """Minimum distance between segments [p0, p1] and [q0, q1]."""
-    return float(_segment_distances(*(np.asarray(v, dtype=float)
-                                      for v in (p0, p1, q0, q1))))
-
-
-def capsule_distance(a: Capsule, b: Capsule) -> float:
-    """Surface clearance between two capsules (negative when penetrating)."""
-    return segment_segment_distance(a.p0, a.p1, b.p0, b.p1) - a.radius - b.radius
-
-
 def _capsule_arrays(capsules):
     """Endpoints p0 (K, 3), p1 (K, 3) and radii (K,) of K capsules."""
     return (np.array([c.p0 for c in capsules]).reshape(-1, 3),
@@ -545,13 +488,6 @@ def _world_axes(model: RobotModel, q):
     rot, origin = m[..., :3, :3], m[..., :3, 3]
     return (link, (rot @ p0[..., None])[..., 0] + origin,
             (rot @ p1[..., None])[..., 0] + origin, radii)
-
-
-def _world_capsules(model: RobotModel, q):
-    """Link capsules mapped through the fk chain; yields (link_index, Capsule)."""
-    link, p0, p1, radii = _world_axes(model, q)
-    for k, i in enumerate(link):
-        yield i, Capsule(p0[0, k], p1[0, k], radii[k])
 
 
 def _clearance_table(model: RobotModel, scene: CollisionScene, q):
@@ -584,8 +520,7 @@ def _clear(model: RobotModel, scene: CollisionScene, q) -> bool:
 
 
 def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
-              tool_axis_target, standoff_mm: float,
-              ik_restart_seed: int = 0) -> Trajectory:
+              tool_axis_target, standoff_mm: float) -> Trajectory:
     """plan_trajectory, densified, with every row's clearance at least the
     safety margin, tried at up to 8 rolls about the free tool axis.
 
@@ -603,16 +538,14 @@ def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
     def descent(approach: _Approach):
         """The approach's densified descent, or None where ik fails."""
         try:
-            return _descent(model, approach, entry, direction, standoff_mm,
-                            ik_restart_seed)
+            return _descent(model, approach, entry, direction, standoff_mm)
         except (Unreachable, LimitViolation):
             return None
 
     any_planned, skipped = False, []
     for roll in np.arange(8) * (2.0 * np.pi / 8.0):
         try:
-            approach = _approach(model, start, entry, direction, standoff_mm, roll,
-                                 ik_restart_seed)
+            approach = _approach(model, start, entry, direction, standoff_mm, roll)
         except (Unreachable, LimitViolation):
             continue
         rows = densify(approach.knots)
@@ -677,10 +610,3 @@ def default_robot() -> RobotModel:
     ])
     return RobotModel(dh, limits, _default_link_capsules(dh))
 
-
-def robot_to_json(model: RobotModel) -> str:
-    return json.dumps(model.to_dict())
-
-
-def robot_from_json(s: str) -> RobotModel:
-    return RobotModel.from_dict(json.loads(s))

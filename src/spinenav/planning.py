@@ -86,9 +86,6 @@ class PedicleModel(ArrayValue):
         svals, rvals = zip(*self.radius_profile)
         return np.interp(np.clip(s, 0.0, 1.0), svals, rvals)
 
-    def max_radius(self) -> float:
-        return max(r for _, r in self.radius_profile)
-
     def axis_length(self) -> float:
         return float(np.linalg.norm(self.p1 - self.p0))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +84,6 @@ class FiducialSet(ArrayValue):
     def from_dict(d: dict) -> "FiducialSet":
         return FiducialSet.from_pairs(d["frame"],
                                       [(p["label"], p["xyz_mm"]) for p in d["points"]])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(s: str) -> "FiducialSet":
-        return FiducialSet.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -352,14 +344,6 @@ def register_points(fixed: FiducialSet, moving: FiducialSet) -> RegistrationResu
     residuals = np.linalg.norm(fixed.points - t.apply(moving_matched.points), axis=1)
     return RegistrationResult(t, float(np.sqrt(np.mean(residuals ** 2))),
                               tuple(residuals), len(fixed))
-
-
-def rmse_paired(a: FiducialSet, b: FiducialSet) -> float:
-    """RMS distance between label-matched fiducials of two sets."""
-    if set(a.labels) != set(b.labels):
-        raise LabelMismatch("sets carry different labels")
-    d = a.points - b.subset(a.labels).points
-    return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
 
 
 def predict_tre(fiducials: FiducialSet, fle_rms: float, target) -> TrePrediction:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import calibration as cal
-from .errors import BadInput, DegenerateSpec, GuardFailed, SpineNavError
+from .errors import BadInput, DegenerateSpec, GuardFailed
 from .fileio import atomic_write, csv_with_provenance, provenance, write_json
 from .geom import (RigidTransform, axis_basis, check_rigid, compose, cross3,
                    finite_scalars, invert, quaternion_rotations, row_dot)
@@ -129,20 +129,6 @@ def _anisotropic(noise: NoiseModel, sigma, basis, g: np.ndarray) -> np.ndarray:
                     + noise.depth_anisotropy * g[..., 2:3] * axis)
 
 
-def sample_noisy_measurement(noise: NoiseModel, true_point, tracker_distance: float,
-                             view_axis, rng: np.random.Generator | None = None):
-    """One noisy 3D measurement of true_point (3,), or of each point of a
-    stack (N, 3): anisotropic tracker noise at sigma(d) per axis, scaled by
-    depth_anisotropy along the viewing axis. Pass an explicit generator to
-    draw a stream; without one, a fresh generator from noise.seed is used
-    (so repeated calls return the same draw)."""
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
-    p = np.asarray(true_point, dtype=float)
-    return p + _anisotropic(noise, noise.tracker_sigma_at(tracker_distance),
-                            axis_basis(view_axis), rng.normal(size=p.shape))
-
-
 # -- phantom ----------------------------------------------------------------------
 
 
@@ -171,21 +157,6 @@ class Phantom:
             raise BadInput("registration fiducials and verification targets "
                            "must use disjoint labels")
         object.__setattr__(self, "pedicles", tuple(self.pedicles))
-
-
-def phantom_to_dict(phantom: Phantom) -> dict:
-    """Phantom in the shared wire formats (fiducial sets, surface, pedicles)."""
-    return {"fiducials": phantom.fiducials.to_dict(),
-            "surface": phantom.surface.to_dict(),
-            "pedicles": [p.to_dict() for p in phantom.pedicles],
-            "targets": phantom.targets.to_dict()}
-
-
-def phantom_from_dict(d: dict) -> Phantom:
-    return Phantom(FiducialSet.from_dict(d["fiducials"]),
-                   SurfaceModel.from_dict(d["surface"]),
-                   tuple(PedicleModel.from_dict(p) for p in d["pedicles"]),
-                   FiducialSet.from_dict(d["targets"]))
 
 
 LEVEL_SPACING_MM = 35.0

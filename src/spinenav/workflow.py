@@ -118,6 +118,9 @@ class Event:
 
     def __post_init__(self):
         finite_scalars(self, "timestamp")
+        if isinstance(self.views, str):
+            raise BadInput(f"views must be a collection of view names, "
+                           f"not the string {self.views!r}")
 
 
 @dataclass(frozen=True)

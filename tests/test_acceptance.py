@@ -235,11 +235,12 @@ def test_criterion_5_grading():
 def _axis_sampled_clearance(model, scene, q, n_axis=1000):
     """Oracle: dense samples along each link-capsule axis with exact radius
     offsets (the capsule surface is the axis dilated by the radius)."""
-    from spinenav.kinematics import _world_capsules
+    from spinenav.kinematics import _world_axes
     worst = np.inf
     ts = np.linspace(0.0, 1.0, n_axis)
-    for _, cap in _world_capsules(model, q):
-        pts = cap.p0[None, :] + ts[:, None] * (cap.p1 - cap.p0)[None, :]
+    _, p0, p1, radii = _world_axes(model, q)
+    for a0, a1, radius in zip(p0[0], p1[0], radii):
+        pts = a0[None, :] + ts[:, None] * (a1 - a0)[None, :]
         for _, obs in scene.obstacles:
             d2 = obs.p1 - obs.p0
             ee = float(d2 @ d2)
@@ -248,7 +249,7 @@ def _axis_sampled_clearance(model, scene, q, n_axis=1000):
             else:
                 tt = np.clip((pts - obs.p0) @ d2 / ee, 0.0, 1.0)
                 dist = np.linalg.norm(pts - (obs.p0 + tt[:, None] * d2), axis=1)
-            worst = min(worst, float(np.min(dist)) - cap.radius - obs.radius)
+            worst = min(worst, float(np.min(dist)) - radius - obs.radius)
     return worst
 
 

@@ -4,18 +4,15 @@ import pytest
 from spinenav.calibration import (
     Detection2D,
     ProjectionModel,
-    ToolDefinition,
     detect_fiducials,
     dlt_calibrate,
     pinhole_projection,
     pivot_calibrate,
     project,
-    read_projection_image,
     register_patient_2d,
     render_fiducial_raster,
     reprojection_rms,
     triangulate,
-    write_projection_image,
 )
 from spinenav.calibration import _hartley_normalization
 from spinenav.errors import (
@@ -84,30 +81,6 @@ def test_pivot_noise_monte_carlo():
         residuals.append(res.residual_rms)
     assert worst < 0.2
     assert 0.05 < np.mean(residuals) < 0.3
-
-
-def test_pivot_result_packages_tool_definition():
-    rng = np.random.default_rng(14)
-    res = pivot_calibrate(_pivot_poses(rng, 20, (0, 0, 120.0), (5.0, 5.0, 5.0)))
-    tool = res.tool_definition(body_frame="ToolBody")
-    assert tool.body_frame == "ToolBody"
-    assert np.linalg.norm(tool.axis) == pytest.approx(1.0)
-    assert np.allclose(tool.tip_offset, res.tip_offset)
-    assert tool.calib_residual_rms == res.residual_rms
-    with pytest.raises(ValueError):
-        ToolDefinition("ToolBody", (0, 0, 100.0), (0, 0, 2.0), 0.1)  # non-unit axis
-
-
-@pytest.mark.parametrize("tip, axis, residual", [
-    ((0.0, 0.0, float("nan")), (0.0, 0.0, 1.0), 0.1),
-    ((0.0, float("inf"), 100.0), (0.0, 0.0, 1.0), 0.1),
-    ((0.0, 0.0, 100.0), (0.0, float("nan"), 1.0), 0.1),
-    ((0.0, 0.0, 100.0), (0.0, 0.0, 1.0), float("nan")),
-    ((0.0, 0.0, 100.0), (0.0, 0.0, 1.0), float("inf")),
-], ids=["nan_tip", "inf_tip", "nan_axis", "nan_residual", "inf_residual"])
-def test_tool_definition_rejects_non_finite(tip, axis, residual):
-    with pytest.raises(ValueError, match="finite"):
-        ToolDefinition("ToolBody", tip, axis, residual)
 
 
 def test_pivot_residual_invariant_under_world_change():
@@ -429,18 +402,6 @@ def test_detect_fiducials_too_few_blobs():
     pattern = {f"S{i}": [float(i * 10), 0.0] for i in range(4)}
     with pytest.raises(TooFewBlobs):
         detect_fiducials(image, pattern)
-
-
-def test_projection_image_pgm_round_trip(tmp_path):
-    uv = project(AP, JIG.points)
-    image = render_fiducial_raster(uv, "AP")
-    path = tmp_path / "view_ap.pgm"
-    write_projection_image(image, path)
-    back = read_projection_image(path)
-    assert np.array_equal(back.pixels, image.pixels)
-    assert back.mm_per_pixel == image.mm_per_pixel
-    assert np.allclose(back.origin_mm, image.origin_mm)
-    assert back.view_label == "AP"
 
 
 # -- automatic 2D patient registration ------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,6 @@ from spinenav.geom import (
     invert,
     resolve,
     snap_rotation,
-    transform_from_json,
-    transform_point,
-    transform_to_json,
 )
 
 from _helpers import random_rigid, random_rotation
@@ -62,16 +57,16 @@ def test_invert_round_trip_1000_random():
 
 
 def test_transform_point_identity():
-    assert np.allclose(transform_point(RigidTransform.identity(), [1, 2, 3]), [1, 2, 3])
+    assert np.allclose(RigidTransform.identity().apply([1, 2, 3]), [1, 2, 3])
 
 
 def test_transform_point_translation():
     t = RigidTransform(np.eye(3), [0, 0, 10])
-    assert np.allclose(transform_point(t, [0, 0, 0]), [0, 0, 10])
+    assert np.allclose(t.apply([0, 0, 0]), [0, 0, 10])
 
 
 def test_transform_point_rotation():
-    assert np.allclose(transform_point(RZ90, [1, 0, 0]), [0, 1, 0], atol=1e-12)
+    assert np.allclose(RZ90.apply([1, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
 def test_transform_point_preserves_pairwise_distances():
@@ -232,13 +227,3 @@ def test_cycle_rejected():
         g.with_edge("C", "A", RigidTransform.identity())
     with pytest.raises(CycleDetected):
         g.with_edge("A", "A", RigidTransform.identity())
-
-
-def test_transform_json_round_trip_full_precision():
-    t = random_rigid(np.random.default_rng(9))
-    s = transform_to_json(t)
-    back = transform_from_json(s)
-    assert np.array_equal(back.rotation, t.rotation)
-    assert np.array_equal(back.translation, t.translation)
-    d = json.loads(s)
-    assert len(d["r"]) == 9 and len(d["t"]) == 3

@@ -18,7 +18,6 @@ from spinenav.kinematics import (
     _jacobian,
     _rotation_log,
     _segment_distances,
-    capsule_distance,
     check_collision,
     default_robot,
     densify,
@@ -29,9 +28,6 @@ from spinenav.kinematics import (
     min_clearance,
     plan_safe,
     plan_trajectory,
-    robot_from_json,
-    robot_to_json,
-    segment_segment_distance,
     sphere,
 )
 
@@ -229,6 +225,35 @@ def test_ik_limit_violation_distinguished():
         ik(tight, target, JointVector(np.zeros(6)))
 
 
+def _reference_ik(model, target, seed):
+    """ik as its docstring states it (test reference): _dls_solve from seed,
+    then from each start drawn in order from default_rng(0) within the joint
+    limits. Returns the attempt number and the first wrapped in-limit
+    solution."""
+    rng = np.random.default_rng(0)
+    lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
+    starts = [seed.q] + [rng.uniform(lo, hi) for _ in range(kinematics.IK_RESTARTS)]
+    for attempt, q0 in enumerate(starts):
+        q, ok = kinematics._dls_solve(model, target, q0)
+        q = kinematics._wrap_into_limits(model, q)
+        if ok and model.within_limits(q):
+            return attempt, q
+    raise AssertionError("no attempt reached the target")
+
+
+@pytest.mark.parametrize("q_true", [
+    [2.229, -1.29, -2.201, -0.194, 1.395, 0.061],
+    [-1.646, 1.516, 0.318, -2.499, -1.073, 2.123],
+], ids=["restarts_2_to_8_reach_three_branches", "only_restart_5_is_in_limits"])
+def test_ik_restarts_draw_in_order_from_one_fixed_stream(q_true):
+    # the seed attempt from HOME fails on both targets, so ik's answer is
+    # the restart stream's: which start comes first decides the branch
+    target = fk(MODEL, np.array(q_true))
+    attempt, q_ref = _reference_ik(MODEL, target, HOME)
+    assert attempt >= 2
+    assert np.array_equal(ik(MODEL, target, HOME).q, q_ref)
+
+
 # -- trajectory planning -----------------------------------------------------------
 
 
@@ -238,7 +263,7 @@ DIRECTION = np.array([0.3, 0.1, -1.0]) / np.linalg.norm([0.3, 0.1, -1.0])
 
 def test_plan_trajectory_reaches_axis():
     traj = plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff_mm=30.0)
-    pose = fk(MODEL, traj.final_joints())
+    pose = fk(MODEL, traj.joints[-1])
     tool_axis = pose.rotation[:, 2]
     angle = np.degrees(np.arccos(np.clip(np.dot(tool_axis, DIRECTION), -1, 1)))
     assert angle < 0.1
@@ -265,7 +290,7 @@ def test_plan_trajectory_random_reachable_plans():
         except (Unreachable, LimitViolation):
             continue
         n_ok += 1
-        final = fk(MODEL, traj.final_joints())
+        final = fk(MODEL, traj.joints[-1])
         angle = np.degrees(np.arccos(np.clip(
             np.dot(final.rotation[:, 2], direction), -1, 1)))
         assert angle < 0.1
@@ -287,22 +312,15 @@ def test_plan_trajectory_from_approach_pose_is_descent_only():
     traj = plan_trajectory(MODEL, q_approach, (ENTRY, DIRECTION), 30.0)
     # phase 1 collapses: the quintic segment has ~zero net displacement
     assert np.linalg.norm(traj.joints[0] - q_approach.q) < 1e-9
-    final = fk(MODEL, traj.final_joints())
+    final = fk(MODEL, traj.joints[-1])
     assert np.linalg.norm(final.translation - ENTRY) < 0.1
 
 
 def test_plan_trajectory_zero_standoff_single_phase():
     traj = plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff_mm=0.0)
     assert traj.planning_mode == "descent_only"
-    pose = fk(MODEL, traj.final_joints())
+    pose = fk(MODEL, traj.joints[-1])
     assert np.linalg.norm(pose.translation - ENTRY) < 0.1
-
-
-def test_trajectory_csv_round_trip():
-    traj = plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), 20.0)
-    back = Trajectory.from_csv(traj.to_csv())
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.joints, traj.joints)
 
 
 def test_densify_bounds_steps():
@@ -347,19 +365,24 @@ def test_densify_matches_loop_reference(n_rows, seed, spread):
 # -- collision ---------------------------------------------------------------------
 
 
+def _pair_distance(*endpoints) -> float:
+    """_segment_distances of one pair of segments given as p0, p1, q0, q1."""
+    return float(_segment_distances(*np.asarray(endpoints, dtype=float)))
+
+
 def test_segment_segment_distance_cases():
     # parallel unit-offset segments
-    assert segment_segment_distance([0, 0, 0], [1, 0, 0],
-                                    [0, 1, 0], [1, 1, 0]) == pytest.approx(1.0)
+    assert _pair_distance([0, 0, 0], [1, 0, 0],
+                          [0, 1, 0], [1, 1, 0]) == pytest.approx(1.0)
     # crossing perpendicular segments offset in z
-    assert segment_segment_distance([-1, 0, 1], [1, 0, 1],
-                                    [0, -1, 0], [0, 1, 0]) == pytest.approx(1.0)
+    assert _pair_distance([-1, 0, 1], [1, 0, 1],
+                          [0, -1, 0], [0, 1, 0]) == pytest.approx(1.0)
     # endpoint to endpoint
-    assert segment_segment_distance([0, 0, 0], [1, 0, 0],
-                                    [3, 0, 0], [4, 0, 0]) == pytest.approx(2.0)
+    assert _pair_distance([0, 0, 0], [1, 0, 0],
+                          [3, 0, 0], [4, 0, 0]) == pytest.approx(2.0)
     # degenerate: point vs point
-    assert segment_segment_distance([0, 0, 0], [0, 0, 0],
-                                    [0, 3, 4], [0, 3, 4]) == pytest.approx(5.0)
+    assert _pair_distance([0, 0, 0], [0, 0, 0],
+                          [0, 3, 4], [0, 3, 4]) == pytest.approx(5.0)
 
 
 def _scalar_segment_distance(p0, p1, q0, q1) -> float:
@@ -512,17 +535,6 @@ def test_kinematics_constructors_reject_non_finite(build):
         build()
 
 
-@pytest.mark.parametrize("text, problem", [
-    ("time_s,q1,q2,q3,q4,q5,q6\n", "no sample rows"),
-    ("", "no sample rows"),
-    ("time_s,q1,q2,q3,q4,q5,q6\n0,0,0,0,0,0,0\n1,0,0,0,0,0\n", "row 2 .*7 fields"),
-    ("time_s,q1,q2,q3,q4,q5,q6\n0,0,0,0,0,0,0,0\n", "row 1 .*7 fields"),
-])
-def test_trajectory_from_csv_names_the_problem(text, problem):
-    with pytest.raises(ValueError, match=problem):
-        Trajectory.from_csv(text)
-
-
 def test_check_collision_empty_scene():
     scene = CollisionScene((), safety_margin=10.0)
     assert check_collision(MODEL, scene, np.zeros(6)) == []
@@ -554,27 +566,23 @@ def test_check_collision_hand_computed_sphere():
     assert pairs[(1, "ball")] == pytest.approx(40.0, abs=1e-9)
 
 
-def test_capsule_distance_against_axis_sampling_oracle():
-    # capsule surface = axis segment dilated by the radius, so densely
-    # sampling the axis and using the exact point-to-segment distance is a
-    # surface-sampling oracle that converges from above
+def test_segment_distances_against_axis_sampling_oracle():
+    # densely sampling one segment and using the exact point-to-segment
+    # distance is an oracle that converges from above
     rng = np.random.default_rng(7)
     for _ in range(100):
-        a = Capsule(rng.uniform(-200, 200, 3), rng.uniform(-200, 200, 3),
-                    rng.uniform(10, 60))
-        b = Capsule(rng.uniform(-200, 200, 3), rng.uniform(-200, 200, 3),
-                    rng.uniform(10, 60))
-        analytic = capsule_distance(a, b)
+        p0, p1, q0, q1 = rng.uniform(-200, 200, (4, 3))
+        analytic = float(_segment_distances(p0, p1, q0, q1))
         ts = np.linspace(0.0, 1.0, 1000)
-        pts = a.p0[None, :] + ts[:, None] * (a.p1 - a.p0)[None, :]
-        d2 = b.p1 - b.p0
+        pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
+        d2 = q1 - q0
         ee = float(d2 @ d2)
         if ee <= 1e-12:
-            dist = np.linalg.norm(pts - b.p0, axis=1)
+            dist = np.linalg.norm(pts - q0, axis=1)
         else:
-            tt = np.clip((pts - b.p0) @ d2 / ee, 0.0, 1.0)
-            dist = np.linalg.norm(pts - (b.p0 + tt[:, None] * d2), axis=1)
-        sampled = float(np.min(dist)) - a.radius - b.radius
+            tt = np.clip((pts - q0) @ d2 / ee, 0.0, 1.0)
+            dist = np.linalg.norm(pts - (q0 + tt[:, None] * d2), axis=1)
+        sampled = float(np.min(dist))
         assert sampled >= analytic - 1e-9
         assert sampled - analytic <= 0.5
 
@@ -608,16 +616,6 @@ def test_plan_safe_enclosed_entry_has_no_path():
         plan_safe(MODEL, scene, HOME, (ENTRY, DIRECTION), 30.0)
 
 
-def test_robot_model_json_round_trip():
-    back = robot_from_json(robot_to_json(MODEL))
-    assert np.array_equal(back.dh_rows, MODEL.dh_rows)
-    assert np.array_equal(back.joint_limits, MODEL.joint_limits)
-    for la, lb in zip(back.link_capsules, MODEL.link_capsules):
-        for ca, cb in zip(la, lb):
-            assert np.array_equal(ca.p0, cb.p0)
-            assert ca.radius == cb.radius
-
-
 # -- plan_safe: the approach is checked before the descent runs -------------------
 
 
@@ -641,8 +639,7 @@ def _old_rotation_log(r):
     return angle * axis if s[k] >= 0.0 else -angle * axis
 
 
-def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0,
-                           ik_restart_seed=0):
+def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0):
     """plan_trajectory as one list of knots densified at once, with every
     descent ik run (test reference)."""
     entry, direction = tool_axis_target
@@ -651,8 +648,7 @@ def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0
     direction = direction / np.linalg.norm(direction)
     r_tool = _axis_frame(direction, roll)
     approach_tip = entry - standoff_mm * direction
-    q_approach = ik(model, RigidTransform(r_tool, approach_tip), start,
-                    restart_seed=ik_restart_seed).q
+    q_approach = ik(model, RigidTransform(r_tool, approach_tip), start).q
     dq = q_approach - start.q
     t1 = max(float(np.max(np.abs(dq))) / 0.5, 0.5)
     tau = np.linspace(0.0, 1.0, 25)
@@ -665,8 +661,7 @@ def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0
         t_now = times[-1]
         for k in range(1, n_steps + 1):
             tip = approach_tip + (k / n_steps) * standoff_mm * direction
-            q_prev = ik(model, RigidTransform(r_tool, tip), q_prev,
-                        restart_seed=ik_restart_seed)
+            q_prev = ik(model, RigidTransform(r_tool, tip), q_prev)
             t_now = t_now + (standoff_mm / n_steps) / 5.0
             times.append(t_now)
             joints.append(q_prev.q)
@@ -674,15 +669,14 @@ def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0
     return densify(Trajectory(np.asarray(times), np.asarray(joints), mode, False))
 
 
-def _whole_roll_plan_safe(model, scene, start, tool_axis_target, standoff_mm,
-                          ik_restart_seed=0):
+def _whole_roll_plan_safe(model, scene, start, tool_axis_target, standoff_mm):
     """plan_safe planning each roll whole, then checking all of its rows in
     one clearance table (test reference)."""
     any_planned = False
     for roll in np.arange(8) * (2.0 * np.pi / 8.0):
         try:
             traj = _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm,
-                                          roll=roll, ik_restart_seed=ik_restart_seed)
+                                          roll=roll)
         except (Unreachable, LimitViolation):
             continue
         any_planned = True
@@ -793,7 +787,7 @@ def test_roll_whose_approach_collides_costs_one_ik_call(monkeypatch):
     # approach rows of the rolls before the first clear one collide there,
     # so their 30 descent steps never run
     rolls = np.arange(8) * (2.0 * np.pi / 8.0)
-    knots = kinematics._approach(MODEL, HOME, ENTRY, DIRECTION, 30.0, 0.0, 0).knots
+    knots = kinematics._approach(MODEL, HOME, ENTRY, DIRECTION, 30.0, 0.0).knots
     flange = fk_frames(MODEL, knots.joints[-1])[6]
     bracket_tip = flange[:3, :3] @ [70.0, 0.0, -40.0] + flange[:3, 3]
     scene = CollisionScene((("block", sphere(bracket_tip, 20.0)),), safety_margin=2.0)

@@ -18,7 +18,6 @@ from spinenav.registration import (
     icp_register,
     predict_tre,
     register_points,
-    rmse_paired,
     verify_registration,
 )
 
@@ -168,31 +167,6 @@ def test_mean_fre_squared_matches_closed_form(n):
     fre_sq = np.mean(np.sum((fixed - mapped) ** 2, axis=2), axis=1)
     expected = (1.0 - 2.0 / n) * 3.0 * sigma ** 2
     assert np.mean(fre_sq) == pytest.approx(expected, rel=0.03)
-
-
-# -- rmse_paired --------------------------------------------------------------
-
-
-def test_rmse_paired_identical_sets():
-    s = _fidset(TETRA)
-    assert rmse_paired(s, s) == 0.0
-
-
-def test_rmse_paired_single_offset():
-    a = FiducialSet("Patient", ("F0",), [[0.0, 0.0, 0.0]])
-    b = FiducialSet("Patient", ("F0",), [[1.0, 0.0, 0.0]])
-    assert rmse_paired(a, b) == pytest.approx(1.0)
-
-
-def test_rmse_paired_two_points():
-    a = FiducialSet("Patient", ("F0", "F1"), [[0, 0, 0], [0, 0, 0]])
-    b = FiducialSet("Patient", ("F0", "F1"), [[1, 0, 0], [0, 0, 0]])
-    assert rmse_paired(a, b) == pytest.approx(np.sqrt(0.5))
-
-
-def test_rmse_paired_label_mismatch():
-    with pytest.raises(LabelMismatch):
-        rmse_paired(_fidset(TETRA), _fidset(TETRA, prefix="X"))
 
 
 # -- predict_tre --------------------------------------------------------------
@@ -490,12 +464,6 @@ def test_verify_rejects_unconverged_fit():
 
 
 # -- serialization ------------------------------------------------------------
-
-
-def test_fiducialset_json_round_trip():
-    s = _fidset(TETRA * 12.5, frame="DRB")
-    back = FiducialSet.from_json(s.to_json())
-    assert back == s
 
 
 def test_surface_stl_round_trip():

@@ -4,21 +4,20 @@ import pytest
 import _study_reference as reference
 from spinenav import simharness
 from spinenav.errors import DegenerateGeometry, DegenerateSpec, ParallelRays, SpineNavError
+from spinenav.geom import axis_basis
 from spinenav.simharness import (
     DEFAULT_METHODS,
     Method,
     NoiseModel,
     PhantomSpec,
     StudyConfig,
+    _anisotropic,
     _trial_rng,
     calibrate_tracker_sigma0,
     generate_phantom,
-    phantom_from_dict,
-    phantom_to_dict,
     run_placement_study,
     run_study,
     run_trial,
-    sample_noisy_measurement,
     study_csv,
     study_report,
     summarize,
@@ -65,14 +64,6 @@ def test_phantom_default_extent_and_radii_over_100_seeds():
         assert not set(ph.fiducials.labels) & set(ph.targets.labels)
 
 
-def test_phantom_serialization_round_trip():
-    back = phantom_from_dict(phantom_to_dict(PHANTOM))
-    assert back.fiducials == PHANTOM.fiducials
-    assert back.surface == PHANTOM.surface
-    assert back.pedicles == PHANTOM.pedicles
-    assert back.targets == PHANTOM.targets
-
-
 def test_study_config_round_trip():
     cfg = StudyConfig(samples_per_method=17,
                       noise=NoiseModel(tracker_sigma0=0.4, seed=5))
@@ -98,8 +89,16 @@ def test_study_config_rejects_non_finite_factor(name, value):
 # -- noise model --------------------------------------------------------------------
 
 
+def _noise_draws(noise, tracker_distance, view_axis, rng, shape):
+    """Anisotropic tracker noise at sigma(tracker_distance) about view_axis,
+    drawn as one block of standard normals of the given shape."""
+    return _anisotropic(noise, noise.tracker_sigma_at(tracker_distance),
+                        axis_basis(view_axis), rng.normal(size=shape))
+
+
 def test_zero_sigma_returns_exact_point():
-    p = sample_noisy_measurement(ZERO_NOISE, [1.0, 2.0, 3.0], 1800.0, [0, 0, 1])
+    p = np.array([1.0, 2.0, 3.0]) + _noise_draws(
+        ZERO_NOISE, 1800.0, [0, 0, 1], np.random.default_rng(ZERO_NOISE.seed), 3)
     assert np.array_equal(p, [1.0, 2.0, 3.0])
 
 
@@ -109,7 +108,7 @@ def test_noise_variance_matches_model_within_1pct():
     rng = np.random.default_rng(5)
     d = 2200.0
     axis = np.array([0.0, 0.0, 1.0])
-    draws = sample_noisy_measurement(noise, np.zeros((1_000_000, 3)), d, axis, rng)
+    draws = _noise_draws(noise, d, axis, rng, (1_000_000, 3))
     sigma = noise.tracker_sigma_at(d)
     # perpendicular components at sigma(d), axial at anisotropy * sigma(d)
     assert np.var(draws[:, 0]) == pytest.approx(sigma ** 2, rel=0.01)
@@ -119,10 +118,8 @@ def test_noise_variance_matches_model_within_1pct():
 
 def test_noise_streams_reproducible_by_seed():
     noise = NoiseModel(seed=99)
-    a = sample_noisy_measurement(noise, [0, 0, 0], 1800.0, [0, 0, 1],
-                                 np.random.default_rng(noise.seed))
-    b = sample_noisy_measurement(noise, [0, 0, 0], 1800.0, [0, 0, 1],
-                                 np.random.default_rng(noise.seed))
+    a = _noise_draws(noise, 1800.0, [0, 0, 1], np.random.default_rng(noise.seed), 3)
+    b = _noise_draws(noise, 1800.0, [0, 0, 1], np.random.default_rng(noise.seed), 3)
     assert np.array_equal(a, b)
 
 
@@ -134,8 +131,8 @@ def test_distance_growth_increases_sigma():
     # paired empirical check: same draws scaled by the larger sigma
     rng_a = np.random.default_rng(3)
     rng_b = np.random.default_rng(3)
-    a = sample_noisy_measurement(base, np.zeros((20_000, 3)), d, [0, 0, 1], rng_a)
-    b = sample_noisy_measurement(double, np.zeros((20_000, 3)), d, [0, 0, 1], rng_b)
+    a = _noise_draws(base, d, [0, 0, 1], rng_a, (20_000, 3))
+    b = _noise_draws(double, d, [0, 0, 1], rng_b, (20_000, 3))
     assert np.std(b[:, 0]) > np.std(a[:, 0])
 
 

@@ -13,10 +13,9 @@ from spinenav.calibration import (
     PivotResult,
     ProjectionModel,
     SyntheticProjectionImage,
-    ToolDefinition,
 )
 from spinenav.errors import BadInput, NegativeBreach
-from spinenav.geom import FrameEdge, RigidTransform
+from spinenav.geom import ArrayValue, FrameEdge, RigidTransform
 from spinenav.kinematics import Capsule, JointVector, RobotModel, Trajectory, default_robot
 from spinenav.planning import (Grade, PedicleModel, PlanDeviation, PlanValidation, ScrewPlan,
                                grade_gertzbein)
@@ -38,8 +37,6 @@ VALID = {
                        vertices=[[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0],
                                  [0.0, 0.0, 10.0]],
                        triangles=[[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]),
-    ToolDefinition: dict(body_frame="ToolBody", tip_offset=[0.0, 0.0, 150.0],
-                         axis=[0.0, 0.0, 1.0], calib_residual_rms=0.2),
     PivotResult: dict(tip_offset=[0.0, 0.0, 150.0], pivot_point=[10.0, 0.0, -5.0],
                       residual_rms=0.2),
     ProjectionModel: dict(matrix=[[1000.0, 0.0, 0.0, 0.0], [0.0, 1000.0, 0.0, 0.0],
@@ -79,7 +76,7 @@ FLOAT_FIELDS = [(cls, name) for cls in VALID for name in _arrays(cls(**VALID[cls
 
 
 def test_every_value_type_is_covered():
-    assert len(VALID) == 15
+    assert set(VALID) == set(ArrayValue.__subclasses__())
     assert {cls for cls, _ in FLOAT_FIELDS} == set(VALID)
 
 

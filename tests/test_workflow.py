@@ -573,6 +573,13 @@ def test_load_rejects_a_mistyped_event_field(tmp_path, key, sub, value):
         load_session(path)
 
 
+def test_event_rejects_a_string_of_views():
+    # a bare string would log one exposure per character
+    with pytest.raises(BadInput, match="views"):
+        Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views="APLP")
+    assert Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views=["AP"]).views == ["AP"]
+
+
 @pytest.mark.parametrize("header", [{"schema_version": 1},
                                     {"schema_version": 1, "mode": "nope"}])
 def test_replay_malformed_header_rejected(tmp_path, header):
