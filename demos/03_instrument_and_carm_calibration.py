@@ -52,7 +52,7 @@ pattern_labels = tuple(f"C{i}" for i in range(12))
 models = []
 for true_model in (ap_true, lp_true):
     uv = project(true_model, pattern) + rng.normal(scale=0.2, size=(12, 2))
-    detections = Detection2D(true_model.view_label, pattern_labels, uv, np.ones(12))
+    detections = Detection2D(true_model.view_label, pattern_labels, uv)
     model = dlt_calibrate(list(zip(pattern_labels, pattern)), detections)
     rms = reprojection_rms(model, list(zip(pattern_labels, pattern)), detections)
     print(f"{true_model.view_label} view DLT reprojection rms: {rms:.3f} mm")

@@ -22,7 +22,7 @@ session = advance(session, Event(K.APPROVE_PLAN, plan=plan,
                                  validation=PlanValidation(True, 0.0, 1.0)))
 session = advance(session, Event(K.FINISH_PLANNING))
 session = advance(session, Event(K.PREPARE_OT))
-session = advance(session, Event(K.CALIBRATE_INSTRUMENTS, residual_rms=0.08))
+session = advance(session, Event(K.CALIBRATE_INSTRUMENTS))
 session = advance(session, Event(K.ATTACH_DRB))
 session = advance(session, Event(K.MOUNT_CARM))
 session = advance(session, Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L3",

@@ -48,16 +48,17 @@ class PivotResult(ArrayValue):
         finite_scalars(self, "residual_rms")
 
 
-def pivot_calibrate(poses, min_poses: int = 10) -> PivotResult:
+def pivot_calibrate(poses) -> PivotResult:
     """Recover a tool tip offset by pivoting about a fixed point.
 
     Solves the stacked linear system [R_i | -I] [tip; pivot] = -t_i in the
-    least-squares sense. Raises TooFewPoses, or InsufficientRotation when the
-    poses share a rotation axis and the system goes rank deficient.
+    least-squares sense. Raises TooFewPoses below 10 poses, or
+    InsufficientRotation when the poses share a rotation axis and the system
+    goes rank deficient.
     """
     poses = list(poses)
-    if len(poses) < min_poses:
-        raise TooFewPoses(f"pivot calibration needs >= {min_poses} poses")
+    if len(poses) < 10:
+        raise TooFewPoses("pivot calibration needs >= 10 poses")
     n = len(poses)
     a = np.zeros((3 * n, 6))
     b = np.zeros(3 * n)
@@ -87,7 +88,6 @@ class ProjectionModel(ArrayValue):
 
     matrix: np.ndarray
     view_label: str
-    frame: str = "CArm"
 
     def __post_init__(self):
         m = frozen_array(self, "matrix", self.matrix, (3, 4), check=False)
@@ -96,20 +96,20 @@ class ProjectionModel(ArrayValue):
         check_projections(m)
 
     @staticmethod
-    def from_matrix(matrix, view_label: str, frame: str = "CArm") -> "ProjectionModel":
+    def from_matrix(matrix, view_label: str) -> "ProjectionModel":
         """Normalize an arbitrary-scale 3x4 matrix (sign: positive depths
         are the caller's responsibility; see dlt_calibrate)."""
         m = np.array(matrix, dtype=float).reshape(3, 4)
-        return ProjectionModel(scale_normalized(m), view_label, frame)
+        return ProjectionModel(scale_normalized(m), view_label)
 
     def to_dict(self) -> dict:
         return {"view": self.view_label,
                 "P": [float(v) for v in self.matrix.ravel()]}
 
     @staticmethod
-    def from_dict(d: dict, frame: str = "CArm") -> "ProjectionModel":
+    def from_dict(d: dict) -> "ProjectionModel":
         return ProjectionModel.from_matrix(np.asarray(d["P"], float).reshape(3, 4),
-                                           d["view"], frame)
+                                           d["view"])
 
 
 def scale_normalized(m: np.ndarray) -> np.ndarray:
@@ -144,40 +144,36 @@ def check_projections(m: np.ndarray) -> None:
         raise BadInput("projection matrix must be scale-normalized")
 
 
-def check_detections(uv: np.ndarray, confidence: np.ndarray) -> None:
-    """Detection2D's value guard on one view's detections (N, 2) and
-    confidences (N,), or once on stacks (T, N, 2) and (T, N)."""
-    if not (all_finite(uv) and all_finite(confidence)):
-        raise BadInput("detections and confidences must be finite")
-    if np.any(confidence < 0.0) or np.any(confidence > 1.0):
-        raise BadInput("confidence must lie in [0, 1]")
+def check_detections(uv: np.ndarray) -> None:
+    """Detection2D's value guard on one view's detections (N, 2), or once on
+    a stack (T, N, 2)."""
+    if not all_finite(uv):
+        raise BadInput("detections must be finite")
 
 
 @dataclass(frozen=True, eq=False)
 class Detection2D(ArrayValue):
-    """Labeled 2D fiducial detections (detector mm) for one view."""
+    """Labeled 2D fiducial detections (detector mm) for one view. Every
+    detection carries the same weight: the DLT and the triangulation use
+    positions only."""
 
     view_label: str
     labels: tuple
     uv: np.ndarray          # (N, 2)
-    confidence: np.ndarray  # (N,)
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
         uv = frozen_array(self, "uv", self.uv, (len(labels), 2), check=False)
-        conf = frozen_array(self, "confidence", self.confidence, len(labels), check=False)
         if len(set(labels)) != len(labels):
             raise BadInput("detection labels must be unique per view")
-        check_detections(uv, conf)
+        check_detections(uv)
         object.__setattr__(self, "labels", labels)
 
     @staticmethod
-    def from_pairs(view_label, pairs, confidence=None) -> "Detection2D":
+    def from_pairs(view_label, pairs) -> "Detection2D":
         labels = tuple(p[0] for p in pairs)
         uv = np.asarray([p[1] for p in pairs], dtype=float).reshape(len(labels), 2)
-        conf = (np.ones(len(labels)) if confidence is None
-                else np.asarray(confidence, dtype=float))
-        return Detection2D(view_label, labels, uv, conf)
+        return Detection2D(view_label, labels, uv)
 
     def position(self, label: str) -> np.ndarray:
         return self.uv[self.labels.index(label)]
@@ -261,7 +257,7 @@ def dlt_calibrate_batch(world: np.ndarray, image: np.ndarray):
                  **raised_where(coplanar, CoplanarPoints, "calibration points are coplanar")}
 
 
-def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionModel:
+def dlt_calibrate(world, image: Detection2D) -> ProjectionModel:
     """Estimate a 3x4 projection from labeled 3D-2D correspondences: the
     one-stack case of dlt_calibrate_batch.
 
@@ -283,7 +279,7 @@ def dlt_calibrate(world, image: Detection2D, frame: str = "CArm") -> ProjectionM
     p, failed = dlt_calibrate_batch(x[None], uv[None])
     if failed:
         raise failed[0]
-    return ProjectionModel.from_matrix(p[0], image.view_label, frame)
+    return ProjectionModel.from_matrix(p[0], image.view_label)
 
 
 def reprojection_rms(model: ProjectionModel, world, image: Detection2D) -> float:
@@ -376,19 +372,19 @@ def register_patient_2d(jig: FiducialSet, views) -> RegistrationResult:
     tri_pts, _ = triangulate(
         (model_a, [det_a.position(l) for l in common]),
         (model_b, [det_b.position(l) for l in common]))
-    fixed = FiducialSet(model_a.frame, tuple(common), tri_pts)
+    fixed = FiducialSet("CArm", tuple(common), tri_pts)
     return register_points(fixed, jig.subset(common))
 
 
 def pinhole_projection(camera_pose: RigidTransform, focal_mm: float,
-                       view_label: str, frame: str = "CArm") -> ProjectionModel:
+                       view_label: str) -> ProjectionModel:
     """Ideal pinhole with principal point (0, 0): P = diag(f, f, 1) [R | t].
 
-    camera_pose maps frame coordinates into camera coordinates (x right,
+    camera_pose maps CArm coordinates into camera coordinates (x right,
     y down on the detector, z along the beam toward the detector).
     """
     m = pinhole_matrices(camera_pose.rotation[None], camera_pose.translation[None], focal_mm)
-    return ProjectionModel(m[0], view_label, frame)
+    return ProjectionModel(m[0], view_label)
 
 
 def pinhole_matrices(rotations: np.ndarray, translations: np.ndarray,
@@ -428,33 +424,23 @@ class SyntheticProjectionImage(ArrayValue):
                         axis=-1)
 
 
-def render_fiducial_raster(uv_points, view_label: str,
-                           mm_per_pixel: float = 0.5,
-                           size_px: tuple = (512, 512),
-                           origin_mm=None,
-                           blob_sigma_mm: float = 1.2,
-                           peak: int = 60000) -> SyntheticProjectionImage:
-    """Render Gaussian fiducial blobs at detector-mm positions into a 16-bit
-    raster. Points outside the field of view are clipped away naturally."""
-    h, w = size_px
-    if origin_mm is None:
-        origin_mm = (-w * mm_per_pixel / 2.0, -h * mm_per_pixel / 2.0)
-    origin = np.asarray(origin_mm, dtype=float)
-    img = np.zeros((h, w), dtype=float)
-    cols = (np.arange(w) + 0.0) * mm_per_pixel + origin[0]
-    rows = (np.arange(h) + 0.0) * mm_per_pixel + origin[1]
-    for uv in np.atleast_2d(np.asarray(uv_points, dtype=float)):
-        du = cols - uv[0]
-        dv = rows - uv[1]
-        img += peak * np.outer(np.exp(-dv ** 2 / (2 * blob_sigma_mm ** 2)),
-                               np.exp(-du ** 2 / (2 * blob_sigma_mm ** 2)))
+def render_fiducial_raster(uv_points, view_label: str) -> SyntheticProjectionImage:
+    """Render Gaussian fiducial blobs (sigma 1.2 mm, peak 60000) at
+    detector-mm positions into a 512 x 512 16-bit raster of 0.5 mm pixels
+    centred on the detector origin. Points outside the field of view are
+    clipped away naturally."""
+    origin = np.array([-128.0, -128.0])
+    grid = np.arange(512) * 0.5 + origin[0]  # detector mm of each column and row
+    img = np.zeros((512, 512))
+    for u, v in np.atleast_2d(np.asarray(uv_points, dtype=float)):
+        img += 60000 * np.outer(np.exp(-(grid - v) ** 2 / (2 * 1.2 ** 2)),
+                                np.exp(-(grid - u) ** 2 / (2 * 1.2 ** 2)))
     return SyntheticProjectionImage(view_label,
                                     np.clip(img, 0, 65535).astype(np.uint16),
-                                    mm_per_pixel, origin)
+                                    0.5, origin)
 
 
-def detect_fiducials(image: SyntheticProjectionImage, pattern,
-                     tolerance_mm: float = 0.5) -> Detection2D:
+def detect_fiducials(image: SyntheticProjectionImage, pattern) -> Detection2D:
     """Extract blob centroids from a synthetic raster and label them against
     an expected projected pattern by pairwise-distance signature.
 
@@ -462,7 +448,7 @@ def detect_fiducials(image: SyntheticProjectionImage, pattern,
     projected through the nominal view model). Unmatched blobs are dropped;
     fiducials outside the field of view are simply absent from the result.
     Raises TooFewBlobs (< 4 blobs) or PatternAmbiguous when more than one
-    assignment is consistent within tolerance_mm.
+    assignment's pairwise distances agree within 0.5 mm.
     """
     from scipy import ndimage  # imported here: no CLI command detects blobs
 
@@ -484,7 +470,7 @@ def detect_fiducials(image: SyntheticProjectionImage, pattern,
     cols = np.array([c[1] for c in centroids_rc])
     blobs = image.pixel_to_mm(rows, cols)
 
-    assignments = _match_signatures(blobs, expected, tolerance_mm)
+    assignments = _match_signatures(blobs, expected)
     if not assignments:
         raise PatternAmbiguous("no label assignment fits the detected blobs")
     if len(assignments) > 1:
@@ -498,10 +484,9 @@ def detect_fiducials(image: SyntheticProjectionImage, pattern,
 _MAX_SOLUTIONS = 2  # one assignment is a detection, a second an ambiguity
 
 
-def _match_signatures(blobs: np.ndarray, expected: np.ndarray,
-                      tol: float) -> list:
+def _match_signatures(blobs: np.ndarray, expected: np.ndarray) -> list:
     """Up to _MAX_SOLUTIONS maximum-cardinality injective blob->pattern
-    assignments whose pairwise distances agree within tol. Branch and bound
+    assignments whose pairwise distances agree within 0.5 mm. Branch and bound
     over blobs; a blob may also be skipped (dropped as spurious/unmatchable)."""
     nb, ne = len(blobs), len(expected)
     d_blob = np.linalg.norm(blobs[:, None, :] - blobs[None, :, :], axis=2)
@@ -524,7 +509,7 @@ def _match_signatures(blobs: np.ndarray, expected: np.ndarray,
         for j in range(ne):
             if j in used:
                 continue
-            ok = all(abs(d_blob[i, k] - d_exp[j, jj]) <= tol
+            ok = all(abs(d_blob[i, k] - d_exp[j, jj]) <= 0.5
                      for k, jj in assign.items())
             if ok:
                 assign[i] = j

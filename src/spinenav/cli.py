@@ -33,7 +33,7 @@ from .calibration import (
     reprojection_rms,
 )
 from .fileio import atomic_write, csv_with_provenance, provenance, write_json
-from .geom import RigidTransform, transform_from_dict, transform_to_dict
+from .geom import RigidTransform, transform_from_dict
 from .planning import (
     breach_depth,
     grade_gertzbein,
@@ -135,7 +135,7 @@ def cmd_calibrate(args) -> int:
         with _parsing(args.input):
             poses = [transform_from_dict(d) for d in
                      (data["poses"] if isinstance(data, dict) else data)]
-        result = pivot_calibrate(poses, min_poses=args.min_poses)
+        result = pivot_calibrate(poses)
         _write_json(out_dir / "pivot_report.json", {
             "tip_offset_mm": [float(v) for v in result.tip_offset],
             "pivot_point_mm": [float(v) for v in result.pivot_point],
@@ -150,8 +150,7 @@ def cmd_calibrate(args) -> int:
                                          [(p["label"], p["uv_mm"]) for p in data["image"]])
         model = dlt_calibrate(world, det)
         _write_json(out_dir / "carm_report.json", {
-            "view": model.view_label,
-            "P": [float(v) for v in model.matrix.ravel()],
+            **model.to_dict(),
             "reprojection_rms_mm": reprojection_rms(model, world, det),
             "n_points": len(world),
         }, args.seed)
@@ -189,11 +188,7 @@ def cmd_register(args) -> int:
     decision = verify_registration(result, args.threshold)
     _write_json(out_dir / "registration_report.json", {
         "method": args.method,
-        "transform": transform_to_dict(result.transform),
-        "fre_rms_mm": result.fre_rms,
-        "per_point_residuals_mm": list(result.per_point_residuals),
-        "n_points": result.n_points,
-        "converged": result.converged,
+        **result.to_dict(),
         "accepted": decision.accepted,
         "threshold_mm": args.threshold,
     }, args.seed)
@@ -331,8 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               ("carm", "projection matrix from 3D-2D pairs")):
         pp = ps.add_parser(target, parents=[common], help=help_text)
         pp.add_argument("--input", required=True)
-        if target == "pivot":
-            pp.add_argument("--min-poses", type=int, default=10)
         pp.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("register", help="rigid registration")

@@ -152,9 +152,9 @@ class RigidTransform(ArrayValue):
         return RigidTransform(np.eye(3), np.zeros(3))
 
     @staticmethod
-    def from_quaternion(q, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        """Build from a (w, x, y, z) quaternion; normalized before use."""
-        return RigidTransform(quaternion_rotations(q), translation)
+    def from_quaternion(q) -> "RigidTransform":
+        """The rotation of a (w, x, y, z) quaternion, normalized before use."""
+        return RigidTransform(quaternion_rotations(q), np.zeros(3))
 
     @staticmethod
     def from_axis_angle(axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
@@ -263,10 +263,6 @@ class FrameEdge:
     src: str
     dst: str
     transform: RigidTransform
-    timestamp: float = 0.0
-
-    def __post_init__(self):
-        finite_scalars(self, "timestamp")
 
 
 @dataclass(frozen=True)
@@ -300,12 +296,8 @@ class FrameGraph:
                 raise CycleDetected(f"edge {e.src!r}->{e.dst!r} closes a cycle")
             parent[ra] = rb
 
-    def with_edge(self, src: str, dst: str, transform: RigidTransform,
-                  timestamp: float = 0.0) -> "FrameGraph":
-        return FrameGraph(self.edges + (FrameEdge(src, dst, transform, timestamp),))
-
-    def resolve(self, src: str, dst: str) -> RigidTransform:
-        return resolve(self, src, dst)
+    def with_edge(self, src: str, dst: str, transform: RigidTransform) -> "FrameGraph":
+        return FrameGraph(self.edges + (FrameEdge(src, dst, transform),))
 
 
 def resolve(graph: FrameGraph, src: str, dst: str) -> RigidTransform:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInput, LimitViolation, NoSafePath, Unreachable
-from .geom import ArrayValue, RigidTransform, axis_basis, cross3, frozen_array, snap_rotation
+from .geom import (ArrayValue, RigidTransform, axis_basis, cross3, frozen_array, row_dot,
+                   snap_rotation)
 
 MAX_JOINT_STEP_RAD = 0.05
 # inverse kinematics: convergence tolerances, iteration cap, damping floor
@@ -84,10 +85,11 @@ class RobotModel(ArrayValue):
         object.__setattr__(self, "_dh_links", links)
         object.__setattr__(self, "reach_mm", float(np.sum(np.hypot(dh[:, 0], dh[:, 2]))))
 
-    def within_limits(self, q, tol: float = 1e-9) -> bool:
+    def within_limits(self, q) -> bool:
+        """Whether every joint value lies within its limits, to 1e-9 rad."""
         q = np.asarray(q, dtype=float)
-        return bool(np.all(q >= self.joint_limits[:, 0] - tol)
-                    and np.all(q <= self.joint_limits[:, 1] + tol))
+        return bool(np.all(q >= self.joint_limits[:, 0] - 1e-9)
+                    and np.all(q <= self.joint_limits[:, 1] + 1e-9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,35 +134,23 @@ class Trajectory(ArrayValue):
 
 @dataclass(frozen=True)
 class CollisionScene:
-    """Labeled capsule/sphere obstacles, each expressed in a named frame.
-
-    Obstacle entries are (label, Capsule) for robot-base coordinates or
-    (label, Capsule, frame). Frames other than the base need a frame_graph
-    that resolves them into base_frame; resolution happens once here, so
-    collision queries never re-walk the graph.
-    """
+    """Labeled capsule/sphere obstacles in robot-base coordinates: each
+    entry is a (label, Capsule) pair. An obstacle known in another frame is
+    mapped into the base frame before it enters the scene (geom.resolve
+    gives the transform)."""
 
     obstacles: tuple
     safety_margin: float = 0.0
-    frame_graph: object = None
-    base_frame: str = "RobotBase"
 
     def __post_init__(self):
         if not (np.isfinite(self.safety_margin) and self.safety_margin >= 0.0):
             raise BadInput("safety margin must be finite and non-negative")
-        resolved = []
-        for entry in self.obstacles:
-            label, capsule = entry[0], entry[1]
-            frame = entry[2] if len(entry) > 2 else self.base_frame
-            if frame != self.base_frame:
-                if self.frame_graph is None:
-                    raise BadInput(
-                        f"obstacle {label!r} in frame {frame!r} needs a frame_graph")
-                t = self.frame_graph.resolve(frame, self.base_frame)
-                capsule = Capsule(t.apply(capsule.p0), t.apply(capsule.p1),
-                                  capsule.radius)
-            resolved.append((label, capsule))
-        object.__setattr__(self, "obstacles", tuple(resolved))
+        obstacles = tuple(self.obstacles)
+        for entry in obstacles:
+            if len(entry) != 2 or not isinstance(entry[1], Capsule):
+                raise BadInput(f"an obstacle is a (label, Capsule) pair in base "
+                               f"coordinates, got {entry!r}")
+        object.__setattr__(self, "obstacles", obstacles)
 
 
 # -- forward kinematics ---------------------------------------------------------
@@ -449,11 +439,9 @@ def _segment_distances(p0, p1, q0, q1) -> np.ndarray:
     arrays (..., 3) broadcast against each other (Ericson, Real-Time
     Collision Detection, 2004, 5.1.9). Either segment may be a point (squared
     length at most 1e-12 mm^2)."""
-    def dot(u, v):  # stacked (1, 3) @ (3, 1): rounds as u @ v does for one pair
-        return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
     d1, d2, r = p1 - p0, q1 - q0, p0 - q0
-    a, e, b, c, f = dot(d1, d1), dot(d2, d2), dot(d1, d2), dot(d1, r), dot(d2, r)
+    a, e, b = row_dot(d1, d1), row_dot(d2, d2), row_dot(d1, d2)
+    c, f = row_dot(d1, r), row_dot(d2, r)
     point_p, point_q = a <= 1e-12, e <= 1e-12
     a, e = np.where(point_p, 1.0, a), np.where(point_q, 1.0, e)
     denom = a * e - b * b
@@ -468,7 +456,7 @@ def _segment_distances(p0, p1, q0, q1) -> np.ndarray:
     s = np.where(point_p, 0.0, np.where(point_q, np.clip(-c / a, 0.0, 1.0), s))
     t = np.where(point_q, 0.0, np.where(point_p, np.clip(f / e, 0.0, 1.0), t))
     gap = (p0 + s[..., None] * d1) - (q0 + t[..., None] * d2)
-    return np.sqrt(dot(gap, gap))
+    return np.sqrt(row_dot(gap, gap))
 
 
 def _capsule_arrays(capsules):

@@ -53,30 +53,28 @@ def _unit_icosphere(subdivisions: int) -> tuple:
     return v, t
 
 
-def icosphere(subdivisions: int = 2, radius: float = 1.0,
-              frame: str = "Patient") -> SurfaceModel:
+def icosphere(subdivisions: int = 2, radius: float = 1.0) -> SurfaceModel:
     """Unit icosahedron subdivided and projected onto a sphere, scaled to
-    radius."""
+    radius, in the Patient frame."""
     v, t = _unit_icosphere(subdivisions)
-    return SurfaceModel(frame, v * radius, t)
+    return SurfaceModel("Patient", v * radius, t)
 
 
-def bumpy_ellipsoid(rng: np.random.Generator, semi_axes=(30.0, 25.0, 20.0),
-                    bump_amplitude: float = 0.15, n_bumps: int = 6,
-                    subdivisions: int = 3, center=(0.0, 0.0, 0.0),
-                    frame: str = "Patient") -> SurfaceModel:
-    """Ellipsoid with smooth seeded radial bumps; deliberately asymmetric so
-    rigid poses against it are fully observable."""
+def bumpy_ellipsoid(rng: np.random.Generator, subdivisions: int = 3,
+                    center=(0.0, 0.0, 0.0)) -> SurfaceModel:
+    """Patient-frame ellipsoid of semi-axes 30, 25 and 20 mm with six smooth
+    seeded radial bumps, each 4.5-15% of the radius high; deliberately
+    asymmetric so rigid poses against it are fully observable."""
     dirs, triangles = _unit_icosphere(subdivisions)
-    bump_dirs = rng.normal(size=(n_bumps, 3))
+    bump_dirs = rng.normal(size=(6, 3))
     bump_dirs /= np.linalg.norm(bump_dirs, axis=1, keepdims=True)
-    amps = rng.uniform(0.3, 1.0, size=n_bumps) * bump_amplitude
-    widths = rng.uniform(2.0, 6.0, size=n_bumps)
+    amps = rng.uniform(0.3, 1.0, size=6) * 0.15
+    widths = rng.uniform(2.0, 6.0, size=6)
     scale = np.ones(len(dirs))
     for d, a, w in zip(bump_dirs, amps, widths):
         scale += a * np.exp(-w * (1.0 - dirs @ d))
-    v = dirs * scale[:, None] * np.asarray(semi_axes, dtype=float)
-    return SurfaceModel(frame, v + np.asarray(center, dtype=float), triangles)
+    v = dirs * scale[:, None] * np.array([30.0, 25.0, 20.0])
+    return SurfaceModel("Patient", v + np.asarray(center, dtype=float), triangles)
 
 
 def sample_surface_points(surface: SurfaceModel, n: int,

@@ -25,6 +25,11 @@ from .geom import (ArrayValue, RigidTransform, all_finite, compose, finite_scala
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
+# surface ICP: iteration cap and the residual fall below which it stops
+ICP_MAX_ITER = 100
+ICP_TOL_MM = 1e-4
+# queries per closest_points_on_mesh pass
+CLOSEST_POINT_CHUNK = 128
 
 
 def check_fiducial_points(points: np.ndarray) -> None:
@@ -204,10 +209,11 @@ class SurfaceModel(ArrayValue):
         return SurfaceModel(d["frame"], np.asarray(d["vertices_mm"], dtype=float),
                             np.asarray(d["triangles"], dtype=np.int64))
 
-    def to_stl(self, name: str = "surface") -> str:
-        """ASCII STL; triangle normals recomputed from vertex winding."""
+    def to_stl(self) -> str:
+        """ASCII STL (solid "surface"); triangle normals recomputed from
+        vertex winding."""
         v, t = self.vertices, self.triangles
-        lines = [f"solid {name}"]
+        lines = ["solid surface"]
         for tri in t:
             a, b, c = v[tri[0]], v[tri[1]], v[tri[2]]
             n = np.cross(b - a, c - a)
@@ -218,12 +224,13 @@ class SurfaceModel(ArrayValue):
                 lines.append(f"      vertex {p[0]:.9e} {p[1]:.9e} {p[2]:.9e}")
             lines.append("    endloop")
             lines.append("  endfacet")
-        lines.append(f"endsolid {name}")
+        lines.append("endsolid surface")
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_stl(text: str, frame: str = "Patient") -> "SurfaceModel":
-        """Parse ASCII STL; duplicate vertices are merged exactly."""
+    def from_stl(text: str) -> "SurfaceModel":
+        """Parse ASCII STL into a Patient-frame surface; duplicate vertices
+        are merged exactly."""
         verts: list = []
         index: dict = {}
         tris: list = []
@@ -241,7 +248,7 @@ class SurfaceModel(ArrayValue):
                     current = []
         if not tris:
             raise BadInput("no facets found in STL input")
-        return SurfaceModel(frame, np.asarray(verts, dtype=float),
+        return SurfaceModel("Patient", np.asarray(verts, dtype=float),
                             np.asarray(tris, dtype=np.int64))
 
 
@@ -389,8 +396,7 @@ def verify_registration(result: RegistrationResult,
 
 # -- surface registration ----------------------------------------------------
 
-def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel,
-                           chunk: int = 128):
+def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel):
     """Closest point on the mesh for each query point (exact branch and bound).
 
     Every triangle lies inside the sphere about its centroid c_t of radius
@@ -399,9 +405,9 @@ def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel,
     from above; only triangles whose lower bound does not exceed it (plus a
     rounding slack) reach the Voronoi-region kernel. The result equals a
     scan of every triangle bit for bit, ties going to the lowest triangle
-    index. Queries run in chunks, so at most chunk x T pairs are live: at
-    the default, queries that keep every triangle (the centre of a sphere)
-    peak below an all-pairs scan of 256 queries.
+    index. Queries run in chunks of CLOSEST_POINT_CHUNK, so at most that
+    many x T pairs are live: queries that keep every triangle (the centre
+    of a sphere) peak below an all-pairs scan of 256 queries.
 
     Returns (closest (N, 3), distance (N,), triangle index (N,)). Raises
     BadInput for non-finite query points. The triangle data and the tree
@@ -414,6 +420,7 @@ def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel,
     out_pts = np.empty_like(pts)
     out_dist = np.empty(len(pts))
     out_tri = np.empty(len(pts), dtype=np.int64)
+    chunk = CLOSEST_POINT_CHUNK
     for start in range(0, len(pts), chunk):
         p = pts[start:start + chunk]
         _, nearest = tree.query(p)
@@ -555,13 +562,13 @@ def _point_to_plane_step(surface: SurfaceModel, moved: np.ndarray,
 
 def icp_register(probed, surface: SurfaceModel,
                  init: RigidTransform | None = None,
-                 max_iter: int = 100, tol_mm: float = 1e-4,
                  residual_history: list | None = None) -> RegistrationResult:
     """Point-to-plane iterative closest point: alternate point-to-triangle
     correspondence with one Gauss-Newton step towards the tangent planes at
-    the closest points until the RMS residual falls by less than tol_mm, in
-    at most max_iter steps (else the last transform is returned flagged
-    converged=False).
+    the closest points until the RMS residual falls by less than ICP_TOL_MM,
+    in at most ICP_MAX_ITER steps (else the last transform is returned
+    flagged converged=False). Both limits are module constants, read at
+    each call.
 
     Residual contract: on noise-free data the RMS residual never increases.
     A rise (probe noise, near the optimum) stops the solve as converged at
@@ -580,19 +587,19 @@ def icp_register(probed, surface: SurfaceModel,
 
     prev_rms, prev = np.inf, None
     converged = False
-    for k in range(max_iter + 1):
+    for k in range(ICP_MAX_ITER + 1):
         moved = t.apply(probed)
         closest, dist, tri_idx = closest_points_on_mesh(moved, surface)
         rms = float(np.sqrt(np.mean(dist ** 2)))
         if residual_history is not None:
             residual_history.append(rms)
         step, sv = _point_to_plane_step(surface, moved, closest, tri_idx)
-        if prev_rms - rms < tol_mm:
+        if prev_rms - rms < ICP_TOL_MM:
             converged = True
             if rms > prev_rms:
                 rms, (t, dist, sv) = prev_rms, prev
             break
-        if k == max_iter:
+        if k == ICP_MAX_ITER:
             break
         prev_rms, prev = rms, (t, dist, sv)
         t = compose(step, t)

@@ -215,8 +215,7 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     tpts = entries[idx] + rng.normal(scale=4.0, size=(n_targets, 3))
     targets = FiducialSet("Patient", tuple(f"T{i + 1}" for i in range(n_targets)), tpts)
 
-    surface = bumpy_ellipsoid(rng, semi_axes=(30.0, 25.0, 20.0),
-                              center=(0.0, 10.0, spine_length / 2.0))
+    surface = bumpy_ellipsoid(rng, center=(0.0, 10.0, spine_length / 2.0))
     return Phantom(fiducials, surface, tuple(pedicles), targets)
 
 
@@ -393,12 +392,13 @@ def _carm_pairs(center: np.ndarray, detector_distance_mm: np.ndarray,
     return np.stack(models)
 
 
-def _make_calibrator_offsets(n: int = 16, extent: float = 140.0) -> np.ndarray:
+def _make_calibrator_offsets() -> np.ndarray:
     """Fixed C-arm calibrator geometry: one physical device, so the offsets
-    are a constant non-coplanar cloud (deterministic across runs)."""
+    are a constant non-coplanar cloud of 16 points in a 140 mm cube
+    (deterministic across runs)."""
     rng = np.random.default_rng(20240915)
     while True:
-        pts = rng.uniform(-extent / 2, extent / 2, size=(n, 3))
+        pts = rng.uniform(-70.0, 70.0, size=(16, 3))
         sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
         if sv[2] / sv[0] > 0.2:
             return pts - pts.mean(axis=0)
@@ -551,14 +551,14 @@ def _triangulated_jigs(world: np.ndarray, factors: list, jitter: np.ndarray,
         cal_noise, jig_noise = detector[2 * v], detector[2 * v + 1]
         uv, failed = cal.project_batch(true[v, running.rows], cal_pts[running.rows])
         uv = uv[running.drop(failed)] + cal_noise[running.rows]
-        cal.check_detections(uv, np.ones(uv.shape[:2]))
+        cal.check_detections(uv)
         p, failed = cal.dlt_calibrate_batch(cal_pts[running.rows], uv)
         p = cal.scale_normalized(p[running.drop(failed)])
         cal.check_projections(p)
         estimated[v, running.rows] = p
         uv, failed = cal.project_batch(true[v, running.rows], world[running.rows])
         uv = uv[running.drop(failed)] + jig_noise[running.rows]
-        cal.check_detections(uv, np.ones(uv.shape[:2]))
+        cal.check_detections(uv)
         detected[v, running.rows] = uv
     running.drop(cal.common_label_failures(n, len(running.index)))
     rows = running.rows

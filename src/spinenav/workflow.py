@@ -113,7 +113,6 @@ class Event:
     registration: RegistrationResult | None = None
     trajectory: Trajectory | None = None
     achieved: ScrewPlan | None = None
-    residual_rms: float | None = None
     timestamp: float = 0.0
 
     def __post_init__(self):
@@ -121,6 +120,10 @@ class Event:
         if isinstance(self.views, str):
             raise BadInput(f"views must be a collection of view names, "
                            f"not the string {self.views!r}")
+        views = tuple(self.views)
+        if not all(isinstance(v, str) for v in views):
+            raise BadInput(f"views must be view names (strings), got {views!r}")
+        object.__setattr__(self, "views", views)
 
 
 @dataclass(frozen=True)
@@ -458,8 +461,6 @@ def _event_to_dict(e: Event) -> dict:
                            "collision_checked": e.trajectory.collision_checked}
     if e.achieved is not None:
         d["achieved"] = e.achieved.to_dict()
-    if e.residual_rms is not None:
-        d["residual_rms"] = e.residual_rms
     return d
 
 
@@ -488,7 +489,7 @@ def _event_from_dict(d: dict) -> Event:
         val = PlanValidation(_json_bool(vd["accepted"], "accepted"), vd["breach_mm"],
                              vd["min_clearance_mm"])
     views = d.get("views", [])
-    if not (isinstance(views, list) and all(isinstance(v, str) for v in views)):
+    if not isinstance(views, list):  # Event checks each view is a string
         raise BadInput(f"views must be a list of strings, got {views!r}")
     timestamp = d.get("timestamp", 0.0)
     if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
@@ -504,7 +505,6 @@ def _event_from_dict(d: dict) -> Event:
                       if "registration" in d else None),
         trajectory=traj,
         achieved=ScrewPlan.from_dict(d["achieved"]) if "achieved" in d else None,
-        residual_rms=d.get("residual_rms"),
         timestamp=timestamp,
     )
 

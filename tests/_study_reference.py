@@ -82,7 +82,7 @@ def fiducial_guard(points):
 def detection_guard(uv):
     """Detection2D.__post_init__'s value check on one view's (N, 2) uv."""
     if not np.all(np.isfinite(uv)):
-        raise BadInput("detections and confidences must be finite")
+        raise BadInput("detections must be finite")
 
 
 # -- kernels ------------------------------------------------------------------------

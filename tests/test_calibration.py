@@ -106,7 +106,7 @@ def _world_image_pairs(model, pts, noise=0.0, rng=None):
     uv = project(model, pts)
     if noise > 0.0:
         uv = uv + rng.normal(scale=noise, size=uv.shape)
-    det = Detection2D(model.view_label, tuple(labels), uv, np.ones(len(pts)))
+    det = Detection2D(model.view_label, tuple(labels), uv)
     return [(l, p) for l, p in zip(labels, pts)], det
 
 
@@ -192,14 +192,13 @@ def test_dlt_matches_loop_reference_bit_for_bit():
                               _dlt_loop_reference(world, det).matrix)
 
 
-@pytest.mark.parametrize("uv, conf", [
-    ([[0.0, float("nan")]], [1.0]),
-    ([[float("inf"), 0.0]], [1.0]),
-    ([[0.0, 0.0]], [float("nan")]),
-], ids=["nan_uv", "inf_uv", "nan_confidence"])
-def test_detection2d_rejects_non_finite(uv, conf):
+@pytest.mark.parametrize("uv", [
+    [[0.0, float("nan")]],
+    [[float("inf"), 0.0]],
+], ids=["nan_uv", "inf_uv"])
+def test_detection2d_rejects_non_finite(uv):
     with pytest.raises(ValueError, match="finite"):
-        Detection2D("AP", ("J0",), uv, conf)
+        Detection2D("AP", ("J0",), uv)
 
 
 # rank 3 and scale-normalised, but the left 3x3 block has two equal rows
@@ -374,7 +373,6 @@ def test_detect_fiducials_noise_free():
     for l in JIG.labels:
         truth = pattern[l]
         assert np.linalg.norm(det.position(l) - truth) < 0.05
-    assert np.all(det.confidence == 1.0)
 
 
 def test_detect_fiducials_one_outside_fov():
@@ -411,7 +409,7 @@ def _detections(model, fidset, noise=0.0, rng=None):
     uv = project(model, fidset.points)
     if noise > 0.0:
         uv = uv + rng.normal(scale=noise, size=uv.shape)
-    return Detection2D(model.view_label, fidset.labels, uv, np.ones(len(fidset)))
+    return Detection2D(model.view_label, fidset.labels, uv)
 
 
 def test_register_patient_2d_noise_free_exact():
@@ -445,7 +443,7 @@ def test_register_patient_2d_too_few_common():
     jig_world = JIG.transformed(t_gt, frame="CArm")
     det_a = _detections(AP, jig_world)
     det_b = _detections(LP, jig_world)
-    small = Detection2D("LP", det_b.labels[:3], det_b.uv[:3], det_b.confidence[:3])
+    small = Detection2D("LP", det_b.labels[:3], det_b.uv[:3])
     with pytest.raises(TooFewCommonLabels):
         register_patient_2d(JIG, [(AP, det_a), (LP, small)])
 
@@ -468,8 +466,7 @@ def test_register_patient_2d_noisier_than_direct_3d():
         models = []
         for m_true in (ap_true, lp_true):
             uv = project(m_true, cal_pts) + rng.normal(scale=0.2, size=(12, 2))
-            det = Detection2D(m_true.view_label, tuple(f"C{k}" for k in range(12)),
-                              uv, np.ones(12))
+            det = Detection2D(m_true.view_label, tuple(f"C{k}" for k in range(12)), uv)
             models.append(dlt_calibrate(cal_world, det))
         t_gt = random_rigid(rng, translation_scale=20.0)
         jig_world = JIG.transformed(t_gt, frame="CArm")

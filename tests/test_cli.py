@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinenav import cli, errors
+from spinenav import cli, errors, registration
 from spinenav.calibration import pinhole_projection, project
 from spinenav.cli import main
 from spinenav.geom import RigidTransform, transform_to_dict
-from spinenav.registration import FiducialSet, icp_register
+from spinenav.registration import FiducialSet
 
 from _helpers import look_at
 
@@ -131,7 +131,7 @@ def test_register_icp_unconverged_is_not_accepted(tmp_path, monkeypatch):
     from spinenav.meshes import bumpy_ellipsoid, sample_surface_points
     # this start converges in a few steps; one allowed step forces the
     # unconverged path, which must be reported and rejected
-    monkeypatch.setattr(cli, "icp_register", functools.partial(icp_register, max_iter=1))
+    monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
     rng = np.random.default_rng(1)
     surface = bumpy_ellipsoid(rng)
     offset = RigidTransform.from_axis_angle(rng.normal(size=3), 0.15, [3.0, 0.0, 0.0])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from spinenav import kinematics
-from spinenav.errors import LimitViolation, NoSafePath, Unreachable
+from spinenav.errors import BadInput, LimitViolation, NoSafePath, Unreachable
 from spinenav.geom import RigidTransform
 from spinenav.kinematics import (
     Capsule,
@@ -540,19 +540,17 @@ def test_check_collision_empty_scene():
     assert check_collision(MODEL, scene, np.zeros(6)) == []
 
 
-def test_collision_scene_resolves_obstacle_frames():
-    from spinenav.geom import FrameGraph
-    graph = FrameGraph().with_edge(
-        "Patient", "RobotBase", RigidTransform(np.eye(3), [210.0, 75.0, 300.0]))
-    # the sphere sits at the patient origin, which the graph maps to the
-    # same world point as the hand-computed base-frame test below
-    scene = CollisionScene((("ball", sphere([0.0, 0.0, 0.0], 50.0), "Patient"),),
-                           safety_margin=45.0, frame_graph=graph)
-    hits = check_collision(MODEL, scene, np.zeros(6))
-    pairs = {(link, label): d for link, label, d in hits}
-    assert pairs[(1, "ball")] == pytest.approx(40.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        CollisionScene((("ball", sphere([0, 0, 0], 5.0), "Patient"),))
+@pytest.mark.parametrize("entry", [
+    ("ball", sphere([0.0, 0.0, 0.0], 50.0), "RobotBase"),
+    ("ball", sphere([0.0, 0.0, 0.0], 50.0), "Patient"),
+    ("ball", "not a capsule"),
+], ids=["base-frame", "patient-frame", "not-a-capsule"])
+def test_collision_scene_rejects_an_entry_that_is_not_a_pair(entry):
+    # obstacles are base-frame (label, Capsule) pairs: reading a third item
+    # as anything but an error would drop its frame without notice, and a
+    # non-capsule would fail only at the first collision query
+    with pytest.raises(BadInput, match="pair"):
+        CollisionScene((entry,))
 
 
 def test_check_collision_hand_computed_sphere():

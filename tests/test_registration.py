@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spinenav.errors import BadInput, DegenerateGeometry, LabelMismatch, TooFewPoints
 from spinenav.geom import RigidTransform, compose, invert
-from spinenav import meshes
+from spinenav import meshes, registration
 from spinenav.meshes import bumpy_ellipsoid, icosphere, sample_surface_points
 from spinenav.registration import (
     FiducialSet,
@@ -297,7 +297,8 @@ def _pose_error(estimate, truth, points):
 
 
 @pytest.mark.parametrize("angle", [0.15, 0.3, 0.5])
-def test_icp_recovers_rotated_starts_exactly(angle):
+def test_icp_recovers_rotated_starts_exactly(angle, monkeypatch):
+    monkeypatch.setattr(registration, "ICP_TOL_MM", 1e-8)
     for seed in range(10):
         rng = np.random.default_rng(700 + seed)
         surf = bumpy_ellipsoid(rng)
@@ -306,7 +307,7 @@ def test_icp_recovers_rotated_starts_exactly(angle):
                                                 3.0 * direction / np.linalg.norm(direction))
         probed = offset.apply(sample_surface_points(surf, 200, rng))
         history = []
-        res = icp_register(probed, surf, tol_mm=1e-8, residual_history=history)
+        res = icp_register(probed, surf, residual_history=history)
         assert res.converged
         assert len(history) <= 10  # one entry per closest-point query
         assert _pose_error(res.transform, invert(offset), probed) <= 1e-6
@@ -341,13 +342,14 @@ def test_icp_icosphere_from_offset_start_is_ambiguous(subdivisions):
         icp_register(probed, sphere)
 
 
-def test_icp_unconverged_when_max_iter_runs_out():
+def test_icp_unconverged_when_max_iter_runs_out(monkeypatch):
+    monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
     surf = _test_surface()
     rng = np.random.default_rng(10)
     offset = RigidTransform.from_axis_angle(rng.normal(size=3), 0.15, [3.0, 0.0, 0.0])
     probed = offset.apply(sample_surface_points(surf, 200, rng))
     history = []
-    res = icp_register(probed, surf, max_iter=1, residual_history=history)
+    res = icp_register(probed, surf, residual_history=history)
     assert not res.converged
     assert len(history) == 2
     assert res.fre_rms == history[-1] < history[0]
@@ -392,7 +394,7 @@ def _all_pairs_closest(queries, surf, block=32):
 
 @pytest.mark.parametrize("surf", [bumpy_ellipsoid(np.random.default_rng(8)),
                                   icosphere(2, 25.0)], ids=["bumpy", "icosphere"])
-def test_closest_points_on_mesh_pruning_is_exact(surf):
+def test_closest_points_on_mesh_pruning_is_exact(surf, monkeypatch):
     rng = np.random.default_rng(6)
     v, t = surf.vertices, surf.triangles
     on_surface = sample_surface_points(surf, 60, rng)
@@ -403,7 +405,8 @@ def test_closest_points_on_mesh_pruning_is_exact(surf):
         40.0 * on_surface,                    # far away: most triangles kept
         np.zeros((1, 3)),
     ])
-    got = closest_points_on_mesh(queries, surf, chunk=50)
+    monkeypatch.setattr(registration, "CLOSEST_POINT_CHUNK", 50)
+    got = closest_points_on_mesh(queries, surf)
     want = _all_pairs_closest(queries, surf)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -468,7 +471,7 @@ def test_verify_rejects_unconverged_fit():
 
 def test_surface_stl_round_trip():
     surf = icosphere(1, 10.0)
-    back = SurfaceModel.from_stl(surf.to_stl(), frame=surf.frame)
+    back = SurfaceModel.from_stl(surf.to_stl())
     assert len(back.triangles) == len(surf.triangles)
     # vertex sets coincide (order may differ after dedup)
     a = {tuple(np.round(v, 6)) for v in surf.vertices}

@@ -15,7 +15,7 @@ from spinenav.calibration import (
     SyntheticProjectionImage,
 )
 from spinenav.errors import BadInput, NegativeBreach
-from spinenav.geom import ArrayValue, FrameEdge, RigidTransform
+from spinenav.geom import ArrayValue, RigidTransform
 from spinenav.kinematics import Capsule, JointVector, RobotModel, Trajectory, default_robot
 from spinenav.planning import (Grade, PedicleModel, PlanDeviation, PlanValidation, ScrewPlan,
                                grade_gertzbein)
@@ -41,8 +41,7 @@ VALID = {
                       residual_rms=0.2),
     ProjectionModel: dict(matrix=[[1000.0, 0.0, 0.0, 0.0], [0.0, 1000.0, 0.0, 0.0],
                                   [0.0, 0.0, 1.0, 500.0]], view_label="AP"),
-    Detection2D: dict(view_label="AP", labels=("a", "b"), uv=[[0.0, 1.0], [2.0, 3.0]],
-                      confidence=[1.0, 0.5]),
+    Detection2D: dict(view_label="AP", labels=("a", "b"), uv=[[0.0, 1.0], [2.0, 3.0]]),
     SyntheticProjectionImage: dict(view_label="AP", pixels=np.arange(20).reshape(4, 5),
                                    mm_per_pixel=0.5, origin_mm=[-1.0, 0.0]),
     Capsule: dict(p0=[0.0, 0.0, 0.0], p1=[0.0, 0.0, 100.0], radius=20.0),
@@ -150,8 +149,6 @@ SCALAR_VALID = {
     PivotResult: VALID[PivotResult],
     SyntheticProjectionImage: VALID[SyntheticProjectionImage],
     Grade: dict(value="B", breach_mm=1.0),
-    FrameEdge: dict(src="Tracker", dst="DRB", transform=RigidTransform.identity(),
-                    timestamp=1.0),
     PlanValidation: dict(accepted=True, breach_mm=0.0, min_clearance_mm=1.0),
     PlanDeviation: dict(entry_offset_mm=0.5, angle_deg=2.0, tip_offset_mm=1.0),
     Event: dict(kind=EventKind.ACQUIRE_PREOP_CT, timestamp=1.0),
@@ -167,7 +164,6 @@ SCALAR_FIELDS = [
     (PivotResult, "residual_rms"),
     (SyntheticProjectionImage, "mm_per_pixel"),
     (Grade, "breach_mm"),
-    (FrameEdge, "timestamp"),
     (PlanValidation, "breach_mm"), (PlanValidation, "min_clearance_mm"),
     (PlanDeviation, "entry_offset_mm"), (PlanDeviation, "angle_deg"),
     (PlanDeviation, "tip_offset_mm"),

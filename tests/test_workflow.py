@@ -73,7 +73,7 @@ def _drive_to_verification_imaging(mode=Mode.NAVIGATION_ONLY, levels=("L1",),
                                  validation=GOOD_VALIDATION))
     s = advance(s, Event(K.FINISH_PLANNING))
     s = advance(s, Event(K.PREPARE_OT))
-    s = advance(s, Event(K.CALIBRATE_INSTRUMENTS, residual_rms=0.1))
+    s = advance(s, Event(K.CALIBRATE_INSTRUMENTS))
     s = advance(s, Event(K.ATTACH_DRB))
     if mode is Mode.ROBOT_ASSISTED:
         s = advance(s, Event(K.POSITION_ROBOT_CART))
@@ -577,7 +577,15 @@ def test_event_rejects_a_string_of_views():
     # a bare string would log one exposure per character
     with pytest.raises(BadInput, match="views"):
         Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views="APLP")
-    assert Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views=["AP"]).views == ["AP"]
+    assert Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views=["AP"]).views == ("AP",)
+
+
+@pytest.mark.parametrize("views", [(None, 7), ["AP", 7]], ids=["none-int", "str-int"])
+def test_event_rejects_views_that_are_not_strings(views):
+    # the load path refuses such views, so a session that logged them could
+    # be saved but never loaded again
+    with pytest.raises(BadInput, match="views"):
+        Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views=views)
 
 
 @pytest.mark.parametrize("header", [{"schema_version": 1},
@@ -775,7 +783,7 @@ def test_session_to_dict_is_the_header_and_the_events(tmp_path):
 
 
 _PERSISTED_ALPHABET = ALPHABET + [
-    Event(K.CALIBRATE_INSTRUMENTS, residual_rms=0.125, timestamp=3.5),
+    Event(K.CALIBRATE_INSTRUMENTS, timestamp=3.5),
     Event(K.SUBMIT_REGISTRATION, timestamp=7.25, registration=RegistrationResult(
         RigidTransform.from_axis_angle((1.0, 2.0, 3.0), 0.3, (10.0, -5.0, 2.5)),
         0.7, (0.7, 0.7, 0.7), 3)),
