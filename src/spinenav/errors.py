@@ -93,7 +93,8 @@ class TooFewCommonLabels(SpineNavError):
 # -- kinematics -------------------------------------------------------------
 
 class Unreachable(NumericalFailure):
-    """Inverse kinematics found no solution from any restart."""
+    """Inverse kinematics has no solution: the target lies outside the arm's
+    workspace."""
 
 
 class LimitViolation(NumericalFailure):

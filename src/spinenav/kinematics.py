@@ -3,18 +3,18 @@ capsule-based collision checking.
 
 The robot is described by standard Denavit-Hartenberg rows; forward
 kinematics is the product of the six link transforms, for one joint row or a
-stack of rows, and inverse kinematics is damped least squares with adaptive
-damping and restarts. The restart starts come from one fixed generator, so
-ik depends only on (target, seed) and every plan is reproducible. Tool-axis
-targets are 5-DOF tasks (roll about the tool axis is free), and the planner
-exploits that free roll to steer around obstacles. Collision checking fills
-one clearance table (rows x link capsules x obstacles) per planning phase;
-one-configuration queries are one-row views of it.
+stack of rows. The arm is PUMA-type with a spherical wrist, so inverse
+kinematics is exact and in closed form: up to 8 branches from one stacked
+pass, of which ik returns the in-limit branch nearest its seed, so ik depends
+only on (target, seed) and every plan is reproducible. Tool-axis targets are
+5-DOF tasks (roll about the tool axis is free), and the planner exploits that
+free roll to steer around obstacles. Collision checking fills one clearance
+table (rows x link capsules x obstacles) per planning phase; one-configuration
+queries are one-row views of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +24,6 @@ from .geom import (ArrayValue, RigidTransform, axis_basis, cross3, frozen_array,
                    snap_rotation)
 
 MAX_JOINT_STEP_RAD = 0.05
-# inverse kinematics: convergence tolerances, iteration cap, damping floor
-# and the number of random restarts after the seeded attempt
-IK_TOL_MM = 0.01
-IK_TOL_RAD = 1e-4
-IK_MAX_ITER = 200
-IK_DAMPING = 0.01
-IK_RESTARTS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +51,11 @@ class RobotModel(ArrayValue):
     """DH table (a mm, alpha rad, d mm, theta_offset rad), joint limits, and
     per-link collision capsules expressed in each link's frame.
 
-    reach_mm bounds the flange's distance from the base origin for any joint
-    values: each link moves its frame origin by (a cos, a sin, d), so by the
-    triangle inequality no flange lies farther out than the sum of the
-    sqrt(a^2 + d^2) (about 1,386 mm for default_robot)."""
+    The table must be of the PUMA-type family that ik solves in closed form:
+    alpha (-pi/2, 0, -pi/2, pi/2, -pi/2, 0); a1 = a3 = a4 = a5 = a6 = 0 and
+    d3 = d5 = 0 (a spherical wrist), each to 1e-12 mm; a2 and d4 non-zero.
+    d1, d2, d6 and the theta offsets are free. Any other table raises
+    BadInput."""
 
     dh_rows: np.ndarray      # (6, 4)
     joint_limits: np.ndarray  # (6, 2)
@@ -72,6 +66,12 @@ class RobotModel(ArrayValue):
         lim = frozen_array(self, "joint_limits", self.joint_limits, (6, 2))
         if np.any(lim[:, 0] >= lim[:, 1]):
             raise BadInput("joint limits must satisfy min < max")
+        # a1, a3-a6, d3 and d5 are zero (to 1e-12 mm); a2 and d4 are not
+        lengths = np.abs(dh[[0, 2, 3, 4, 5, 2, 4, 1, 3], [0, 0, 0, 0, 0, 2, 2, 0, 2]]) > 1e-12
+        if not (np.array_equal(dh[:, 1], np.array([-1, 0, -1, 1, -1, 0]) * (np.pi / 2))
+                and np.array_equal(lengths, [False] * 7 + [True] * 2)):
+            raise BadInput("the DH table is not of the PUMA-type spherical-wrist family "
+                           "that inverse kinematics solves")
         caps = tuple(tuple(c for c in link) for link in self.link_capsules)
         if len(caps) != 6:
             raise BadInput("link_capsules must have one entry per joint")
@@ -83,13 +83,6 @@ class RobotModel(ArrayValue):
         links.setflags(write=False)
         object.__setattr__(self, "link_capsules", caps)
         object.__setattr__(self, "_dh_links", links)
-        object.__setattr__(self, "reach_mm", float(np.sum(np.hypot(dh[:, 0], dh[:, 2]))))
-
-    def within_limits(self, q) -> bool:
-        """Whether every joint value lies within its limits, to 1e-9 rad."""
-        q = np.asarray(q, dtype=float)
-        return bool(np.all(q >= self.joint_limits[:, 0] - 1e-9)
-                    and np.all(q <= self.joint_limits[:, 1] + 1e-9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,130 +181,88 @@ def fk(model: RobotModel, q) -> RigidTransform:
     return RigidTransform(snap_rotation(m[:3, :3]), m[:3, 3])
 
 
-def _jacobian(frames: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian from the fk_frames of a configuration, built in
-    Fortran order: the damped step's j @ j.T rounds differently for a
-    C-order array, and every plan's joints would change in the last bits."""
-    z, p = frames[:6, :3, 2], frames[:6, :3, 3]
-    j = np.empty((6, 6), order="F")
-    j[:3] = cross3(z.T, (frames[-1][:3, 3] - p).T)
-    j[3:] = z.T
-    return j
-
-
 def jacobian(model: RobotModel, q) -> np.ndarray:
     """Geometric Jacobian at q: rows 0-2 linear (mm/rad), 3-5 angular."""
-    return _jacobian(fk_frames(model, q))
+    frames = fk_frames(model, q)
+    z, p = frames[:6, :3, 2], frames[:6, :3, 3]
+    return np.vstack([cross3(z.T, (frames[-1][:3, 3] - p).T), z.T])
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D array, rounded as np.linalg.norm rounds it."""
-    return math.sqrt(v @ v)
+def _ik_branches(model: RobotModel, target: RigidTransform, seed: np.ndarray) -> np.ndarray:
+    """The 8 closed-form joint rows (8, 6) that reach target, before any
+    whole-turn shift, decoupled at the wrist centre w = p - d6 z (Pieper
+    1968; Craig, Introduction to Robotics, ch. 4).
 
+    In one stacked pass: q1 takes 2 shoulder branches from the offset d2,
+    q3 2 elbow branches from the law of cosines on a2 and d4, and q2 the
+    planar two-link solution; one fk_frames call gives R03 of the 4 arm
+    branches, and R36 = R03^T R = Rz(q4) Ry(-q5) Rz(q6) gives q4 in 2 wrist
+    flips, then q5 and q6 from Rz(q4)^T R36, which holds for any q4.
 
-def _rotation_log(r: np.ndarray) -> np.ndarray:
-    """Rotation vector (axis times angle in [0, pi], rad) of rotation r."""
-    s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    cos = 0.5 * (np.trace(r) - 1.0)
-    angle = np.arctan2(_norm(s), cos)
-    if cos > -0.5:  # below 120 deg, s = sin(angle) * axis is well conditioned
-        x = angle / np.pi  # s / sinc(x), with np.sinc's own y = pi * x
-        y = np.pi * (x if x != 0.0 else 1e-20)
-        return s / (np.sin(y) / y)
-    # near pi s vanishes: the symmetric part is (1 - cos) axis axis^T
-    b = 0.5 * (r + r.T) - cos * np.eye(3)
-    k = int(np.argmax(np.diag(b)))
-    axis = b[:, k] / _norm(b[:, k])
-    return angle * axis if s[k] >= 0.0 else -angle * axis
-
-
-_ROT_SCALE_MM = 100.0  # characteristic length making rad comparable to mm
-_EYE6 = np.eye(6)
-
-
-def _dls_solve(model: RobotModel, target: RigidTransform, q0: np.ndarray):
-    """Damped-least-squares iteration (unconstrained); returns (q, converged)."""
-    q = np.asarray(q0, dtype=float).copy()
-    lam = IK_DAMPING
-
-    def error(qv):
-        """Stacked error, position error (mm), rotation vector (rad), frames."""
-        frames = fk_frames(model, qv)
-        pos_err = target.translation - frames[-1][:3, 3]
-        rot_vec = _rotation_log(target.rotation @ frames[-1][:3, :3].T)
-        return (np.concatenate([pos_err, rot_vec * _ROT_SCALE_MM]), pos_err,
-                rot_vec, frames)
-
-    e, pos_err, rot_vec, frames = error(q)
-    for _ in range(IK_MAX_ITER):
-        if _norm(pos_err) < IK_TOL_MM and _norm(rot_vec) < IK_TOL_RAD:
-            return q, True
-        j = _jacobian(frames)
-        j[3:, :] *= _ROT_SCALE_MM
-        jt = j.T
-        e_norm = _norm(e)
-        for _ in range(40):  # adaptive damping: double until the step helps
-            step = jt @ np.linalg.solve(j @ jt + lam ** 2 * _EYE6, e)
-            step = np.clip(step, -0.4, 0.4)
-            trial = error(q + step)
-            if _norm(trial[0]) < e_norm:
-                q, (e, pos_err, rot_vec, frames) = q + step, trial
-                lam = max(IK_DAMPING, lam / 1.5)
-                break
-            lam *= 2.0
-            if lam > 1e6:
-                return q, False
-        else:
-            return q, False
-    return q, bool(_norm(pos_err) < IK_TOL_MM and _norm(rot_vec) < IK_TOL_RAD)
-
-
-def _wrap_into_limits(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Shift revolute joints by multiples of 2 pi into their limit ranges
-    where possible (fk is invariant); out-of-range values pass through."""
-    out = q.copy()
-    for i in range(6):
-        lo, hi = model.joint_limits[i]
-        if lo <= out[i] <= hi:
-            continue
-        for k in (-2, -1, 1, 2):
-            cand = out[i] + 2.0 * np.pi * k
-            if lo <= cand <= hi:
-                out[i] = cand
-                break
-    return out
+    At the wrist singularity (|sin q5| at most 1e-12) q4 and q6 turn about
+    one line; of that family the member nearest the seed's q4 and q6 is
+    taken, each moved by half the roll between them. A pose within rounding
+    (1e-13, relative) of a boundary, the wrist centre on the shoulder
+    cylinder of radius d2 or the elbow straight or folded, is solved on it;
+    one beyond raises Unreachable."""
+    dh, off = model.dh_rows, model.dh_rows[:, 3]
+    d1, a2, d2, d4, d6 = dh[0, 2], dh[1, 0], dh[1, 2], dh[3, 2], dh[5, 2]
+    r = target.rotation
+    w = target.translation - d6 * r[:, 2]
+    u2 = w[0] ** 2 + w[1] ** 2 - d2 ** 2  # squared radial reach in the arm plane
+    v = d1 - w[2]
+    s3 = (a2 ** 2 + d4 ** 2 - u2 - v ** 2) / (2.0 * a2 * d4)
+    if u2 < -1e-13 * d2 ** 2 or abs(s3) > 1.0 + 1e-13:
+        raise Unreachable("the wrist centre lies outside the arm's workspace")
+    # within rounding of a boundary is on it: there the position fixes q1
+    # or q3 only to about 1e-8 rad, which would unsettle a singular wrist
+    u2 = u2 if u2 > 1e-13 * d2 ** 2 else 0.0
+    s3 = s3 if abs(s3) < 1.0 - 1e-13 else np.sign(s3)
+    u = np.array([1.0, 1.0, -1.0, -1.0]) * np.sqrt(u2)
+    c3 = np.array([1.0, -1.0, 1.0, -1.0]) * np.sqrt(1.0 - s3 * s3)
+    theta = np.zeros((4, 6))
+    theta[:, 0] = np.arctan2(w[1], w[0]) - np.arctan2(d2, u)
+    theta[:, 1] = np.arctan2(v, u) - np.arctan2(d4 * c3, a2 - d4 * s3)
+    theta[:, 2] = np.arctan2(s3, c3)
+    r36 = np.swapaxes(fk_frames(model, theta - off)[:, 3, :3, :3], 1, 2) @ r
+    singular = np.hypot(r36[:, 0, 2], r36[:, 1, 2]) <= 1e-12
+    t4 = np.where(singular, seed[3] + off[3], np.arctan2(-r36[:, 1, 2], -r36[:, 0, 2]))
+    t4, r36, theta = np.concatenate([t4, t4 + np.pi]), np.tile(r36, (2, 1, 1)), np.tile(theta, (2, 1))
+    c4, s4 = np.cos(t4)[:, None], np.sin(t4)[:, None]
+    row0 = c4 * r36[:, 0] + s4 * r36[:, 1]  # rows 0 and 1 of Ry(-q5) Rz(q6)
+    row1 = c4 * r36[:, 1] - s4 * r36[:, 0]
+    t6 = np.arctan2(row1[:, 0], row1[:, 1])
+    # a singular wrist turns by q4 + q6 (q5 = 0) or q6 - q4 (q5 = pi)
+    half = np.where(np.tile(singular, 2),
+                    0.5 * (np.mod(t6 - seed[5] - off[5] + np.pi, 2.0 * np.pi) - np.pi), 0.0)
+    theta[:, 3] = t4 + np.sign(r36[:, 2, 2]) * half
+    theta[:, 4] = np.arctan2(-row0[:, 2], r36[:, 2, 2])
+    theta[:, 5] = t6 - half
+    return theta - off
 
 
 def ik(model: RobotModel, target: RigidTransform, seed: JointVector) -> JointVector:
-    """Inverse kinematics by damped least squares from seed, then from up to
-    IK_RESTARTS starts drawn in order from np.random.default_rng(0) within
-    the joint limits: the result depends only on (target, seed).
+    """Exact inverse kinematics: of the closed form's 8 branches
+    (_ik_branches), the one nearest the seed within the joint limits.
 
-    Each attempt converges unconstrained, then revolute joints are wrapped
-    by 2 pi into their ranges; a wrapped in-limit solution is returned, so
-    the fk round trip of every success is below tolerance by construction.
-    Raises Unreachable if no attempt converges, at once when the target lies
-    beyond model.reach_mm plus the position tolerance (no attempt could
-    converge there), or LimitViolation when solutions exist only outside
-    the joint limits.
+    Each joint of each branch is moved by whole turns to its value nearest
+    the seed within its limits (1e-9 rad slack). The result depends only on
+    (target, seed). Raises Unreachable when no branch exists, LimitViolation
+    when branches exist but none lies within the joint limits.
     """
-    if _norm(target.translation) > model.reach_mm + IK_TOL_MM:
-        raise Unreachable(f"target lies beyond the arm's {model.reach_mm:.1f} mm reach")
-    converged_any = False
-    for attempt in range(IK_RESTARTS + 1):
-        if attempt == 1:  # most calls converge from the seed: no generator
-            rng = np.random.default_rng(0)
-        q0 = (seed.q if attempt == 0 else
-              rng.uniform(model.joint_limits[:, 0], model.joint_limits[:, 1]))
-        q, ok = _dls_solve(model, target, q0)
-        if ok:
-            converged_any = True
-            q = _wrap_into_limits(model, q)
-            if model.within_limits(q):
-                return JointVector(q)
-    if converged_any:
+    q = _ik_branches(model, target, seed.q)
+    # per joint: the lowest whole-turn shift at or above the lower limit,
+    # then as many further turns as bring it nearest the seed within limits
+    lo, hi = model.joint_limits[:, 0] - 1e-9, model.joint_limits[:, 1] + 1e-9
+    low = lo + np.mod(q - lo, 2.0 * np.pi)
+    turns = np.clip(np.round((seed.q - low) / (2.0 * np.pi)), 0.0,
+                    np.floor((hi - low) / (2.0 * np.pi)))
+    q = low + 2.0 * np.pi * turns
+    in_limits = np.all(low <= hi, axis=1)
+    if not in_limits.any():
         raise LimitViolation("target reachable only outside joint limits")
-    raise Unreachable("inverse kinematics failed from seed and restarts")
+    dist = np.where(in_limits, np.linalg.norm(q - seed.q, axis=1), np.inf)
+    return JointVector(q[np.argmin(dist)])
 
 
 # -- trajectory planning ----------------------------------------------------------
@@ -574,10 +525,9 @@ def _default_link_capsules(dh_rows) -> tuple:
 
 
 def default_robot() -> RobotModel:
-    """Generic 6R arm: shoulder offset, 420/400 mm links, spherical wrist.
-
-    A stand-in geometry; any arm with the same interface works. Reach is
-    roughly 900 mm, suiting a desk-scale operating field.
+    """Generic PUMA-type 6R arm: shoulder offset, 420/400 mm links,
+    spherical wrist. A stand-in geometry of the DH family RobotModel
+    accepts; reach is roughly 900 mm, suiting a desk-scale operating field.
     """
     dh = np.array([
         #   a (mm)  alpha (rad)   d (mm)  theta_offset

@@ -53,13 +53,6 @@ def _unit_icosphere(subdivisions: int) -> tuple:
     return v, t
 
 
-def icosphere(subdivisions: int = 2, radius: float = 1.0) -> SurfaceModel:
-    """Unit icosahedron subdivided and projected onto a sphere, scaled to
-    radius, in the Patient frame."""
-    v, t = _unit_icosphere(subdivisions)
-    return SurfaceModel("Patient", v * radius, t)
-
-
 def bumpy_ellipsoid(rng: np.random.Generator, subdivisions: int = 3,
                     center=(0.0, 0.0, 0.0)) -> SurfaceModel:
     """Patient-frame ellipsoid of semi-axes 30, 25 and 20 mm with six smooth

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from spinenav import meshes
 from spinenav.geom import RigidTransform
+from spinenav.registration import SurfaceModel
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -45,3 +47,10 @@ def look_at(source, target, up=(0, 0, 1)) -> RigidTransform:
     y = np.cross(z, x)
     r = np.vstack([x, y, z])
     return RigidTransform(r, -r @ np.asarray(source, float))
+
+
+def icosphere(subdivisions: int = 2, radius: float = 1.0) -> SurfaceModel:
+    """Unit icosahedron subdivided and projected onto a sphere, scaled to
+    radius, in the Patient frame: a surface with no preferred rotation."""
+    v, t = meshes._unit_icosphere(subdivisions)
+    return SurfaceModel("Patient", v * radius, t)

@@ -269,9 +269,9 @@ def test_criterion_6_kinematics():
         except (Unreachable, LimitViolation):
             failures += 1
             continue
-        if np.linalg.norm(fk(model, sol.q).translation - target.translation) >= 0.01:
+        if np.linalg.norm(fk(model, sol.q).translation - target.translation) > 1e-9:
             failures += 1
-    ik_ok = failures <= 10
+    ik_ok = failures == 0
 
     worst_jac = 0.0
     from scipy.spatial.transform import Rotation
@@ -321,7 +321,7 @@ def test_criterion_6_kinematics():
 
     elapsed = time.perf_counter() - t0
     ok = ik_ok and jac_ok and plan_ok and elapsed < 60.0
-    _report(6, ok, f"ik success {1000 - failures}/1000 (err < 0.01 mm), worst "
+    _report(6, ok, f"ik success {1000 - failures}/1000 (err <= 1e-9 mm), worst "
                    f"Jacobian rel err {worst_jac:.2e} (<=1e-5), {planned} safe "
                    f"plans re-verified with 0 oracle violations at margin "
                    f"{margin} mm, in {elapsed:.1f} s")

@@ -15,8 +15,6 @@ from spinenav.kinematics import (
     Trajectory,
     _axis_frame,
     _clearance_table,
-    _jacobian,
-    _rotation_log,
     _segment_distances,
     check_collision,
     default_robot,
@@ -113,31 +111,7 @@ def test_jacobian_is_frames_jacobian_and_matches_column_loop():
             z, p = frames[i][:3, 2], frames[i][:3, 3]
             loop[:3, i] = np.cross(z, frames[-1][:3, 3] - p)
             loop[3:, i] = z
-        assert np.array_equal(jacobian(MODEL, q), _jacobian(frames))
-        assert np.array_equal(_jacobian(frames), loop)
-
-
-_ANGLES = st.one_of(
-    st.floats(0.0, np.pi),
-    st.floats(0.0, 1e-6),                        # near 0
-    st.floats(np.pi - 1e-6, np.pi),              # near pi
-    st.just(np.pi),
-    st.floats(2.0 * np.pi / 3.0 - 1e-9, 2.0 * np.pi / 3.0 + 1e-9),  # branch switch
-)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
-           lambda v: np.linalg.norm(v) > 1e-3), _ANGLES)
-def test_rotation_log_matches_scipy(axis, angle):
-    axis = np.asarray(axis) / np.linalg.norm(axis)
-    r = Rotation.from_rotvec(angle * axis).as_matrix()
-    ref = Rotation.from_matrix(r).as_rotvec()
-    got = _rotation_log(r)
-    err = np.max(np.abs(got - ref))
-    if angle == np.pi:  # axis and -axis name the same half-turn
-        err = min(err, np.max(np.abs(got + ref)))
-    assert err <= 1e-12
+        assert np.array_equal(jacobian(MODEL, q), loop)
 
 
 def test_jacobian_singular_at_wrist_singularity():
@@ -171,48 +145,16 @@ def test_ik_fixed_point_at_seed():
 
 def test_ik_round_trip_1000_reachable_targets():
     rng = np.random.default_rng(5)
-    failures = 0
     for _ in range(1000):
-        q_true = _random_q(rng)
-        target = fk(MODEL, q_true)
-        try:
-            sol = ik(MODEL, target, HOME)
-        except (Unreachable, LimitViolation):
-            failures += 1
-            continue
-        err = np.linalg.norm(fk(MODEL, sol.q).translation - target.translation)
-        if err >= 0.01:
-            failures += 1
-    assert failures <= 10  # >= 99% success
+        target = fk(MODEL, _random_q(rng))
+        sol = ik(MODEL, target, HOME)
+        assert np.linalg.norm(fk(MODEL, sol.q).translation - target.translation) <= 1e-9
 
 
 def test_ik_far_target_unreachable():
     target = RigidTransform(np.eye(3), [10_000.0, 0.0, 0.0])
     with pytest.raises(Unreachable):
         ik(MODEL, target, HOME)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_every_in_limit_flange_lies_within_reach(seed):
-    # reach_mm is an exact bound: no joint vector inside the limits puts the
-    # flange past it, so ik's reach test never rejects a reachable target
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(MODEL.joint_limits[:, 0], MODEL.joint_limits[:, 1], size=(64, 6))
-    tips = kinematics.fk_frames(MODEL, q)[:, -1, :3, 3]
-    assert np.all(np.linalg.norm(tips, axis=1) <= MODEL.reach_mm)
-
-
-def test_ik_beyond_reach_is_unreachable_without_solving(monkeypatch):
-    calls = []
-    monkeypatch.setattr(kinematics, "_dls_solve",
-                        lambda *args: calls.append(args) or (args[2], False))
-    out = MODEL.reach_mm + kinematics.IK_TOL_MM * 1.01
-    for direction in np.eye(3):
-        with pytest.raises(Unreachable, match="reach"):
-            ik(MODEL, RigidTransform(np.eye(3), out * direction), HOME)
-    assert calls == []
-    assert MODEL.reach_mm == pytest.approx(1386.0, abs=0.5)
 
 
 def test_ik_limit_violation_distinguished():
@@ -225,33 +167,132 @@ def test_ik_limit_violation_distinguished():
         ik(tight, target, JointVector(np.zeros(6)))
 
 
-def _reference_ik(model, target, seed):
-    """ik as its docstring states it (test reference): _dls_solve from seed,
-    then from each start drawn in order from default_rng(0) within the joint
-    limits. Returns the attempt number and the first wrapped in-limit
-    solution."""
-    rng = np.random.default_rng(0)
-    lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
-    starts = [seed.q] + [rng.uniform(lo, hi) for _ in range(kinematics.IK_RESTARTS)]
-    for attempt, q0 in enumerate(starts):
-        q, ok = kinematics._dls_solve(model, target, q0)
-        q = kinematics._wrap_into_limits(model, q)
-        if ok and model.within_limits(q):
-            return attempt, q
-    raise AssertionError("no attempt reached the target")
+def _round_trip_errors(model, q, target):
+    """Flange position (mm) and largest rotation-entry error of joint rows
+    q against target."""
+    flange = fk_frames(model, np.reshape(q, (-1, 6)))[:, -1]
+    return (np.max(np.linalg.norm(flange[:, :3, 3] - target.translation, axis=1)),
+            np.max(np.abs(flange[:, :3, :3] - target.rotation)))
 
 
-@pytest.mark.parametrize("q_true", [
-    [2.229, -1.29, -2.201, -0.194, 1.395, 0.061],
-    [-1.646, 1.516, 0.318, -2.499, -1.073, 2.123],
-], ids=["restarts_2_to_8_reach_three_branches", "only_restart_5_is_in_limits"])
-def test_ik_restarts_draw_in_order_from_one_fixed_stream(q_true):
-    # the seed attempt from HOME fails on both targets, so ik's answer is
-    # the restart stream's: which start comes first decides the branch
-    target = fk(MODEL, np.array(q_true))
-    attempt, q_ref = _reference_ik(MODEL, target, HOME)
-    assert attempt >= 2
-    assert np.array_equal(ik(MODEL, target, HOME).q, q_ref)
+def _in_limits(q):
+    lo, hi = MODEL.joint_limits[:, 0], MODEL.joint_limits[:, 1]
+    return bool(np.all(q >= lo - 1e-9) and np.all(q <= hi + 1e-9))
+
+
+def _shoulder_boundary_q2(q3):
+    """q2 putting the wrist centre on the shoulder cylinder of radius d2:
+    the arm plane's radial reach a2 cos q2 - d4 sin(q2 + q3) is 0."""
+    q2 = np.arctan2(420.0 - 400.0 * np.sin(q3), 400.0 * np.cos(q3))
+    return q2 if abs(q2) < 2.0 else q2 - np.sign(q2) * np.pi
+
+
+def _boundary_poses():
+    """(kind, q) of 40 poses of each kind: on the wrist singularity
+    (q5 = 0), next to it (|q5| = 1e-10), on the elbow boundary (q3 = +-pi/2,
+    the arm straight or folded at the wrist centre), on the shoulder
+    boundary (the wrist centre on the cylinder of radius d2 about the base
+    axis), and on the elbow boundary and the wrist singularity at once."""
+    rng = np.random.default_rng(8)
+    poses = []
+    for kind in ("wrist", "near_wrist", "elbow", "shoulder", "elbow_wrist"):
+        for _ in range(40):
+            q = _random_q(rng, margin=0.1)
+            if kind in ("wrist", "elbow_wrist"):
+                q[4] = 0.0
+            if kind == "near_wrist":
+                q[4] = rng.choice([-1.0, 1.0]) * 1e-10
+            if kind in ("elbow", "elbow_wrist"):
+                q[2] = rng.choice([-1.0, 1.0]) * np.pi / 2
+            if kind == "shoulder":
+                q[1] = _shoulder_boundary_q2(q[2])
+            poses.append((kind, q))
+    return poses
+
+
+def test_ik_is_exact_at_singular_and_boundary_poses():
+    for kind, q in _boundary_poses():
+        target = fk(MODEL, q)
+        for seed in (HOME, JointVector(q)):
+            sol = ik(MODEL, target, seed)
+            pos_err, rot_err = _round_trip_errors(MODEL, sol.q, target)
+            assert pos_err <= 1e-9 and rot_err <= 1e-9, (kind, q, seed.q)
+        if kind in ("wrist", "elbow_wrist"):
+            # q4 and q6 turn about one line; of that family the member
+            # nearest the true joint vector is itself
+            assert np.allclose(ik(MODEL, target, JointVector(q)).q, q, atol=1e-9)
+
+
+@pytest.mark.parametrize("q5_offset", [0.0, np.pi], ids=["q5_0", "q5_pi"])
+def test_singular_wrist_shares_the_roll_between_q4_and_q6(q5_offset):
+    # q5 = 0 is theta5 = 0 (q4 and q6 add) or theta5 = pi (they subtract);
+    # the member of the singular family nearest the seed moves q4 and q6
+    # by the same amount
+    dh = _with_entry(MODEL.dh_rows, (4, 3), q5_offset)
+    wide = RobotModel(dh, np.tile([-7.5, 7.5], (6, 1)), MODEL.link_capsules)
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        q = _random_q(rng)
+        q[4] = 0.0
+        target = fk(wide, q)
+        seed = q + np.array([0.0, 0.0, 0.0, 1.0, 0.0, 1.0]) * rng.uniform(-0.3, 0.3, 6)
+        sol = ik(wide, target, JointVector(seed)).q
+        pos_err, rot_err = _round_trip_errors(wide, sol, target)
+        assert pos_err <= 1e-9 and rot_err <= 1e-9
+        assert np.allclose(sol[[0, 1, 2, 4]], q[[0, 1, 2, 4]], atol=1e-9)
+        assert abs(sol[3] - seed[3]) == pytest.approx(abs(sol[5] - seed[5]), abs=1e-9)
+
+
+_IN_LIMITS_Q = st.tuples(*[st.floats(float(lo), float(hi)) for lo, hi in MODEL.joint_limits])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_IN_LIMITS_Q)
+def test_every_closed_form_branch_round_trips_and_q_is_one(q):
+    q = np.array(q)
+    target = fk(MODEL, q)
+    branches = kinematics._ik_branches(MODEL, target, q)
+    assert branches.shape == (8, 6)
+    pos_err, rot_err = _round_trip_errors(MODEL, branches, target)
+    assert pos_err <= 1e-9 and rot_err <= 1e-9
+    if abs(np.sin(q[4])) > 1e-6:
+        turns = np.mod(branches - q + np.pi, 2.0 * np.pi) - np.pi
+        assert np.min(np.max(np.abs(turns), axis=1)) <= 1e-8
+    sol = ik(MODEL, target, JointVector(q))
+    assert _in_limits(sol.q)
+    assert np.max(np.abs(sol.q - q)) <= 1e-8 or abs(np.sin(q[4])) <= 1e-6
+
+
+def test_ik_shifts_joints_by_whole_turns_to_the_limits_and_the_seed():
+    # joint limits wider than a turn: the in-limit value nearest the seed
+    wide = RobotModel(MODEL.dh_rows, np.tile([-7.5, 7.5], (6, 1)), MODEL.link_capsules)
+    q = np.array([0.4, -0.5, 0.6, 0.7, 0.8, -0.9])
+    target = fk(wide, q)
+    for shift in (-1, 0, 1):
+        sol = ik(wide, target, JointVector(q + 2.0 * np.pi * shift))
+        assert np.allclose(sol.q, q + 2.0 * np.pi * shift, atol=1e-9)
+    # a seed beyond the upper limit: the highest in-limit value
+    sol = ik(wide, target, JointVector(q + 4.0 * np.pi))
+    assert np.allclose(sol.q, q + 2.0 * np.pi, atol=1e-9)
+
+
+@pytest.mark.parametrize("index, value", [
+    ((1, 1), 0.1), ((0, 0), 5.0), ((2, 0), 5.0), ((5, 0), 1.0), ((2, 2), 5.0),
+    ((4, 2), 1.0), ((1, 0), 0.0), ((3, 2), 0.0),
+], ids=["alpha2", "a1", "a3", "a6", "d3", "d5", "a2-zero", "d4-zero"])
+def test_robot_model_rejects_a_table_outside_the_closed_form_family(index, value):
+    with pytest.raises(BadInput, match="family"):
+        _robot_with(dh=_with_entry(MODEL.dh_rows, index, value))
+
+
+def test_robot_model_accepts_the_family_with_other_lengths_and_offsets():
+    dh = np.array(MODEL.dh_rows)
+    dh[:, 3] = [0.3, -0.2, 0.1, 0.5, -0.4, 0.6]
+    dh[[0, 1, 1, 3, 5], [2, 0, 2, 2, 2]] = [300.0, 350.0, -80.0, 500.0, 60.0]
+    other = RobotModel(dh, MODEL.joint_limits, MODEL.link_capsules)
+    q = np.array([0.3, -0.4, 0.5, -0.6, 0.7, -0.8])
+    sol = ik(other, fk(other, q), JointVector(q))
+    assert np.allclose(sol.q, q, atol=1e-9)
 
 
 # -- trajectory planning -----------------------------------------------------------
@@ -296,7 +337,7 @@ def test_plan_trajectory_random_reachable_plans():
         assert angle < 0.1
         assert np.linalg.norm(final.translation - entry) < 0.1
         for qrow in traj.joints:
-            assert MODEL.within_limits(qrow)
+            assert _in_limits(qrow)
     assert n_ok == 100
 
 
@@ -617,26 +658,6 @@ def test_plan_safe_enclosed_entry_has_no_path():
 # -- plan_safe: the approach is checked before the descent runs -------------------
 
 
-def _old_jacobian(frames):
-    """The stacked np.cross form _jacobian replaced (test reference)."""
-    z, p = frames[:6, :3, 2], frames[:6, :3, 3]
-    return np.vstack([np.cross(z, frames[-1][:3, 3] - p).T, z.T])
-
-
-def _old_rotation_log(r):
-    """The np.linalg.norm / np.sinc form _rotation_log replaced (test
-    reference)."""
-    s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    cos = 0.5 * (np.trace(r) - 1.0)
-    angle = np.arctan2(np.linalg.norm(s), cos)
-    if cos > -0.5:
-        return s / np.sinc(angle / np.pi)
-    b = 0.5 * (r + r.T) - cos * np.eye(3)
-    k = int(np.argmax(np.diag(b)))
-    axis = b[:, k] / np.linalg.norm(b[:, k])
-    return angle * axis if s[k] >= 0.0 else -angle * axis
-
-
 def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0):
     """plan_trajectory as one list of knots densified at once, with every
     descent ik run (test reference)."""
@@ -743,31 +764,6 @@ def test_plan_trajectory_matches_whole_reference(standoff):
         assert _same_outcome(
             plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff, roll=roll),
             _whole_plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff, roll=roll))
-
-
-def test_jacobian_matches_old_form_in_value_and_damped_product_bits():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        frames = fk_frames(MODEL, _random_q(rng, margin=0.0))
-        new, old = _jacobian(frames), _old_jacobian(frames)
-        assert np.array_equal(new, old)
-        new[3:, :] *= 100.0  # scaled as in the damped step
-        old[3:, :] *= 100.0
-        assert (new @ new.T).tobytes() == (old @ old.T).tobytes()
-
-
-def test_rotation_log_matches_old_form_bit_for_bit():
-    rng = np.random.default_rng(12)
-    axes = rng.normal(size=(600, 3))
-    angles = np.concatenate([rng.uniform(0.0, np.pi, 300), rng.uniform(0.0, 1e-6, 100),
-                             np.pi - rng.uniform(0.0, 1e-6, 100),
-                             2.0 * np.pi / 3.0 + rng.uniform(-1e-9, 1e-9, 100)])
-    rotations = [np.eye(3)] + [
-        Rotation.from_rotvec(a * ax / np.linalg.norm(ax)).as_matrix()
-        for ax, a in zip(axes, angles)]
-    for r in rotations:
-        assert _rotation_log(r).tobytes() == _old_rotation_log(r).tobytes()
-    assert np.array_equal(_rotation_log(np.eye(3)), np.zeros(3))
 
 
 def _counting_ik(monkeypatch):

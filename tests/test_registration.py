@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spinenav.errors import BadInput, DegenerateGeometry, LabelMismatch, TooFewPoints
 from spinenav.geom import RigidTransform, compose, invert
 from spinenav import meshes, registration
-from spinenav.meshes import bumpy_ellipsoid, icosphere, sample_surface_points
+from spinenav.meshes import bumpy_ellipsoid, sample_surface_points
 from spinenav.registration import (
     FiducialSet,
     RegistrationResult,
@@ -21,7 +21,7 @@ from spinenav.registration import (
     verify_registration,
 )
 
-from _helpers import random_noncollinear_points, random_rigid
+from _helpers import icosphere, random_noncollinear_points, random_rigid
 
 RZ90 = RigidTransform.from_axis_angle((0, 0, 1), np.pi / 2, (10.0, 0.0, 0.0))
 
