@@ -206,9 +206,7 @@ def cmd_plan_validate(args) -> int:
         if plan.level not in pedicles:
             raise err.BadInput(f"no pedicle model for level {plan.level!r}")
         v = validate_plan(plan, pedicles[plan.level], args.margin)
-        rows.append({"level": plan.level, "accepted": v.accepted,
-                     "breach_mm": v.breach_mm,
-                     "min_clearance_mm": v.min_clearance_mm})
+        rows.append({"level": plan.level, **v.to_dict()})
     body = "level,accepted,breach_mm,min_clearance_mm\n" + "".join(
         f"{r['level']},{str(r['accepted']).lower()},{repr(r['breach_mm'])},"
         f"{repr(r['min_clearance_mm'])}\n" for r in rows)

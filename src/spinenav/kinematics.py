@@ -102,7 +102,6 @@ class Trajectory(ArrayValue):
 
     times: np.ndarray        # (S,)
     joints: np.ndarray       # (S, 6)
-    planning_mode: str = "two_phase"
     collision_checked: bool = False
 
     def __post_init__(self):
@@ -122,7 +121,20 @@ class Trajectory(ArrayValue):
         return float(np.max(np.abs(np.diff(self.joints, axis=0))))
 
     def with_collision_checked(self) -> "Trajectory":
-        return Trajectory(self.times, self.joints, self.planning_mode, True)
+        return Trajectory(self.times, self.joints, True)
+
+    def to_dict(self) -> dict:
+        return {"times": self.times.tolist(), "joints": self.joints.tolist(),
+                "collision_checked": self.collision_checked}
+
+    @staticmethod
+    def from_dict(d: dict) -> "Trajectory":
+        """Inverse of to_dict; "collision_checked" must be a JSON boolean
+        (the string "false" raises BadInput)."""
+        checked = d["collision_checked"]
+        if not isinstance(checked, bool):
+            raise BadInput(f"collision_checked must be a JSON boolean, got {checked!r}")
+        return Trajectory(d["times"], d["joints"], checked)
 
 
 @dataclass(frozen=True)
@@ -345,8 +357,7 @@ def _joined(approach_rows: Trajectory, descent_rows: Trajectory) -> Trajectory:
     """The densified approach followed by the descent rows it does not hold;
     densify cuts each segment on its own, so this is the densified plan."""
     return Trajectory(np.concatenate([approach_rows.times, descent_rows.times[1:]]),
-                      np.concatenate([approach_rows.joints, descent_rows.joints[1:]]),
-                      "two_phase" if len(descent_rows) > 1 else "descent_only")
+                      np.concatenate([approach_rows.joints, descent_rows.joints[1:]]))
 
 
 def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
@@ -379,7 +390,7 @@ def densify(traj: Trajectory) -> Trajectory:
     t0, t1, q0, q1 = t[seg], t[seg + 1], q[seg], q[seg + 1]
     return Trajectory(np.concatenate([t[:1], t0 + f * (t1 - t0)]),
                       np.concatenate([q[:1], q0 + f[:, None] * (q1 - q0)]),
-                      traj.planning_mode, traj.collision_checked)
+                      traj.collision_checked)
 
 
 # -- collision ---------------------------------------------------------------------

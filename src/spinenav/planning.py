@@ -128,6 +128,18 @@ class PlanValidation:
     def __post_init__(self):
         finite_scalars(self, "breach_mm", "min_clearance_mm")
 
+    def to_dict(self) -> dict:
+        return {"accepted": self.accepted, "breach_mm": self.breach_mm,
+                "min_clearance_mm": self.min_clearance_mm}
+
+    @staticmethod
+    def from_dict(d: dict) -> "PlanValidation":
+        """Inverse of to_dict; "accepted" must be a JSON boolean (the string
+        "false" raises BadInput)."""
+        if not isinstance(d["accepted"], bool):
+            raise BadInput(f"accepted must be a JSON boolean, got {d['accepted']!r}")
+        return PlanValidation(d["accepted"], d["breach_mm"], d["min_clearance_mm"])
+
 
 @dataclass(frozen=True)
 class PlanDeviation:

@@ -748,7 +748,7 @@ def _apply_error_to_plan(plan: ScrewPlan, t_est: RigidTransform,
 
 def _checked_trajectory() -> Trajectory:
     return Trajectory([0.0, 1.0], np.zeros((2, 6)) + [[0.0] * 6, [0.04] * 6],
-                      "two_phase", collision_checked=True)
+                      collision_checked=True)
 
 
 def run_placement_study(config: StudyConfig, phantom: Phantom,

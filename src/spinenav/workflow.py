@@ -9,20 +9,20 @@ Guards are hard errors: navigation cannot start without an accepted
 registration, screw placement without a validated plan, robot positioning
 without a collision-checked trajectory. A rejected registration loops back.
 
-A session has one persisted form, its event log: a header line, then one
-JSON event per line. Loading replays the events through advance, so every
-guard runs again; the derived state is never read from a file.
+A session stores its phase and its event log, nothing else: the validated
+plans, the registration, the placed screws and the acquisition log are read
+from the events. The log is also its one persisted form: a header line, then
+one JSON event per line. Loading replays the events through advance, so every
+guard runs again; derived state is never stored, in memory or in a file.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     BadInput,
@@ -73,7 +73,6 @@ class Modality(Enum):
 
 class Purpose(Enum):
     REGISTRATION = "Registration"
-    NAVIGATION = "Navigation"
     VERIFICATION = "Verification"
 
 
@@ -100,6 +99,10 @@ class EventKind(Enum):
     COMPLETE_SESSION = "complete_session"
 
 
+_IMAGING_PURPOSE = {EventKind.ACQUIRE_REGISTRATION_IMAGES: Purpose.REGISTRATION,
+                    EventKind.ACQUIRE_VERIFICATION_IMAGES: Purpose.VERIFICATION}
+
+
 @dataclass(frozen=True)
 class Event:
     """Workflow event; payload fields are used per kind."""
@@ -113,10 +116,8 @@ class Event:
     registration: RegistrationResult | None = None
     trajectory: Trajectory | None = None
     achieved: ScrewPlan | None = None
-    timestamp: float = 0.0
 
     def __post_init__(self):
-        finite_scalars(self, "timestamp")
         if isinstance(self.views, str):
             raise BadInput(f"views must be a collection of view names, "
                            f"not the string {self.views!r}")
@@ -133,10 +134,6 @@ class AcquisitionEntry:
     scope: str
     purpose: Purpose
     view: str
-    timestamp: float = 0.0
-
-    def __post_init__(self):
-        finite_scalars(self, "timestamp")
 
 
 @dataclass(frozen=True)
@@ -148,17 +145,13 @@ class ScrewRecord:
 
 @dataclass(frozen=True)
 class SessionState:
-    """Immutable workflow session; advance() maps (state, event) -> state."""
+    """Immutable workflow session; advance() maps (state, event) -> state.
+    Everything else a session knows is read from its events."""
 
     mode: Mode
     modality: Modality
     phase: Phase = Phase.PRE_OP_IMAGING
     registration_threshold_mm: float = 2.0
-    validated_plans: tuple = ()        # ScrewPlan, guard-checked at approval
-    last_registration: RegistrationResult | None = None
-    registration_accepted: bool = False
-    placed_screws: tuple = ()          # ScrewRecord
-    acquisition_log: tuple = ()        # AcquisitionEntry
     events: tuple = ()                 # applied event history
 
     def __post_init__(self):
@@ -166,16 +159,44 @@ class SessionState:
         if self.registration_threshold_mm < 0:
             raise BadInput("SessionState registration_threshold_mm must be >= 0")
 
+    def _latest(self, *kinds: EventKind) -> Event | None:
+        return next((e for e in reversed(self.events) if e.kind in kinds), None)
+
+    @property
+    def validated_plans(self) -> tuple:
+        """The approved plans (ScrewPlan), guard-checked at approval."""
+        return tuple(e.plan for e in self.events if e.kind is EventKind.APPROVE_PLAN)
+
     def validated_levels(self) -> set:
         return {p.level for p in self.validated_plans}
 
-    def __eq__(self, other):
-        if not isinstance(other, SessionState):
-            return NotImplemented
-        return session_to_dict(self) == session_to_dict(other)
+    @property
+    def last_registration(self) -> RegistrationResult | None:
+        """The latest submitted registration; None after a re-registration."""
+        e = self._latest(EventKind.SUBMIT_REGISTRATION, EventKind.RE_REGISTER)
+        return None if e is None or e.kind is EventKind.RE_REGISTER else e.registration
 
-    def __hash__(self):
-        return hash(json.dumps(session_to_dict(self), sort_keys=True))
+    @property
+    def registration_accepted(self) -> bool:
+        """Navigation began after the latest registration was submitted."""
+        e = self._latest(EventKind.SUBMIT_REGISTRATION, EventKind.RE_REGISTER,
+                         EventKind.BEGIN_NAVIGATION)
+        return e is not None and e.kind is EventKind.BEGIN_NAVIGATION
+
+    @property
+    def placed_screws(self) -> tuple:
+        """One ScrewRecord per confirmed placement; a placement without a
+        scope gets the screw id "<level>#<n>", n counting placements from 1."""
+        placements = (e for e in self.events if e.kind is EventKind.CONFIRM_PLACEMENT)
+        return tuple(ScrewRecord(e.level, e.scope or f"{e.level}#{n}", e.achieved)
+                     for n, e in enumerate(placements, 1))
+
+    @property
+    def acquisition_log(self) -> tuple:
+        """One AcquisitionEntry per view of each imaging event."""
+        return tuple(AcquisitionEntry(e.scope or "session", _IMAGING_PURPOSE[e.kind], view)
+                     for e in self.events if e.kind in _IMAGING_PURPOSE
+                     for view in e.views)
 
 
 def new_session(mode: Mode, modality: Modality,
@@ -224,13 +245,9 @@ TRANSITIONS = {
     },
 }
 
-_IMAGING_PURPOSE = {EventKind.ACQUIRE_REGISTRATION_IMAGES: Purpose.REGISTRATION,
-                    EventKind.ACQUIRE_VERIFICATION_IMAGES: Purpose.VERIFICATION}
 
-
-def _guarded_changes(session: SessionState, event: Event) -> dict:
-    """Run the guard of the event's edge, if it has one, and return the
-    session fields the event sets besides phase and events."""
+def _guard(session: SessionState, event: Event) -> None:
+    """Raise GuardFailed if the event's edge has a guard that rejects it."""
     kind = event.kind
     if kind is EventKind.APPROVE_PLAN:
         if event.plan is None or event.validation is None:
@@ -239,17 +256,10 @@ def _guarded_changes(session: SessionState, event: Event) -> dict:
             raise GuardFailed(
                 f"plan for {event.plan.level} failed validation "
                 f"(breach {event.validation.breach_mm:.2f} mm)")
-        return {"validated_plans": session.validated_plans + (event.plan,)}
     if kind is EventKind.FINISH_PLANNING and not session.validated_plans:
         raise GuardFailed("at least one validated plan is required")
-    if kind in _IMAGING_PURPOSE:
-        return {"acquisition_log": session.acquisition_log + tuple(
-            AcquisitionEntry(event.scope or "session", _IMAGING_PURPOSE[kind], view,
-                             event.timestamp) for view in event.views)}
-    if kind is EventKind.SUBMIT_REGISTRATION:
-        if event.registration is None:
-            raise GuardFailed("registration result payload required")
-        return {"last_registration": event.registration, "registration_accepted": False}
+    if kind is EventKind.SUBMIT_REGISTRATION and event.registration is None:
+        raise GuardFailed("registration result payload required")
     if kind is EventKind.BEGIN_NAVIGATION:
         if session.last_registration is None:
             raise GuardFailed("no registration submitted")
@@ -257,22 +267,14 @@ def _guarded_changes(session: SessionState, event: Event) -> dict:
                                        session.registration_threshold_mm)
         if not decision.accepted:
             raise GuardFailed(decision.reason)
-        return {"registration_accepted": True}
-    if kind is EventKind.RE_REGISTER:
-        return {"last_registration": None, "registration_accepted": False}
     if kind is EventKind.POSITION_ROBOT and (
             event.trajectory is None or not event.trajectory.collision_checked):
         raise GuardFailed("robot positioning needs a collision-checked trajectory")
     if kind is EventKind.BEGIN_PLACEMENT and (
             event.level is None or event.level not in session.validated_levels()):
         raise GuardFailed(f"no validated plan for level {event.level!r}")
-    if kind is EventKind.CONFIRM_PLACEMENT:
-        if event.level is None:
-            raise GuardFailed("confirm_placement needs the screw level")
-        screw_id = event.scope or f"{event.level}#{len(session.placed_screws) + 1}"
-        return {"placed_screws": session.placed_screws
-                + (ScrewRecord(event.level, screw_id, event.achieved),)}
-    return {}
+    if kind is EventKind.CONFIRM_PLACEMENT and event.level is None:
+        raise GuardFailed("confirm_placement needs the screw level")
 
 
 def advance(session: SessionState, event: Event) -> SessionState:
@@ -282,8 +284,9 @@ def advance(session: SessionState, event: Event) -> SessionState:
     phase = TRANSITIONS[session.mode].get((session.phase, event.kind))
     if phase is None:
         raise IllegalTransition(session.phase.value, event.kind.value)
-    return replace(session, phase=phase, events=session.events + (event,),
-                   **_guarded_changes(session, event))
+    _guard(session, event)
+    return SessionState(session.mode, session.modality, phase,
+                        session.registration_threshold_mm, session.events + (event,))
 
 
 # -- radiation accounting --------------------------------------------------------
@@ -437,76 +440,32 @@ class ModuleRegistry:
 # -- persistence ---------------------------------------------------------------------
 
 
+# Each payload field of an Event and the type that reads and writes its wire form.
+_PAYLOADS = {"plan": ScrewPlan, "validation": PlanValidation,
+             "registration": RegistrationResult, "trajectory": Trajectory,
+             "achieved": ScrewPlan}
+
+
 def _event_to_dict(e: Event) -> dict:
-    d: dict = {"kind": e.kind.value, "timestamp": e.timestamp}
-    if e.scope is not None:
-        d["scope"] = e.scope
-    if e.views:
-        d["views"] = list(e.views)
-    if e.level is not None:
-        d["level"] = e.level
-    if e.plan is not None:
-        d["plan"] = e.plan.to_dict()
-    if e.validation is not None:
-        d["validation"] = {"accepted": e.validation.accepted,
-                           "breach_mm": e.validation.breach_mm,
-                           "min_clearance_mm": e.validation.min_clearance_mm}
-    if e.registration is not None:
-        d["registration"] = e.registration.to_dict()
-    if e.trajectory is not None:
-        d["trajectory"] = {"times": [float(t) for t in e.trajectory.times],
-                           "joints": [[float(v) for v in q]
-                                      for q in e.trajectory.joints],
-                           "planning_mode": e.trajectory.planning_mode,
-                           "collision_checked": e.trajectory.collision_checked}
-    if e.achieved is not None:
-        d["achieved"] = e.achieved.to_dict()
-    return d
-
-
-def _json_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise BadInput(f"{what} must be a JSON boolean, got {value!r}")
-    return value
+    d = {"kind": e.kind.value, "scope": e.scope, "views": list(e.views) or None,
+         "level": e.level,
+         **{name: value.to_dict() for name in _PAYLOADS
+            if (value := getattr(e, name)) is not None}}
+    return {key: value for key, value in d.items() if value is not None}
 
 
 def _event_from_dict(d: dict) -> Event:
-    """Inverse of _event_to_dict. Raises BadInput, KeyError, TypeError or
-    ValueError for a malformed event: a flag that is not a JSON boolean,
-    views that are not a list of strings, or a timestamp that is not a
-    finite number."""
+    """Inverse of _event_to_dict; keys it does not write are ignored. Raises
+    BadInput, KeyError, TypeError or ValueError for a malformed event: a flag
+    that is not a JSON boolean or views that are not a list of strings."""
     if not isinstance(d, dict):
         raise BadInput(f"an event must be a JSON object, got {d!r}")
-    traj = None
-    if "trajectory" in d:
-        td = d["trajectory"]
-        traj = Trajectory(np.asarray(td["times"], float),
-                          np.asarray(td["joints"], float), td["planning_mode"],
-                          _json_bool(td["collision_checked"], "collision_checked"))
-    val = None
-    if "validation" in d:
-        vd = d["validation"]
-        val = PlanValidation(_json_bool(vd["accepted"], "accepted"), vd["breach_mm"],
-                             vd["min_clearance_mm"])
     views = d.get("views", [])
     if not isinstance(views, list):  # Event checks each view is a string
         raise BadInput(f"views must be a list of strings, got {views!r}")
-    timestamp = d.get("timestamp", 0.0)
-    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
-        raise BadInput(f"timestamp must be a finite number, got {timestamp!r}")
-    return Event(
-        kind=EventKind(d["kind"]),
-        scope=d.get("scope"),
-        views=tuple(views),
-        level=d.get("level"),
-        plan=ScrewPlan.from_dict(d["plan"]) if "plan" in d else None,
-        validation=val,
-        registration=(RegistrationResult.from_dict(d["registration"])
-                      if "registration" in d else None),
-        trajectory=traj,
-        achieved=ScrewPlan.from_dict(d["achieved"]) if "achieved" in d else None,
-        timestamp=timestamp,
-    )
+    return Event(EventKind(d["kind"]), d.get("scope"), tuple(views), d.get("level"),
+                 **{name: cls.from_dict(d[name]) for name, cls in _PAYLOADS.items()
+                    if name in d})
 
 
 def session_to_dict(s: SessionState) -> dict:

@@ -359,13 +359,12 @@ def test_plan_trajectory_from_approach_pose_is_descent_only():
 
 def test_plan_trajectory_zero_standoff_single_phase():
     traj = plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff_mm=0.0)
-    assert traj.planning_mode == "descent_only"
     pose = fk(MODEL, traj.joints[-1])
     assert np.linalg.norm(pose.translation - ENTRY) < 0.1
 
 
 def test_densify_bounds_steps():
-    coarse = Trajectory([0.0, 1.0], [np.zeros(6), np.full(6, 0.8)], "test")
+    coarse = Trajectory([0.0, 1.0], [np.zeros(6), np.full(6, 0.8)])
     dense = densify(coarse)
     assert dense.max_step_rad() <= 0.05 + 1e-12
     assert np.array_equal(dense.joints[0], coarse.joints[0])
@@ -395,12 +394,12 @@ def test_densify_matches_loop_reference(n_rows, seed, spread):
     times = np.cumsum(rng.uniform(0.01, 2.0, n_rows)) - 1.0
     joints = rng.uniform(-spread, spread, (n_rows, 6))
     joints[rng.random(n_rows) < 0.2] = 0.0  # some repeated rows: one sub-step
-    traj = Trajectory(times, joints, "test", collision_checked=True)
+    traj = Trajectory(times, joints, collision_checked=True)
     dense = densify(traj)
     ref_times, ref_joints = _loop_densify(traj)
     assert np.array_equal(dense.times, ref_times)
     assert np.array_equal(dense.joints, ref_joints)
-    assert (dense.planning_mode, dense.collision_checked) == ("test", True)
+    assert dense.collision_checked
 
 
 # -- collision ---------------------------------------------------------------------
@@ -673,7 +672,6 @@ def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0
     tau = np.linspace(0.0, 1.0, 25)
     times = list(t1 * tau)
     joints = [start.q + s * dq for s in 10.0 * tau ** 3 - 15.0 * tau ** 4 + 6.0 * tau ** 5]
-    mode = "descent_only"
     if standoff_mm > 0.0:
         n_steps = max(int(np.ceil(standoff_mm / 1.0)), 2)
         q_prev = JointVector(q_approach)
@@ -684,8 +682,7 @@ def _whole_plan_trajectory(model, start, tool_axis_target, standoff_mm, roll=0.0
             t_now = t_now + (standoff_mm / n_steps) / 5.0
             times.append(t_now)
             joints.append(q_prev.q)
-        mode = "two_phase"
-    return densify(Trajectory(np.asarray(times), np.asarray(joints), mode, False))
+    return densify(Trajectory(np.asarray(times), np.asarray(joints)))
 
 
 def _whole_roll_plan_safe(model, scene, start, tool_axis_target, standoff_mm):
@@ -716,8 +713,7 @@ def _outcome(plan, *args):
 def _same_outcome(a, b):
     if isinstance(a, Trajectory) and isinstance(b, Trajectory):
         return (np.array_equal(a.times, b.times) and np.array_equal(a.joints, b.joints)
-                and (a.planning_mode, a.collision_checked)
-                == (b.planning_mode, b.collision_checked))
+                and a.collision_checked == b.collision_checked)
     return a is b
 
 

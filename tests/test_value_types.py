@@ -20,8 +20,7 @@ from spinenav.kinematics import Capsule, JointVector, RobotModel, Trajectory, de
 from spinenav.planning import (Grade, PedicleModel, PlanDeviation, PlanValidation, ScrewPlan,
                                grade_gertzbein)
 from spinenav.registration import FiducialSet, RegistrationResult, SurfaceModel, TrePrediction
-from spinenav.workflow import (AcquisitionEntry, Event, EventKind, Modality, Mode, Purpose,
-                               SessionState)
+from spinenav.workflow import Modality, Mode, SessionState
 
 _ROBOT = default_robot()
 
@@ -151,9 +150,6 @@ SCALAR_VALID = {
     Grade: dict(value="B", breach_mm=1.0),
     PlanValidation: dict(accepted=True, breach_mm=0.0, min_clearance_mm=1.0),
     PlanDeviation: dict(entry_offset_mm=0.5, angle_deg=2.0, tip_offset_mm=1.0),
-    Event: dict(kind=EventKind.ACQUIRE_PREOP_CT, timestamp=1.0),
-    AcquisitionEntry: dict(scope="session", purpose=Purpose.REGISTRATION, view="AP",
-                           timestamp=1.0),
     SessionState: dict(mode=Mode.NAVIGATION_ONLY, modality=Modality.PREOP_CT_POINT_BASED,
                        registration_threshold_mm=2.0),
 }
@@ -167,8 +163,6 @@ SCALAR_FIELDS = [
     (PlanValidation, "breach_mm"), (PlanValidation, "min_clearance_mm"),
     (PlanDeviation, "entry_offset_mm"), (PlanDeviation, "angle_deg"),
     (PlanDeviation, "tip_offset_mm"),
-    (Event, "timestamp"),
-    (AcquisitionEntry, "timestamp"),
     (SessionState, "registration_threshold_mm"),
 ]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _workflow_reference import StoredState, reference_advance
 from spinenav.errors import (
     BadInput,
     DuplicateName,
@@ -55,9 +56,9 @@ BAD_VALIDATION = PlanValidation(False, 1.2, -1.2)
 GOOD_REG = _reg_result(0.5)
 BAD_REG = _reg_result(2.5)
 CHECKED_TRAJ = Trajectory([0.0, 1.0], [np.zeros(6), np.full(6, 0.04)],
-                          "two_phase", collision_checked=True)
+                          collision_checked=True)
 UNCHECKED_TRAJ = Trajectory([0.0, 1.0], [np.zeros(6), np.full(6, 0.04)],
-                            "two_phase", collision_checked=False)
+                            collision_checked=False)
 
 
 def _drive_to_verification_imaging(mode=Mode.NAVIGATION_ONLY, levels=("L1",),
@@ -550,8 +551,6 @@ def test_replay_malformed_event_rejected(tmp_path, line):
     ("trajectory", "collision_checked", "false"),
     ("registration", "converged", "false"),
     ("views", None, "APLP"),
-    ("timestamp", None, "noon"),
-    ("timestamp", None, float("nan")),
 ])
 def test_load_rejects_a_mistyped_event_field(tmp_path, key, sub, value):
     # a string flag would read as truthy, a string of views would split into
@@ -693,7 +692,7 @@ def _old_snapshot(session, **edits):
          "placed_screws": [{"level": r.level, "screw_id": r.screw_id,
                             "achieved": None} for r in session.placed_screws],
          "acquisition_log": [{"scope": e.scope, "purpose": e.purpose.value,
-                              "view": e.view, "timestamp": e.timestamp}
+                              "view": e.view, "timestamp": 0.0}
                              for e in session.acquisition_log],
          "events": session_to_dict(session)["events"]}
     d.update(edits)
@@ -779,18 +778,34 @@ def test_session_to_dict_is_the_header_and_the_events(tmp_path):
         encoding="utf-8").splitlines()
     assert header == ('{"mode": "RobotAssisted", "modality": "IntraOp2D_AutoFiducial", '
                       '"registration_threshold_mm": 2.0, "schema_version": 1}')
-    assert first == '{"kind": "acquire_preop_ct", "timestamp": 0.0}'
+    assert first == '{"kind": "acquire_preop_ct"}'
+
+
+def test_a_session_saved_with_the_dropped_keys_loads_equal(tmp_path):
+    # earlier versions wrote "timestamp": 0.0 in every event and a trajectory's
+    # "planning_mode"; the reader ignores keys it does not use
+    s = _run_full_session(Mode.ROBOT_ASSISTED, ("L1", "L2"))
+    path = tmp_path / "session.jsonl"
+    save_session(s, path)
+    header, *events = path.read_text(encoding="utf-8").splitlines()
+    records = [{**json.loads(line), "timestamp": 0.0} for line in events]
+    trajectories = [r["trajectory"] for r in records if "trajectory" in r]
+    assert trajectories
+    for t in trajectories:
+        t["planning_mode"] = "two_phase"
+    path.write_text("\n".join([header] + [json.dumps(r, sort_keys=True) for r in records])
+                    + "\n", encoding="utf-8")
+    assert load_session(path) == s
 
 
 _PERSISTED_ALPHABET = ALPHABET + [
-    Event(K.CALIBRATE_INSTRUMENTS, timestamp=3.5),
-    Event(K.SUBMIT_REGISTRATION, timestamp=7.25, registration=RegistrationResult(
+    Event(K.SUBMIT_REGISTRATION, registration=RegistrationResult(
         RigidTransform.from_axis_angle((1.0, 2.0, 3.0), 0.3, (10.0, -5.0, 2.5)),
         0.7, (0.7, 0.7, 0.7), 3)),
     Event(K.APPROVE_PLAN, plan=_plan("L2"), validation=GOOD_VALIDATION),
     Event(K.BEGIN_PLACEMENT, level="L2"),
-    Event(K.CONFIRM_PLACEMENT, level="L2", achieved=_plan("L2"), timestamp=9.0),
-    Event(K.ACQUIRE_VERIFICATION_IMAGES, views=("AP",), timestamp=11.0),
+    Event(K.CONFIRM_PLACEMENT, level="L2", achieved=_plan("L2")),
+    Event(K.ACQUIRE_VERIFICATION_IMAGES, views=("AP",)),
 ]
 
 
@@ -823,3 +838,75 @@ def test_saved_session_loads_equal_and_saves_identical_bytes(mode, n_events, dat
             s.phase, s.validated_plans, s.last_registration,
             s.registration_accepted, s.placed_screws, s.acquisition_log)
         assert second.read_bytes() == first.read_bytes()
+
+
+# -- the derived facts against the stored-field reference ---------------------------
+
+
+def _facts(s):
+    return (s.phase, s.events, s.validated_plans, s.validated_levels(),
+            s.last_registration, s.registration_accepted, s.placed_screws,
+            s.acquisition_log)
+
+
+def _step(session, stored, event):
+    """Apply the event to the session and to the stored-field reference; both
+    must refuse it with the same error or take it to the same facts. Returns
+    the next pair, or None if the event was refused."""
+    outcomes = []
+    for apply, state in ((advance, session), (reference_advance, stored)):
+        try:
+            outcomes.append(apply(state, event))
+        except (GuardFailed, IllegalTransition) as err:
+            outcomes.append((type(err), str(err)))
+    new, new_stored = outcomes
+    if isinstance(new, tuple) or isinstance(new_stored, tuple):
+        assert new == new_stored
+        return None
+    assert _facts(new) == _facts(new_stored)
+    return new, new_stored
+
+
+# a registration payload on these kinds is not read: only a submitted one counts
+_STRAY_REGISTRATIONS = [Event(K.RE_REGISTER, registration=GOOD_REG),
+                        Event(K.BEGIN_NAVIGATION, registration=BAD_REG),
+                        Event(K.BEGIN_NAVIGATION, registration=GOOD_REG)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([Mode.NAVIGATION_ONLY, Mode.ROBOT_ASSISTED]),
+       st.integers(0, 60), st.data())
+def test_derived_facts_equal_the_stored_fields_of_the_reference(mode, n_events, data):
+    # a legal event string drawn step by step; every event of the alphabet is
+    # tried at every step, so refusals are compared as well
+    pair = (new_session(mode, Modality.INTRAOP_2D_AUTO_FIDUCIAL, 1.5),
+            StoredState(mode, Modality.INTRAOP_2D_AUTO_FIDUCIAL,
+                        registration_threshold_mm=1.5))
+    for _ in range(n_events):
+        legal = [nxt for ev in _PERSISTED_ALPHABET + _STRAY_REGISTRATIONS
+                 if (nxt := _step(*pair, ev)) is not None]
+        if not legal:
+            break
+        pair = data.draw(st.sampled_from(legal))
+
+
+def test_stray_registration_payloads_are_ignored():
+    pair = (new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED),
+            StoredState(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED))
+    for ev in [Event(K.ACQUIRE_PREOP_CT), Event(K.SUBMIT_PATIENT_DATA),
+               Event(K.APPROVE_PLAN, plan=_plan(), validation=GOOD_VALIDATION),
+               Event(K.FINISH_PLANNING), Event(K.PREPARE_OT),
+               Event(K.CALIBRATE_INSTRUMENTS), Event(K.ATTACH_DRB),
+               Event(K.MOUNT_CARM), Event(K.BEGIN_REGISTRATION),
+               Event(K.SUBMIT_REGISTRATION, registration=GOOD_REG),
+               Event(K.RE_REGISTER, registration=GOOD_REG),
+               Event(K.SUBMIT_REGISTRATION, registration=BAD_REG)]:
+        pair = _step(*pair, ev)
+    assert pair[0].last_registration == BAD_REG
+    # a good registration riding on begin_navigation does not pass the guard
+    assert _step(*pair, Event(K.BEGIN_NAVIGATION, registration=GOOD_REG)) is None
+    pair = _step(*pair, Event(K.RE_REGISTER, registration=GOOD_REG))
+    assert pair[0].last_registration is None
+    pair = _step(*pair, Event(K.SUBMIT_REGISTRATION, registration=GOOD_REG))
+    pair = _step(*pair, Event(K.BEGIN_NAVIGATION, registration=BAD_REG))
+    assert pair[0].last_registration == GOOD_REG and pair[0].registration_accepted
