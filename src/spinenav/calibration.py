@@ -399,45 +399,40 @@ def pinhole_matrices(rotations: np.ndarray, translations: np.ndarray,
 # -- synthetic projection rasters ------------------------------------------------
 
 
+# the rasters' detector geometry: 0.5 mm pixels, pixel (0, 0) at (-128, -128) mm
+RASTER_MM_PER_PIXEL = 0.5
+RASTER_ORIGIN_MM = (-128.0, -128.0)
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticProjectionImage(ArrayValue):
-    """16-bit raster of fiducial blobs plus the detector-geometry sidecar.
-
-    pixel (row, col) maps to detector mm (origin + mm_per_pixel * (col, row)).
-    """
+    """16-bit raster of fiducial blobs. Pixel (row, col) maps to detector mm
+    RASTER_ORIGIN_MM + RASTER_MM_PER_PIXEL * (col, row)."""
 
     view_label: str
     pixels: np.ndarray      # (H, W) uint16
-    mm_per_pixel: float
-    origin_mm: np.ndarray   # detector mm of pixel (0, 0)
 
     def __post_init__(self):
         frozen_array(self, "pixels", self.pixels, np.shape(self.pixels), np.uint16)
-        frozen_array(self, "origin_mm", self.origin_mm, 2)
-        finite_scalars(self, "mm_per_pixel")
-        if not self.mm_per_pixel > 0.0:
-            raise BadInput("mm_per_pixel must be positive")
 
     def pixel_to_mm(self, rows, cols):
-        return np.stack([self.origin_mm[0] + np.asarray(cols) * self.mm_per_pixel,
-                         self.origin_mm[1] + np.asarray(rows) * self.mm_per_pixel],
+        return np.stack([RASTER_ORIGIN_MM[0] + np.asarray(cols) * RASTER_MM_PER_PIXEL,
+                         RASTER_ORIGIN_MM[1] + np.asarray(rows) * RASTER_MM_PER_PIXEL],
                         axis=-1)
 
 
 def render_fiducial_raster(uv_points, view_label: str) -> SyntheticProjectionImage:
     """Render Gaussian fiducial blobs (sigma 1.2 mm, peak 60000) at
-    detector-mm positions into a 512 x 512 16-bit raster of 0.5 mm pixels
-    centred on the detector origin. Points outside the field of view are
-    clipped away naturally."""
-    origin = np.array([-128.0, -128.0])
-    grid = np.arange(512) * 0.5 + origin[0]  # detector mm of each column and row
+    detector-mm positions into a 512 x 512 16-bit raster of
+    RASTER_MM_PER_PIXEL pixels centred on the detector origin. Points outside
+    the field of view are clipped away naturally."""
+    # detector mm of each column and row
+    grid = np.arange(512) * RASTER_MM_PER_PIXEL + RASTER_ORIGIN_MM[0]
     img = np.zeros((512, 512))
     for u, v in np.atleast_2d(np.asarray(uv_points, dtype=float)):
         img += 60000 * np.outer(np.exp(-(grid - v) ** 2 / (2 * 1.2 ** 2)),
                                 np.exp(-(grid - u) ** 2 / (2 * 1.2 ** 2)))
-    return SyntheticProjectionImage(view_label,
-                                    np.clip(img, 0, 65535).astype(np.uint16),
-                                    0.5, origin)
+    return SyntheticProjectionImage(view_label, np.clip(img, 0, 65535).astype(np.uint16))
 
 
 def detect_fiducials(image: SyntheticProjectionImage, pattern) -> Detection2D:

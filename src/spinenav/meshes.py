@@ -73,13 +73,12 @@ def bumpy_ellipsoid(rng: np.random.Generator, subdivisions: int = 3,
 def sample_surface_points(surface: SurfaceModel, n: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Uniform-by-area random points on the mesh surface."""
-    v, t = surface.vertices, surface.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    idx = rng.choice(len(t), size=n, p=areas / areas.sum())
+    a, ab, ac, cross = surface._facets
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    idx = rng.choice(len(a), size=n, p=areas / areas.sum())
     u1 = rng.uniform(size=n)
     u2 = rng.uniform(size=n)
     flip = u1 + u2 > 1.0
     u1[flip] = 1.0 - u1[flip]
     u2[flip] = 1.0 - u2[flip]
-    return a[idx] + u1[:, None] * (b[idx] - a[idx]) + u2[:, None] * (c[idx] - a[idx])
+    return a[idx] + u1[:, None] * ab[idx] + u2[:, None] * ac[idx]

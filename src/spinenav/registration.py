@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import BadInput, DegenerateGeometry, LabelMismatch, TooFewPoints, raised_where
 from .geom import (ArrayValue, RigidTransform, all_finite, compose, finite_scalars,
-                   frozen_array, snap_rotation, transform_from_dict, transform_to_dict)
+                   frozen_array, row_dot, snap_rotation, transform_from_dict,
+                   transform_to_dict)
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
@@ -150,7 +151,10 @@ class TrePrediction(ArrayValue):
 @dataclass(frozen=True, eq=False)
 class SurfaceModel(ArrayValue):
     """Triangle mesh in mm: vertices (V, 3) and triangle index triples (T, 3).
-    Read-only; its query structures are built on first use and kept."""
+    Read-only. Each triangle's first corner a, edges ab and ac and face cross
+    product ab x ac (twice its area along its normal) are computed once, on
+    construction, and every piece of mesh math reads them; the query
+    structures are built on first use and kept."""
 
     frame: str
     vertices: np.ndarray
@@ -163,38 +167,37 @@ class SurfaceModel(ArrayValue):
         t = frozen_array(self, "triangles", self.triangles, (-1, 3), np.int64)
         if t.min(initial=0) < 0 or (t.size and t.max() >= len(v)):
             raise BadInput("triangle indices out of range")
-        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-        if t.size and np.any(areas < 1e-12):
+        a = v[t[:, 0]]
+        ab, ac = v[t[:, 1]] - a, v[t[:, 2]] - a
+        facets = (a, ab, ac, np.cross(ab, ac))
+        for arr in facets:
+            arr.setflags(write=False)
+        if t.size and np.any(0.5 * np.linalg.norm(facets[3], axis=1) < 1e-12):
             raise BadInput("mesh contains degenerate (zero-area) triangles")
+        object.__setattr__(self, "_facets", facets)
 
     @functools.cached_property
     def _query_index(self) -> tuple:
-        """(a, ab, ac, centroids, radii, cKDTree over the centroids, largest
-        radius, largest vertex norm) for closest_points_on_mesh: each
-        triangle's first corner and edge vectors, and the sphere about its
-        centroid that holds it."""
+        """(centroids, radii, cKDTree over the centroids, largest radius,
+        largest vertex norm) for closest_points_on_mesh: the sphere about
+        each triangle's centroid that holds it."""
         from scipy.spatial import cKDTree
 
-        v, tri = self.vertices, self.triangles
-        a = v[tri[:, 0]]
-        ab = v[tri[:, 1]] - a
-        ac = v[tri[:, 2]] - a
-        centroids = (a + v[tri[:, 1]] + v[tri[:, 2]]) / 3.0
-        radii = np.sqrt(np.max(np.sum((v[tri] - centroids[:, None, :]) ** 2, axis=2), axis=1))
-        for arr in (a, ab, ac, centroids, radii):
+        corners = self.vertices[self.triangles]  # (T, 3, 3)
+        centroids = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
+        radii = np.sqrt(np.max(np.sum((corners - centroids[:, None, :]) ** 2, axis=2), axis=1))
+        for arr in (centroids, radii):
             arr.setflags(write=False)
-        return (a, ab, ac, centroids, radii, cKDTree(centroids), radii.max(),
-                np.linalg.norm(v, axis=1).max())
+        return (centroids, radii, cKDTree(centroids), radii.max(),
+                np.linalg.norm(self.vertices, axis=1).max())
 
     @functools.cached_property
     def _vertex_normals(self) -> np.ndarray:
         """Area-weighted vertex normals (smooth shading)."""
         v, t = self.vertices, self.triangles
-        fn = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
         vn = np.zeros_like(v)
         for k in range(3):
-            np.add.at(vn, t[:, k], fn)
+            np.add.at(vn, t[:, k], self._facets[3])
         vn /= np.linalg.norm(vn, axis=1, keepdims=True)
         vn.setflags(write=False)
         return vn
@@ -212,15 +215,13 @@ class SurfaceModel(ArrayValue):
     def to_stl(self) -> str:
         """ASCII STL (solid "surface"); triangle normals recomputed from
         vertex winding."""
-        v, t = self.vertices, self.triangles
+        cross = self._facets[3]
+        normals = cross / np.sqrt(row_dot(cross, cross))[:, None]
         lines = ["solid surface"]
-        for tri in t:
-            a, b, c = v[tri[0]], v[tri[1]], v[tri[2]]
-            n = np.cross(b - a, c - a)
-            n = n / np.linalg.norm(n)
+        for tri, n in zip(self.triangles, normals):
             lines.append(f"  facet normal {n[0]:.9e} {n[1]:.9e} {n[2]:.9e}")
             lines.append("    outer loop")
-            for p in (a, b, c):
+            for p in self.vertices[tri]:
                 lines.append(f"      vertex {p[0]:.9e} {p[1]:.9e} {p[2]:.9e}")
             lines.append("    endloop")
             lines.append("  endfacet")
@@ -409,17 +410,21 @@ def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel):
     many x T pairs are live: queries that keep every triangle (the centre
     of a sphere) peak below an all-pairs scan of 256 queries.
 
-    Returns (closest (N, 3), distance (N,), triangle index (N,)). Raises
-    BadInput for non-finite query points. The triangle data and the tree
-    over the centroids are built once per surface (SurfaceModel._query_index).
+    Returns (closest (N, 3), distance (N,), triangle index (N,), weights
+    (N, 2)): each closest point is a + v ab + w ac on its triangle, bit for
+    bit, with (v, w) its row of weights. Raises BadInput for non-finite
+    query points. The tree over the centroids is built once per surface
+    (SurfaceModel._query_index).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if not all_finite(pts):
         raise BadInput("query points must be finite")
-    a, ab, ac, centroids, radii, tree, r_max, extent = surface._query_index
+    a, ab, ac, _ = surface._facets
+    centroids, radii, tree, r_max, extent = surface._query_index
     out_pts = np.empty_like(pts)
     out_dist = np.empty(len(pts))
     out_tri = np.empty(len(pts), dtype=np.int64)
+    out_vw = np.empty((len(pts), 2))
     chunk = CLOSEST_POINT_CHUNK
     for start in range(0, len(pts), chunk):
         p = pts[start:start + chunk]
@@ -435,7 +440,7 @@ def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel):
                         count=counts.sum())
         keep = np.linalg.norm(p[q] - centroids[t], axis=1) - radii[t] <= upper[q]
         q, t = q[keep], t[keep]
-        cp, d2 = _closest_point_triangles(p[q], a[t], ab[t], ac[t])
+        cp, d2, v, w = _closest_point_triangles(p[q], a[t], ab[t], ac[t])
         # per query, the smallest d2 and among equals the lowest index (rows
         # are sorted by query, then triangle, and lexsort is stable)
         order = np.lexsort((d2, q))
@@ -443,13 +448,16 @@ def closest_points_on_mesh(points: np.ndarray, surface: SurfaceModel):
         out_pts[start:start + chunk] = cp[best]
         out_dist[start:start + chunk] = np.sqrt(d2[best])
         out_tri[start:start + chunk] = t[best]
-    return out_pts, out_dist, out_tri
+        out_vw[start:start + chunk, 0] = v[best]
+        out_vw[start:start + chunk, 1] = w[best]
+    return out_pts, out_dist, out_tri, out_vw
 
 
 def _closest_point_triangles(p: np.ndarray, a: np.ndarray, ab: np.ndarray,
                              ac: np.ndarray):
     """Closest point on triangle (a, a+ab, a+ac) to p, row by row: all
-    arguments (K, 3). Returns (closest (K, 3), squared distance (K,)).
+    arguments (K, 3). Returns (closest (K, 3), squared distance (K,), v (K,),
+    w (K,)), the closest point being a + v ab + w ac.
 
     Vectorized Voronoi-region case analysis; masks are applied in reverse of
     the sequential precedence so vertex regions win over edges over interior
@@ -505,35 +513,20 @@ def _closest_point_triangles(p: np.ndarray, a: np.ndarray, ab: np.ndarray,
     w_res = np.where(mask, 0.0, w_res)
 
     closest = a + v_res[:, None] * ab + w_res[:, None] * ac
-    return closest, np.sum((closest - p) ** 2, axis=1)
+    return closest, np.sum((closest - p) ** 2, axis=1), v_res, w_res
 
 
-def _smooth_normals_at(surface: SurfaceModel, closest: np.ndarray,
-                       tri_idx: np.ndarray) -> np.ndarray:
-    """Barycentric-interpolated vertex normals at closest points."""
-    v, t = surface.vertices, surface.triangles
-    vn = surface._vertex_normals
-    tris = t[tri_idx]
-    a = v[tris[:, 0]]
-    v0 = v[tris[:, 1]] - a
-    v1 = v[tris[:, 2]] - a
-    v2 = closest - a
-    d00 = np.sum(v0 * v0, axis=1)
-    d01 = np.sum(v0 * v1, axis=1)
-    d11 = np.sum(v1 * v1, axis=1)
-    d20 = np.sum(v2 * v0, axis=1)
-    d21 = np.sum(v2 * v1, axis=1)
-    den = d00 * d11 - d01 * d01
-    w1 = np.clip((d11 * d20 - d01 * d21) / den, 0.0, 1.0)
-    w2 = np.clip((d00 * d21 - d01 * d20) / den, 0.0, 1.0)
-    w0 = np.clip(1.0 - w1 - w2, 0.0, 1.0)
-    n = (w0[:, None] * vn[tris[:, 0]] + w1[:, None] * vn[tris[:, 1]]
-         + w2[:, None] * vn[tris[:, 2]])
+def _smooth_normals_at(surface: SurfaceModel, tri_idx: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """Vertex normals interpolated at closest points with the weights (v, w)
+    closest_points_on_mesh returns: (1 - v - w) n0 + v n1 + w n2, normalised."""
+    n0, n1, n2 = surface._vertex_normals[surface.triangles[tri_idx]].transpose(1, 0, 2)
+    v, w = weights[:, :1], weights[:, 1:]
+    n = (1.0 - v - w) * n0 + v * n1 + w * n2
     return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
-def _point_to_plane_step(surface: SurfaceModel, moved: np.ndarray,
-                         closest: np.ndarray, tri_idx: np.ndarray):
+def _point_to_plane_step(moved: np.ndarray, closest: np.ndarray, normals: np.ndarray):
     """One Gauss-Newton point-to-plane step (Chen & Medioni 1992; Low 2004)
     at the current correspondences, and the singular values of its matrix.
 
@@ -544,7 +537,6 @@ def _point_to_plane_step(surface: SurfaceModel, moved: np.ndarray,
     rotation is applied exactly. Raises DegenerateGeometry when all closest
     points coincide.
     """
-    normals = _smooth_normals_at(surface, closest, tri_idx)
     centroid = closest.mean(axis=0)
     r = closest - centroid
     scale = np.sqrt(np.mean(np.sum(r * r, axis=1)))
@@ -589,11 +581,12 @@ def icp_register(probed, surface: SurfaceModel,
     converged = False
     for k in range(ICP_MAX_ITER + 1):
         moved = t.apply(probed)
-        closest, dist, tri_idx = closest_points_on_mesh(moved, surface)
+        closest, dist, tri_idx, weights = closest_points_on_mesh(moved, surface)
         rms = float(np.sqrt(np.mean(dist ** 2)))
         if residual_history is not None:
             residual_history.append(rms)
-        step, sv = _point_to_plane_step(surface, moved, closest, tri_idx)
+        step, sv = _point_to_plane_step(moved, closest,
+                                        _smooth_normals_at(surface, tri_idx, weights))
         if prev_rms - rms < ICP_TOL_MM:
             converged = True
             if rms > prev_rms:

@@ -250,8 +250,10 @@ DEFAULT_METHODS = (
 class StudyConfig:
     """One accuracy study: factors, sample count, and noise magnitudes.
 
-    modality/robot_assisted name the method used when a single trial is run
-    directly; run_study sweeps the three standard methods.
+    run_study sweeps the three standard methods and run_trial takes its
+    Method; modality is the imaging modality of run_placement_study's
+    sessions. No computation reads robot_assisted: it is kept only because
+    every report's config and config hash carry it.
     """
 
     modality: Modality = Modality.PREOP_CT_POINT_BASED

@@ -124,6 +124,10 @@ class Event:
         views = tuple(self.views)
         if not all(isinstance(v, str) for v in views):
             raise BadInput(f"views must be view names (strings), got {views!r}")
+        for name in ("scope", "level"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise BadInput(f"{name} must be a string or None, got {value!r}")
         object.__setattr__(self, "views", views)
 
 
@@ -457,7 +461,8 @@ def _event_to_dict(e: Event) -> dict:
 def _event_from_dict(d: dict) -> Event:
     """Inverse of _event_to_dict; keys it does not write are ignored. Raises
     BadInput, KeyError, TypeError or ValueError for a malformed event: a flag
-    that is not a JSON boolean or views that are not a list of strings."""
+    that is not a JSON boolean, views that are not a list of strings, or a
+    scope or level that is not a string."""
     if not isinstance(d, dict):
         raise BadInput(f"an event must be a JSON object, got {d!r}")
     views = d.get("views", [])
@@ -468,56 +473,25 @@ def _event_from_dict(d: dict) -> Event:
                     if name in d})
 
 
-def session_to_dict(s: SessionState) -> dict:
-    """The persisted form: the header and the events, no derived state."""
-    return {"mode": s.mode.value, "modality": s.modality.value,
-            "registration_threshold_mm": s.registration_threshold_mm,
-            "schema_version": SCHEMA_VERSION,
-            "events": [_event_to_dict(e) for e in s.events]}
-
-
-def session_from_dict(d: dict) -> SessionState:
-    """Replay the event log from new_session through advance. Raises
-    SchemaVersionMismatch for an unknown schema, a header with a missing,
-    extra or malformed key, or a malformed event; errors from advance (an
-    illegal or guarded transition) propagate unchanged."""
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"expected schema {SCHEMA_VERSION}, found {d.get('schema_version')!r}")
-    if set(d) != {"mode", "modality", "registration_threshold_mm",
-                  "schema_version", "events"}:
-        raise SchemaVersionMismatch(f"malformed session header: keys {sorted(d)}")
-    threshold = d["registration_threshold_mm"]
-    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-            or not isinstance(d["events"], list)):
-        raise SchemaVersionMismatch("malformed session header: threshold or events")
-    try:
-        session = new_session(Mode(d["mode"]), Modality(d["modality"]), threshold)
-    except (TypeError, ValueError) as err:
-        raise SchemaVersionMismatch(f"malformed session header: {err!r}") from err
-    for i, record in enumerate(d["events"]):
-        try:
-            event = _event_from_dict(record)
-        except (KeyError, TypeError, ValueError) as err:
-            raise SchemaVersionMismatch(
-                f"malformed event {i + 1} (line {i + 2} of a saved session): "
-                f"{err!r}") from err
-        session = advance(session, event)
-    return session
-
-
 def save_session(session: SessionState, path) -> None:
-    """Header line (session_to_dict key order), then one event per line."""
-    d = session_to_dict(session)
-    events = d.pop("events")
-    lines = [json.dumps(d)] + [json.dumps(e, sort_keys=True) for e in events]
+    """The header line (keys mode, modality, registration_threshold_mm,
+    schema_version, in that order), then one event per line with its keys
+    sorted: the event log is the persisted form, no derived state."""
+    header = {"mode": session.mode.value, "modality": session.modality.value,
+              "registration_threshold_mm": session.registration_threshold_mm,
+              "schema_version": SCHEMA_VERSION}
+    lines = [json.dumps(header)] + [json.dumps(_event_to_dict(e), sort_keys=True)
+                                    for e in session.events]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_session(path) -> SessionState:
-    """Read a save_session file and replay it with session_from_dict. Raises
-    IOFailure if the file cannot be read, SchemaVersionMismatch if it is
-    empty, holds a non-JSON line or does not start with a header line."""
+    """Read a save_session file and replay its event log from new_session
+    through advance. Raises IOFailure if the file cannot be read, and
+    SchemaVersionMismatch if it is empty, holds a non-JSON line, has an
+    unknown schema or a header with a missing, extra or malformed key, or
+    holds a malformed event; errors from advance (an illegal or guarded
+    transition) propagate unchanged."""
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as err:
@@ -528,7 +502,26 @@ def load_session(path) -> SessionState:
         header, *events = [json.loads(line) for line in lines]
     except json.JSONDecodeError as err:
         raise SchemaVersionMismatch(f"unreadable session file: {err}") from err
-    if not isinstance(header, dict) or "events" in header:
+    if not isinstance(header, dict):
         raise SchemaVersionMismatch("malformed session header: not a header line")
-    return session_from_dict({**header, "events": events})
-
+    if header.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"expected schema {SCHEMA_VERSION}, found {header.get('schema_version')!r}")
+    if set(header) != {"mode", "modality", "registration_threshold_mm", "schema_version"}:
+        raise SchemaVersionMismatch(f"malformed session header: keys {sorted(header)}")
+    threshold = header["registration_threshold_mm"]
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise SchemaVersionMismatch("malformed session header: threshold")
+    try:
+        session = new_session(Mode(header["mode"]), Modality(header["modality"]), threshold)
+    except (TypeError, ValueError) as err:
+        raise SchemaVersionMismatch(f"malformed session header: {err!r}") from err
+    for i, record in enumerate(events):
+        try:
+            event = _event_from_dict(record)
+        except (KeyError, TypeError, ValueError) as err:
+            raise SchemaVersionMismatch(
+                f"malformed event {i + 1} (line {i + 2} of a saved session): "
+                f"{err!r}") from err
+        session = advance(session, event)
+    return session

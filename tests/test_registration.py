@@ -21,6 +21,7 @@ from spinenav.registration import (
     verify_registration,
 )
 
+import _mesh_reference as mesh_reference
 from _helpers import icosphere, random_noncollinear_points, random_rigid
 
 RZ90 = RigidTransform.from_axis_angle((0, 0, 1), np.pi / 2, (10.0, 0.0, 0.0))
@@ -364,7 +365,7 @@ def test_closest_points_on_mesh_against_dense_vertex_oracle():
     surf = _test_surface(33)
     rng = np.random.default_rng(4)
     queries = rng.uniform(-40, 40, size=(50, 3))
-    _, dist, _ = closest_points_on_mesh(queries, surf)
+    _, dist, _, _ = closest_points_on_mesh(queries, surf)
     # brute-force oracle: dense point samples on the surface bound the
     # true distance from above
     samples = sample_surface_points(surf, 60_000, rng)
@@ -382,13 +383,15 @@ def _all_pairs_closest(queries, surf, block=32):
     out = []
     for start in range(0, len(queries), block):
         p = queries[start:start + block]
-        cp, d2 = _closest_point_triangles(np.repeat(p, len(t), axis=0), np.tile(a, (len(p), 1)),
-                                          np.tile(ab, (len(p), 1)), np.tile(ac, (len(p), 1)))
+        cp, d2, vv, ww = _closest_point_triangles(
+            np.repeat(p, len(t), axis=0), np.tile(a, (len(p), 1)),
+            np.tile(ab, (len(p), 1)), np.tile(ac, (len(p), 1)))
         cp = cp.reshape(len(p), len(t), 3)
         d2 = d2.reshape(len(p), len(t))
+        vw = np.stack([vv, ww], axis=1).reshape(len(p), len(t), 2)
         best = np.argmin(d2, axis=1)
         rows = np.arange(len(p))
-        out.append((cp[rows, best], np.sqrt(d2[rows, best]), best))
+        out.append((cp[rows, best], np.sqrt(d2[rows, best]), best, vw[rows, best]))
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
@@ -424,6 +427,47 @@ def test_closest_points_on_mesh_repeat_query_is_identical():
     for a, b, c in zip(first, second, fresh):
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+
+# the bench's mesh at subdivisions 1-3 and a mesh with no preferred rotation
+TABLE_SURFACES = [bumpy_ellipsoid(np.random.default_rng(8), subdivisions=k)
+                  for k in (1, 2, 3)] + [icosphere(2, 25.0)]
+TABLE_IDS = ["bumpy1", "bumpy2", "bumpy3", "icosphere"]
+
+
+@pytest.mark.parametrize("surf", TABLE_SURFACES, ids=TABLE_IDS)
+def test_triangle_table_readers_match_the_per_site_formulas(surf):
+    v, t = surf.vertices, surf.triangles
+    a, ab, ac, cross = surf._facets
+    assert not any(arr.flags.writeable for arr in surf._facets)
+    assert np.array_equal(a, v[t[:, 0]])
+    assert np.array_equal(ab, v[t[:, 1]] - v[t[:, 0]])
+    assert np.array_equal(ac, v[t[:, 2]] - v[t[:, 0]])
+    assert np.array_equal(0.5 * np.linalg.norm(cross, axis=1), mesh_reference.areas(surf))
+    assert np.array_equal(surf._vertex_normals, mesh_reference.vertex_normals(surf))
+    assert surf.to_stl() == mesh_reference.to_stl(surf)
+    assert np.array_equal(sample_surface_points(surf, 500, np.random.default_rng(3)),
+                          mesh_reference.sample_surface_points(surf, 500,
+                                                               np.random.default_rng(3)))
+
+
+@pytest.mark.parametrize("surf", TABLE_SURFACES, ids=TABLE_IDS)
+def test_closest_point_weights_rebuild_the_point_and_the_normals(surf):
+    rng = np.random.default_rng(5)
+    on_surface = sample_surface_points(surf, 200, rng)
+    queries = np.vstack([
+        on_surface + rng.normal(scale=2.0, size=on_surface.shape),
+        surf.vertices,                         # vertex regions
+        40.0 * on_surface[:20],                # far away
+        np.zeros((1, 3)),
+    ])
+    closest, _, tri, weights = closest_points_on_mesh(queries, surf)
+    a, ab, ac, _ = surf._facets
+    assert np.array_equal(a[tri] + weights[:, :1] * ab[tri] + weights[:, 1:] * ac[tri],
+                          closest)
+    got = registration._smooth_normals_at(surf, tri, weights)
+    want = mesh_reference.smooth_normals_at(surf, closest, tri)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_surface_model_rejects_non_finite_vertices():

@@ -37,8 +37,6 @@ from spinenav.workflow import (
     new_session,
     radiation_report,
     save_session,
-    session_from_dict,
-    session_to_dict,
 )
 
 
@@ -551,6 +549,8 @@ def test_replay_malformed_event_rejected(tmp_path, line):
     ("trajectory", "collision_checked", "false"),
     ("registration", "converged", "false"),
     ("views", None, "APLP"),
+    ("scope", None, ["L1"]),
+    ("level", None, 7),
 ])
 def test_load_rejects_a_mistyped_event_field(tmp_path, key, sub, value):
     # a string flag would read as truthy, a string of views would split into
@@ -577,6 +577,16 @@ def test_event_rejects_a_string_of_views():
     with pytest.raises(BadInput, match="views"):
         Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views="APLP")
     assert Event(K.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views=["AP"]).views == ("AP",)
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    (K.ACQUIRE_REGISTRATION_IMAGES, "scope", ["L1"]),
+    (K.BEGIN_PLACEMENT, "level", 7),
+], ids=["scope-list", "level-int"])
+def test_event_rejects_a_scope_or_level_that_is_not_a_string(kind, name, value):
+    # a list scope loaded and replayed, then crashed the radiation report
+    with pytest.raises(BadInput, match=name):
+        Event(kind, views=("AP",), **{name: value})
 
 
 @pytest.mark.parametrize("views", [(None, 7), ["AP", 7]], ids=["none-int", "str-int"])
@@ -670,18 +680,22 @@ def test_load_rejects_an_infinite_threshold(tmp_path):
         load_session(path)
 
 
-def test_schema_version_checked_in_dict():
+def test_schema_version_checked_in_file(tmp_path):
+    path = tmp_path / "session.jsonl"
+    path.write_text(json.dumps({"schema_version": 0}) + "\n", encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch):
-        session_from_dict({"schema_version": 0})
+        load_session(path)
 
 
 # -- the event log is the one persisted form -----------------------------------------
 
 
-def _old_snapshot(session, **edits):
+def _old_snapshot(session, path, **edits):
     """The one-line JSON snapshot earlier versions wrote with save_session:
     the header and the events beside the derived state, which was trusted
-    on load."""
+    on load. The events are those save_session writes to path."""
+    save_session(session, path)
+    _, *events = path.read_text(encoding="utf-8").splitlines()
     d = {"schema_version": 1, "mode": session.mode.value,
          "modality": session.modality.value, "phase": session.phase.value,
          "registration_threshold_mm": session.registration_threshold_mm,
@@ -694,7 +708,7 @@ def _old_snapshot(session, **edits):
          "acquisition_log": [{"scope": e.scope, "purpose": e.purpose.value,
                               "view": e.view, "timestamp": 0.0}
                              for e in session.acquisition_log],
-         "events": session_to_dict(session)["events"]}
+         "events": [json.loads(line) for line in events]}
     d.update(edits)
     return json.dumps(d, sort_keys=True)
 
@@ -709,7 +723,7 @@ def test_load_rejects_header_without_mode_modality_and_threshold(tmp_path):
 def test_load_replays_guards_instead_of_trusting_a_stored_phase(tmp_path):
     empty = new_session(Mode.NAVIGATION_ONLY, Modality.PREOP_CT_POINT_BASED)
     path = tmp_path / "session.json"
-    path.write_text(_old_snapshot(empty, phase="Navigation",
+    path.write_text(_old_snapshot(empty, path, phase="Navigation",
                                   registration_accepted=True), encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch):
         load_session(path)
@@ -725,7 +739,7 @@ def test_load_replays_guards_instead_of_trusting_a_stored_phase(tmp_path):
 def test_replay_rejects_an_old_snapshot_file(tmp_path):
     s = _run_full_session(Mode.ROBOT_ASSISTED, ("L1",))
     path = tmp_path / "session.json"
-    path.write_text(_old_snapshot(s), encoding="utf-8")
+    path.write_text(_old_snapshot(s, path), encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch, match="header"):
         load_session(path)
 
@@ -740,7 +754,7 @@ def test_load_session_reads_an_event_trace_and_types_a_bad_mode(tmp_path):
     assert back.acquisition_log == s.acquisition_log
     assert back.placed_screws == s.placed_screws
     snapshot = tmp_path / "session.json"
-    snapshot.write_text(_old_snapshot(s, mode="nope"), encoding="utf-8")
+    snapshot.write_text(_old_snapshot(s, snapshot, mode="nope"), encoding="utf-8")
     with pytest.raises(SchemaVersionMismatch):
         load_session(snapshot)
     trace.write_text(trace.read_text(encoding="utf-8").replace(
@@ -765,17 +779,16 @@ def test_load_rejects_a_malformed_header(tmp_path, header):
         load_session(path)
 
 
-def test_session_to_dict_is_the_header_and_the_events(tmp_path):
+def test_saved_session_is_the_header_and_the_events(tmp_path):
     s = _drive_to_verification_imaging(Mode.ROBOT_ASSISTED)
-    d = session_to_dict(s)
-    assert list(d) == ["mode", "modality", "registration_threshold_mm",
-                       "schema_version", "events"]
-    assert len(d["events"]) == len(s.events)
-    assert session_from_dict(json.loads(json.dumps(d))) == s
-    # the file format of existing traces: header keys unsorted, events sorted
     save_session(s, tmp_path / "session.jsonl")
-    header, first, *_ = (tmp_path / "session.jsonl").read_text(
-        encoding="utf-8").splitlines()
+    lines = (tmp_path / "session.jsonl").read_text(encoding="utf-8").splitlines()
+    assert list(json.loads(lines[0])) == ["mode", "modality", "registration_threshold_mm",
+                                          "schema_version"]
+    assert len(lines) - 1 == len(s.events)
+    assert load_session(tmp_path / "session.jsonl") == s
+    # the file format of existing traces: header keys unsorted, events sorted
+    header, first, *_ = lines
     assert header == ('{"mode": "RobotAssisted", "modality": "IntraOp2D_AutoFiducial", '
                       '"registration_threshold_mm": 2.0, "schema_version": 1}')
     assert first == '{"kind": "acquire_preop_ct"}'
