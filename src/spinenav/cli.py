@@ -307,9 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"random seed (default {DEFAULT_SEED})")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--config", default=None, help="JSON config path")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a config key (dotted paths allowed)")
 
     parser = argparse.ArgumentParser(
         prog="spinenav",
@@ -354,6 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="what", required=True)
     for what in ("study", "session"):
         pp = ps.add_parser(what, parents=[common])
+        pp.add_argument("--config", default=None, help="JSON config path")
+        pp.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config key (dotted paths allowed)")
         pp.add_argument("--threads", type=int, default=0,
                         help="accepted for compatibility; no longer changes "
                              "execution (trials run serially)")

@@ -172,8 +172,7 @@ class RigidTransform(ArrayValue):
 
     def apply(self, points):
         """Map one point (3,) or a stack (N, 3) through the transform."""
-        p = np.asarray(points, dtype=float)
-        return p @ self.rotation.T + self.translation
+        return rigid_apply(self.rotation, self.translation, points)
 
     def matrix(self) -> np.ndarray:
         """Homogeneous 4x4 form."""
@@ -225,6 +224,22 @@ def quaternion_rotations(q) -> np.ndarray:
     return np.where(_DIAGONAL, 1 - s, s).reshape(q.shape[:-1] + (3, 3))
 
 
+def rigid_apply(r: np.ndarray, t: np.ndarray, points) -> np.ndarray:
+    """points @ r.T + t for one transform, r (3, 3) and t (3,), or for each
+    of a stack (..., 3, 3) and (..., 3), on one point (3,), a point set
+    (N, 3) or a set per transform (..., N, 3). Bits depend on r's memory
+    layout, not on stacking."""
+    p = np.asarray(points, dtype=float)
+    return p @ r.swapaxes(-1, -2) + (t[..., None, :] if p.ndim > 1 else t)
+
+
+def rigid_invert(r: np.ndarray, t: np.ndarray) -> tuple:
+    """Inverse (r.T, a view, and -(r.T t)) of one transform, r (3, 3) and
+    t (3,), or of each of a stack (..., 3, 3) and (..., 3)."""
+    rt = r.swapaxes(-1, -2)
+    return rt, -(rt @ t[..., None])[..., 0]
+
+
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Transform mapping p -> a(b(p)).
 
@@ -237,8 +252,7 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
 
 def invert(t: RigidTransform) -> RigidTransform:
     """Inverse transform: compose(t, invert(t)) is the identity."""
-    r = t.rotation.T
-    return RigidTransform(r, -(r @ t.translation))
+    return RigidTransform(*rigid_invert(t.rotation, t.translation))
 
 
 # -- JSON wire format --------------------------------------------------------

@@ -9,7 +9,7 @@ the conventional 2 mm bins with boundary values assigned to the worse bin.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,8 +129,7 @@ class PlanValidation:
         finite_scalars(self, "breach_mm", "min_clearance_mm")
 
     def to_dict(self) -> dict:
-        return {"accepted": self.accepted, "breach_mm": self.breach_mm,
-                "min_clearance_mm": self.min_clearance_mm}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PlanValidation":

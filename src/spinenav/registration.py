@@ -214,15 +214,15 @@ class SurfaceModel(ArrayValue):
 
     def to_stl(self) -> str:
         """ASCII STL (solid "surface"); triangle normals recomputed from
-        vertex winding."""
+        vertex winding. 17 significant digits: from_stl reads it back exactly."""
         cross = self._facets[3]
         normals = cross / np.sqrt(row_dot(cross, cross))[:, None]
         lines = ["solid surface"]
         for tri, n in zip(self.triangles, normals):
-            lines.append(f"  facet normal {n[0]:.9e} {n[1]:.9e} {n[2]:.9e}")
+            lines.append(f"  facet normal {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}")
             lines.append("    outer loop")
             for p in self.vertices[tri]:
-                lines.append(f"      vertex {p[0]:.9e} {p[1]:.9e} {p[2]:.9e}")
+                lines.append(f"      vertex {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
             lines.append("    endloop")
             lines.append("  endfacet")
         lines.append("endsolid surface")
@@ -231,7 +231,8 @@ class SurfaceModel(ArrayValue):
     @staticmethod
     def from_stl(text: str) -> "SurfaceModel":
         """Parse ASCII STL into a Patient-frame surface; duplicate vertices
-        are merged exactly."""
+        are merged exactly. A vertex line needs 3 numbers and a facet loop 3
+        vertices (BadInput)."""
         verts: list = []
         index: dict = {}
         tris: list = []
@@ -239,14 +240,18 @@ class SurfaceModel(ArrayValue):
         for line in text.splitlines():
             parts = line.split()
             if parts[:1] == ["vertex"]:
-                p = tuple(float(x) for x in parts[1:4])
+                if len(parts) != 4:
+                    raise BadInput(f"STL vertex line needs 3 numbers: {line.strip()!r}")
+                p = tuple(float(x) for x in parts[1:])
                 if p not in index:
                     index[p] = len(verts)
                     verts.append(p)
                 current.append(index[p])
-                if len(current) == 3:
-                    tris.append(tuple(current))
-                    current = []
+            elif parts[:1] == ["endloop"]:
+                tris.append(tuple(current))
+                current = []
+        if current or any(len(tri) != 3 for tri in tris):
+            raise BadInput("every STL facet loop must hold exactly 3 vertices")
         if not tris:
             raise BadInput("no facets found in STL input")
         return SurfaceModel("Patient", np.asarray(verts, dtype=float),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,7 +34,8 @@ from . import calibration as cal
 from .errors import BadInput, DegenerateSpec, GuardFailed
 from .fileio import atomic_write, csv_with_provenance, provenance, write_json
 from .geom import (RigidTransform, axis_basis, check_rigid, compose, cross3,
-                   finite_scalars, invert, quaternion_rotations, row_dot)
+                   finite_scalars, invert, quaternion_rotations, rigid_apply,
+                   rigid_invert, row_dot)
 from .kinematics import Trajectory
 from .meshes import bumpy_ellipsoid
 from .planning import (
@@ -105,15 +106,6 @@ class NoiseModel:
     def tracker_sigma_at(self, distance_mm: float) -> float:
         return self.tracker_sigma0 * (
             1.0 + self.distance_growth * (distance_mm - self.distance_ref))
-
-    def to_dict(self) -> dict:
-        return {"tracker_sigma0": self.tracker_sigma0,
-                "depth_anisotropy": self.depth_anisotropy,
-                "distance_ref": self.distance_ref,
-                "distance_growth": self.distance_growth,
-                "detector_sigma": self.detector_sigma,
-                "kinematic_sigma": self.kinematic_sigma,
-                "seed": self.seed}
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseModel":
@@ -292,15 +284,7 @@ class StudyConfig:
                 for td in self.tracker_distances_mm for dd in det]
 
     def to_dict(self) -> dict:
-        return {"modality": self.modality.value,
-                "robot_assisted": self.robot_assisted,
-                "user_groups": list(self.user_groups),
-                "tool_angles_deg": list(self.tool_angles_deg),
-                "tracker_distances_mm": list(self.tracker_distances_mm),
-                "detector_distances_mm": list(self.detector_distances_mm),
-                "samples_per_method": self.samples_per_method,
-                "noise": self.noise.to_dict(),
-                "view_jitter_deg": self.view_jitter_deg}
+        return {**asdict(self), "modality": self.modality.value}
 
     @staticmethod
     def from_dict(d: dict) -> "StudyConfig":
@@ -362,11 +346,6 @@ def _pose_rotations(q: np.ndarray) -> np.ndarray:
     return quaternion_rotations(q / np.sqrt(row_dot(q, q))[:, None])
 
 
-def _apply(rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """RigidTransform.apply, stack by stack: points (N, 3) or (T, N, 3)."""
-    return points @ rotations.transpose(0, 2, 1) + translations[:, None, :]
-
-
 def _angle_multiplier(tool_angle_deg: float) -> float:
     return 1.0 + TOOL_ANGLE_GAIN * (1.0 - np.cos(np.deg2rad(tool_angle_deg)))
 
@@ -386,8 +365,9 @@ def _carm_pairs(center: np.ndarray, detector_distance_mm: np.ndarray,
         z = z / np.sqrt(row_dot(z, z))[:, None]
         x = np.ascontiguousarray(cross3((0.0, 0.0, 1.0), z.T).T)
         x = x / np.sqrt(row_dot(x, x))[:, None]
-        r = np.stack([x, cross3(z.T, x.T).T, z], axis=1)
-        t = ((-r) @ src[:, :, None])[:, :, 0]
+        # the view's extrinsic inverts the camera pose: axes as columns, source as origin
+        axes = np.stack([x, cross3(z.T, x.T).T, z], axis=1)
+        r, t = rigid_invert(axes.swapaxes(1, 2), src)
         check_rigid(r, t)
         models.append(cal.pinhole_matrices(r, t, SOURCE_DETECTOR_DISTANCE_MM))
         cal.check_projections(models[-1])
@@ -495,7 +475,7 @@ def _registration_chains(phantom: Phantom, modality: Modality, factors: list,
             d[k] = rng.normal(scale=noise.detector_sigma, size=d.shape[1:])
 
     gt_r, gt_t = _pose_rotations(q), shift
-    world = _apply(gt_r, gt_t, fid.points)
+    world = rigid_apply(gt_r, gt_t, fid.points)
     check_fiducial_points(world)
     running = _Running(count)
     if point_based:
@@ -588,8 +568,8 @@ def _run_trials(phantom: Phantom, methods: list, factors: list, config: StudyCon
     check_rigid(*gt)
     check_rigid(*est)
     targets = phantom.targets.points
-    mapped = _apply(*est, targets)
-    truth = _apply(*gt, targets)
+    mapped = rigid_apply(*est, targets)
+    truth = rigid_apply(*gt, targets)
     if any(m.robot_assisted for m in methods):
         kinematic = np.array([
             rng.normal(scale=config.noise.kinematic_sigma, size=targets.shape)

@@ -34,10 +34,10 @@ def to_stl(surface) -> str:
         a, b, c = v[tri[0]], v[tri[1]], v[tri[2]]
         n = np.cross(b - a, c - a)
         n = n / np.linalg.norm(n)
-        lines.append(f"  facet normal {n[0]:.9e} {n[1]:.9e} {n[2]:.9e}")
+        lines.append(f"  facet normal {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}")
         lines.append("    outer loop")
         for p in (a, b, c):
-            lines.append(f"      vertex {p[0]:.9e} {p[1]:.9e} {p[2]:.9e}")
+            lines.append(f"      vertex {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
         lines.append("    endloop")
         lines.append("  endfacet")
     lines.append("endsolid surface")

@@ -127,6 +127,49 @@ def test_register_icp_files(tmp_path):
         assert report["converged"] is True
 
 
+def _icp_inputs(tmp_path):
+    """The CI recipe's register icp inputs: a seeded bumpy_ellipsoid surface
+    (written as JSON and as STL) and 200 probes turned 0.15 rad off it."""
+    from spinenav.meshes import bumpy_ellipsoid, sample_surface_points
+    rng = np.random.default_rng(1)
+    surface = bumpy_ellipsoid(rng)
+    turn = RigidTransform.from_axis_angle((0.6, 0.0, 0.8), 0.15, (2.0, -1.0, 2.0))
+    probed = turn.apply(sample_surface_points(surface, 200, rng))
+    (tmp_path / "surface.json").write_text(json.dumps(surface.to_dict()), encoding="utf-8")
+    (tmp_path / "surface.stl").write_text(surface.to_stl(), encoding="utf-8")
+    (tmp_path / "probed.json").write_text(json.dumps({"points_mm": probed.tolist()}),
+                                          encoding="utf-8")
+
+
+def _register_icp(tmp_path, surface_file: str, out: str) -> int:
+    return main(["register", "icp", "--probed", str(tmp_path / "probed.json"),
+                 "--surface", str(tmp_path / surface_file), "--out", str(tmp_path / out)])
+
+
+def test_register_icp_stl_surface_report_is_byte_identical_to_json(tmp_path):
+    # to_stl writes 17 significant digits, so the STL form is the same surface
+    _icp_inputs(tmp_path)
+    assert _register_icp(tmp_path, "surface.json", "json") == 0
+    assert _register_icp(tmp_path, "surface.stl", "stl") == 0
+    assert ((tmp_path / "stl" / "registration_report.json").read_bytes()
+            == (tmp_path / "json" / "registration_report.json").read_bytes())
+
+
+@pytest.mark.parametrize("mutate, fragment", [
+    (lambda lines, k: lines.__setitem__(k, lines[k] + " 7"), "needs 3 numbers"),
+    (lambda lines, k: lines.pop(k + 2), "exactly 3 vertices"),
+    (lambda lines, k: lines.__delitem__(slice(k + 1, None)), "exactly 3 vertices"),
+], ids=["vertex-with-4-numbers", "facet-with-2-vertices", "cut-after-a-vertex"])
+def test_register_icp_malformed_stl_facet_is_bad_input(tmp_path, capsys, mutate, fragment):
+    _icp_inputs(tmp_path)
+    lines = (tmp_path / "surface.stl").read_text(encoding="utf-8").splitlines()
+    mutate(lines, next(k for k, line in enumerate(lines) if "vertex" in line))
+    (tmp_path / "surface.stl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _register_icp(tmp_path, "surface.stl", "out") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], fragment in err["message"]) == ("BadInput", True), err
+
+
 def test_register_icp_unconverged_is_not_accepted(tmp_path, monkeypatch):
     from spinenav.meshes import bumpy_ellipsoid, sample_surface_points
     # this start converges in a few steps; one allowed step forces the
@@ -286,6 +329,21 @@ def test_simulate_study_unknown_key_rejected(tmp_path, capsys):
     code = main(["simulate", "study", "--out", str(tmp_path),
                  "--set", "not_a_real_knob=1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "calibrate pivot --input f", "calibrate carm --input f",
+    "register points --fixed f --moving f", "register icp --probed f --surface f",
+    "register auto2d --jig f --views f", "plan validate --plans f --pedicles f",
+    "grade --screws f --pedicles f", "report --results f"])
+@pytest.mark.parametrize("flag", [("--set", "not_a_real_knob=1"), ("--config", "c.json")],
+                         ids=["set", "config"])
+def test_config_flags_belong_to_simulate_only(capsys, argv, flag):
+    # only simulate reads a config, so every other command refuses the flags
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv.split(), *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", ["view_jitter_deg=NaN", "view_jitter_deg=Infinity",

@@ -9,7 +9,10 @@ from spinenav.geom import (
     compose,
     cross3,
     invert,
+    quaternion_rotations,
     resolve,
+    rigid_apply,
+    rigid_invert,
     snap_rotation,
 )
 
@@ -77,6 +80,63 @@ def test_transform_point_preserves_pairwise_distances():
     d0 = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     d1 = np.linalg.norm(mapped[:, None, :] - mapped[None, :, :], axis=2)
     assert np.max(np.abs(d0 - d1)) < 1e-9
+
+
+# The formulas the kernels replaced: RigidTransform.apply and geom.invert
+# one transform at a time, then the hand-written stacked forms of the study
+# chains (points @ R^T + t), the C-arm views ((-R) @ src) and the capsule
+# endpoints (the column form over (N, K) frames).
+def _apply_one(r, t, points):
+    return np.asarray(points, dtype=float) @ r.T + t
+
+
+def _invert_one(r, t):
+    return r.T, -(r.T @ t)
+
+
+def _rotations(layout, rng, count):
+    """count random rotations in one memory layout a kernel caller passes:
+    quaternion_rotations' own strided stack, its C-contiguous copy (what
+    RigidTransform stores) or a transposed view (the C-arm views)."""
+    native = quaternion_rotations(rng.normal(size=(count, 4)))
+    assert not native.flags.c_contiguous
+    c_stack = np.ascontiguousarray(native)
+    return {"quaternion": native, "c_contiguous": c_stack,
+            "swapaxes": c_stack.swapaxes(1, 2)}[layout]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(
+        np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("layout", ["quaternion", "c_contiguous", "swapaxes"])
+def test_rigid_kernels_match_the_replaced_formulas_bit_for_bit(layout):
+    # a product's bits depend on the matrices' memory layout, so each layout
+    # a caller passes is checked on its own
+    count, n = 5000, 4
+    rng = np.random.default_rng(2100)
+    r = _rotations(layout, rng, count)
+    t = rng.uniform(-300.0, 300.0, size=(count, 3))
+    shared = rng.uniform(-200.0, 200.0, size=(n, 3))
+    own = rng.uniform(-200.0, 200.0, size=(count, n, 3))
+    one = rng.uniform(-200.0, 200.0, size=(count, 3))
+    stacked_point = rigid_apply(r, t, shared[0])
+    stacked_shared = rigid_apply(r, t, shared)
+    stacked_own = rigid_apply(r, t, own)
+    stacked_inverse = rigid_invert(r, t)
+    for k in range(count):
+        assert _same_bits(rigid_apply(r[k], t[k], one[k]), _apply_one(r[k], t[k], one[k]))
+        assert _same_bits(rigid_apply(r[k], t[k], own[k]), _apply_one(r[k], t[k], own[k]))
+        assert _same_bits(stacked_point[k], _apply_one(r[k], t[k], shared[0]))
+        assert _same_bits(stacked_shared[k], _apply_one(r[k], t[k], shared))
+        assert _same_bits(stacked_own[k], _apply_one(r[k], t[k], own[k]))
+        inverse = _invert_one(r[k], t[k])
+        for got in (rigid_invert(r[k], t[k]), (stacked_inverse[0][k], stacked_inverse[1][k])):
+            assert got[0].strides == inverse[0].strides
+            assert _same_bits(got[0], inverse[0]) and _same_bits(got[1], inverse[1])
+    assert _same_bits(stacked_shared, shared @ r.transpose(0, 2, 1) + t[:, None, :])
+    assert _same_bits(rigid_invert(r.swapaxes(1, 2), t)[1], ((-r) @ t[:, :, None])[:, :, 0])
 
 
 def test_rotation_stays_orthonormal_over_long_chains():

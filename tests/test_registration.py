@@ -517,10 +517,10 @@ def test_surface_stl_round_trip():
     surf = icosphere(1, 10.0)
     back = SurfaceModel.from_stl(surf.to_stl())
     assert len(back.triangles) == len(surf.triangles)
-    # vertex sets coincide (order may differ after dedup)
-    a = {tuple(np.round(v, 6)) for v in surf.vertices}
-    b = {tuple(np.round(v, 6)) for v in back.vertices}
-    assert a == b
+    # vertex sets coincide exactly (order may differ after dedup), and so
+    # does every triangle's corner list
+    assert {tuple(v) for v in surf.vertices} == {tuple(v) for v in back.vertices}
+    assert np.array_equal(back.vertices[back.triangles], surf.vertices[surf.triangles])
 
 
 def test_registration_result_from_dict_takes_only_boolean_converged():
