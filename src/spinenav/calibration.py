@@ -28,7 +28,7 @@ from .errors import (
     raised_where,
 )
 from .geom import (ArrayValue, RigidTransform, all_finite, cross3, finite_scalars,
-                   frozen_array, row_dot)
+                   frozen_array, rigid_apply, row_dot)
 from .registration import FiducialSet, RegistrationResult, register_points
 
 VIEW_LABELS = ("AP", "LP")
@@ -103,13 +103,11 @@ class ProjectionModel(ArrayValue):
         return ProjectionModel(scale_normalized(m), view_label)
 
     def to_dict(self) -> dict:
-        return {"view": self.view_label,
-                "P": [float(v) for v in self.matrix.ravel()]}
+        return {"view": self.view_label, "P": self.matrix.ravel().tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "ProjectionModel":
-        return ProjectionModel.from_matrix(np.asarray(d["P"], float).reshape(3, 4),
-                                           d["view"])
+        return ProjectionModel.from_matrix(d["P"], d["view"])
 
 
 def scale_normalized(m: np.ndarray) -> np.ndarray:
@@ -184,7 +182,7 @@ def project_batch(matrices: np.ndarray, points: np.ndarray):
     stack by stack: matrices (T, 3, 4), points (T, N, 3) -> detector mm
     (T, N, 2), plus {stack row: PointAtInfinity} for each stack with a
     point on its camera plane (that stack's uv is not meaningful)."""
-    h = points @ matrices[:, :, :3].transpose(0, 2, 1) + matrices[:, None, :, 3]
+    h = rigid_apply(matrices[:, :, :3], matrices[:, :, 3], points)
     w = h[..., 2]
     failed = raised_where(np.any(np.abs(w) <= 1e-9, axis=1), PointAtInfinity,
                           "point lies on the camera plane")

@@ -133,8 +133,7 @@ def cmd_calibrate(args) -> int:
     data = _read(args.input)
     if args.target == "pivot":
         with _parsing(args.input):
-            poses = [transform_from_dict(d) for d in
-                     (data["poses"] if isinstance(data, dict) else data)]
+            poses = [transform_from_dict(d) for d in data["poses"]]
         result = pivot_calibrate(poses)
         _write_json(out_dir / "pivot_report.json", {
             "tip_offset_mm": [float(v) for v in result.tip_offset],

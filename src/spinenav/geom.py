@@ -10,6 +10,7 @@ chain, so cycles are rejected outright.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,10 +91,25 @@ def frozen_array(obj, name: str, value, shape, dtype=float, check: bool = True) 
 
 
 def finite_scalars(obj, *names: str) -> None:
-    """Raise BadInput ("... must be finite") unless each named field is."""
+    """Raise BadInput unless each named field is a real number, not a bool
+    ("... must be a number"), and finite ("... must be finite")."""
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
+        value = getattr(obj, name)
+        if type(value) is not float and (isinstance(value, bool)
+                                         or not isinstance(value, numbers.Real)):
+            raise BadInput(f"{type(obj).__name__} {name} must be a number, got {value!r}")
+        if not math.isfinite(value):
             raise BadInput(f"{type(obj).__name__} {name} must be finite")
+
+
+def booleans(obj, *names: str) -> None:
+    """Store each named field as a bool: a bool or a numpy bool passes, any
+    other value (a string, a number, None) raises BadInput."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise BadInput(f"{type(obj).__name__} {name} must be a bool, got {value!r}")
+        object.__setattr__(obj, name, bool(value))
 
 
 class ArrayValue:
@@ -227,8 +243,9 @@ def quaternion_rotations(q) -> np.ndarray:
 def rigid_apply(r: np.ndarray, t: np.ndarray, points) -> np.ndarray:
     """points @ r.T + t for one transform, r (3, 3) and t (3,), or for each
     of a stack (..., 3, 3) and (..., 3), on one point (3,), a point set
-    (N, 3) or a set per transform (..., N, 3). Bits depend on r's memory
-    layout, not on stacking."""
+    (N, 3) or a set per transform (..., N, 3). r may be any 3x3 block, not
+    only a rotation (a projection matrix's left block, say). Bits depend on
+    r's memory layout, not on stacking."""
     p = np.asarray(points, dtype=float)
     return p @ r.swapaxes(-1, -2) + (t[..., None, :] if p.ndim > 1 else t)
 
@@ -259,13 +276,11 @@ def invert(t: RigidTransform) -> RigidTransform:
 
 def transform_to_dict(t: RigidTransform) -> dict:
     """{"r": [9 row-major], "t": [3 mm]}; json keeps >= 15 significant digits."""
-    return {"r": [float(v) for v in t.rotation.ravel()],
-            "t": [float(v) for v in t.translation]}
+    return {"r": t.rotation.ravel().tolist(), "t": t.translation.tolist()}
 
 
 def transform_from_dict(d: dict) -> RigidTransform:
-    return RigidTransform(np.asarray(d["r"], dtype=float).reshape(3, 3),
-                          np.asarray(d["t"], dtype=float))
+    return RigidTransform(d["r"], d["t"])
 
 
 # -- frame graph -------------------------------------------------------------

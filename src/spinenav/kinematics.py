@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInput, LimitViolation, NoSafePath, Unreachable
-from .geom import (ArrayValue, RigidTransform, axis_basis, cross3, frozen_array, row_dot,
-                   snap_rotation)
+from .geom import (ArrayValue, RigidTransform, axis_basis, booleans, cross3, frozen_array,
+                   row_dot, snap_rotation)
 
 MAX_JOINT_STEP_RAD = 0.05
 
@@ -98,7 +98,8 @@ class JointVector(ArrayValue):
 @dataclass(frozen=True, eq=False)
 class Trajectory(ArrayValue):
     """Timed joint-space path. Times strictly increase; after densification
-    consecutive joint steps never exceed MAX_JOINT_STEP_RAD."""
+    consecutive joint steps never exceed MAX_JOINT_STEP_RAD. collision_checked
+    must be a bool."""
 
     times: np.ndarray        # (S,)
     joints: np.ndarray       # (S, 6)
@@ -111,6 +112,7 @@ class Trajectory(ArrayValue):
             raise BadInput("trajectory needs at least one sample")
         if np.any(np.diff(t) <= 0.0):
             raise BadInput("trajectory times must strictly increase")
+        booleans(self, "collision_checked")
 
     def __len__(self):
         return len(self.times)
@@ -129,12 +131,7 @@ class Trajectory(ArrayValue):
 
     @staticmethod
     def from_dict(d: dict) -> "Trajectory":
-        """Inverse of to_dict; "collision_checked" must be a JSON boolean
-        (the string "false" raises BadInput)."""
-        checked = d["collision_checked"]
-        if not isinstance(checked, bool):
-            raise BadInput(f"collision_checked must be a JSON boolean, got {checked!r}")
-        return Trajectory(d["times"], d["joints"], checked)
+        return Trajectory(d["times"], d["joints"], d["collision_checked"])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BadInput, LevelMismatch, NegativeBreach
-from .geom import ArrayValue, finite_scalars, frozen_array
+from .geom import ArrayValue, booleans, finite_scalars, frozen_array
 
 GRADE_ORDER = "ABCDE"
 
@@ -43,16 +43,13 @@ class ScrewPlan(ArrayValue):
         return self.entry + self.length * self.direction
 
     def to_dict(self) -> dict:
-        return {"level": self.level,
-                "entry_mm": [float(v) for v in self.entry],
-                "direction": [float(v) for v in self.direction],
-                "diameter_mm": self.diameter,
-                "length_mm": self.length}
+        return {"level": self.level, "entry_mm": self.entry.tolist(),
+                "direction": self.direction.tolist(),
+                "diameter_mm": self.diameter, "length_mm": self.length}
 
     @staticmethod
     def from_dict(d: dict) -> "ScrewPlan":
-        return ScrewPlan(d["level"], np.asarray(d["entry_mm"], float),
-                         np.asarray(d["direction"], float),
+        return ScrewPlan(d["level"], d["entry_mm"], d["direction"],
                          float(d["diameter_mm"]), float(d["length_mm"]))
 
 
@@ -90,17 +87,12 @@ class PedicleModel(ArrayValue):
         return float(np.linalg.norm(self.p1 - self.p0))
 
     def to_dict(self) -> dict:
-        return {"level": self.level,
-                "axis_mm": [[float(v) for v in self.p0],
-                            [float(v) for v in self.p1]],
+        return {"level": self.level, "axis_mm": [self.p0.tolist(), self.p1.tolist()],
                 "radius_profile": [[s, r] for s, r in self.radius_profile]}
 
     @staticmethod
     def from_dict(d: dict) -> "PedicleModel":
-        return PedicleModel(d["level"], np.asarray(d["axis_mm"][0], float),
-                            np.asarray(d["axis_mm"][1], float),
-                            tuple((float(s), float(r))
-                                  for s, r in d["radius_profile"]))
+        return PedicleModel(d["level"], d["axis_mm"][0], d["axis_mm"][1], d["radius_profile"])
 
 
 @dataclass(frozen=True)
@@ -121,11 +113,14 @@ class Grade:
 
 @dataclass(frozen=True)
 class PlanValidation:
+    """A plan checked against its pedicle; accepted must be a bool."""
+
     accepted: bool
     breach_mm: float
     min_clearance_mm: float
 
     def __post_init__(self):
+        booleans(self, "accepted")
         finite_scalars(self, "breach_mm", "min_clearance_mm")
 
     def to_dict(self) -> dict:
@@ -133,10 +128,6 @@ class PlanValidation:
 
     @staticmethod
     def from_dict(d: dict) -> "PlanValidation":
-        """Inverse of to_dict; "accepted" must be a JSON boolean (the string
-        "false" raises BadInput)."""
-        if not isinstance(d["accepted"], bool):
-            raise BadInput(f"accepted must be a JSON boolean, got {d['accepted']!r}")
         return PlanValidation(d["accepted"], d["breach_mm"], d["min_clearance_mm"])
 
 

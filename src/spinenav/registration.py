@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInput, DegenerateGeometry, LabelMismatch, TooFewPoints, raised_where
-from .geom import (ArrayValue, RigidTransform, all_finite, compose, finite_scalars,
-                   frozen_array, row_dot, snap_rotation, transform_from_dict,
-                   transform_to_dict)
+from .geom import (ArrayValue, RigidTransform, all_finite, booleans, compose,
+                   finite_scalars, frozen_array, row_dot, snap_rotation,
+                   transform_from_dict, transform_to_dict)
 
 _COLLINEAR_SV_RATIO = 1e-6
 _PRUNE_SLACK = 1e-9
@@ -83,7 +83,7 @@ class FiducialSet(ArrayValue):
 
     def to_dict(self) -> dict:
         return {"frame": self.frame,
-                "points": [{"label": l, "xyz_mm": [float(v) for v in p]}
+                "points": [{"label": l, "xyz_mm": p.tolist()}
                            for l, p in zip(self.labels, self.points)]}
 
     @staticmethod
@@ -95,7 +95,7 @@ class FiducialSet(ArrayValue):
 @dataclass(frozen=True)
 class RegistrationResult:
     """Outcome of a rigid registration: moving -> fixed transform plus
-    residual statistics."""
+    residual statistics. converged must be a bool."""
 
     transform: RigidTransform
     fre_rms: float
@@ -104,6 +104,7 @@ class RegistrationResult:
     converged: bool = True
 
     def __post_init__(self):
+        booleans(self, "converged")
         finite_scalars(self, "fre_rms")
         res = tuple(float(r) for r in self.per_point_residuals)
         object.__setattr__(self, "per_point_residuals", res)
@@ -121,15 +122,10 @@ class RegistrationResult:
 
     @staticmethod
     def from_dict(d: dict) -> "RegistrationResult":
-        """Inverse of to_dict. A missing "converged" reads as True; a present
-        one must be a JSON boolean (the string "false" raises BadInput)."""
-        converged = d.get("converged", True)
-        if not isinstance(converged, bool):
-            raise BadInput(f"converged must be a boolean, got {converged!r}")
-        return RegistrationResult(transform_from_dict(d["transform"]),
-                                  float(d["fre_rms_mm"]),
-                                  tuple(d["per_point_residuals_mm"]),
-                                  int(d["n_points"]), converged)
+        """Inverse of to_dict; a missing "converged" reads as True."""
+        return RegistrationResult(transform_from_dict(d["transform"]), float(d["fre_rms_mm"]),
+                                  d["per_point_residuals_mm"], int(d["n_points"]),
+                                  d.get("converged", True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +199,12 @@ class SurfaceModel(ArrayValue):
         return vn
 
     def to_dict(self) -> dict:
-        return {"frame": self.frame,
-                "vertices_mm": [[float(x) for x in v] for v in self.vertices],
-                "triangles": [[int(i) for i in t] for t in self.triangles]}
+        return {"frame": self.frame, "vertices_mm": self.vertices.tolist(),
+                "triangles": self.triangles.tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "SurfaceModel":
-        return SurfaceModel(d["frame"], np.asarray(d["vertices_mm"], dtype=float),
-                            np.asarray(d["triangles"], dtype=np.int64))
+        return SurfaceModel(d["frame"], d["vertices_mm"], d["triangles"])
 
     def to_stl(self) -> str:
         """ASCII STL (solid "surface"); triangle normals recomputed from

@@ -33,7 +33,7 @@ import numpy as np
 from . import calibration as cal
 from .errors import BadInput, DegenerateSpec, GuardFailed
 from .fileio import atomic_write, csv_with_provenance, provenance, write_json
-from .geom import (RigidTransform, axis_basis, check_rigid, compose, cross3,
+from .geom import (RigidTransform, axis_basis, booleans, check_rigid, compose, cross3,
                    finite_scalars, invert, quaternion_rotations, rigid_apply,
                    rigid_invert, row_dot)
 from .kinematics import Trajectory
@@ -106,10 +106,6 @@ class NoiseModel:
     def tracker_sigma_at(self, distance_mm: float) -> float:
         return self.tracker_sigma0 * (
             1.0 + self.distance_growth * (distance_mm - self.distance_ref))
-
-    @staticmethod
-    def from_dict(d: dict) -> "NoiseModel":
-        return NoiseModel(**d)
 
 
 def _anisotropic(noise: NoiseModel, sigma, basis, g: np.ndarray) -> np.ndarray:
@@ -245,7 +241,7 @@ class StudyConfig:
     run_study sweeps the three standard methods and run_trial takes its
     Method; modality is the imaging modality of run_placement_study's
     sessions. No computation reads robot_assisted: it is kept only because
-    every report's config and config hash carry it.
+    every report's config and config hash carry it, so it must be a bool.
     """
 
     modality: Modality = Modality.PREOP_CT_POINT_BASED
@@ -259,6 +255,11 @@ class StudyConfig:
     view_jitter_deg: float = 5.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "modality", Modality(self.modality))
+        except ValueError as err:
+            raise BadInput(f"StudyConfig modality: {err}") from err
+        booleans(self, "robot_assisted")
         n = self.samples_per_method
         if isinstance(n, bool) or not isinstance(n, int):
             raise BadInput(f"samples_per_method must be an integer, got {n!r}")
@@ -272,6 +273,7 @@ class StudyConfig:
                 raise BadInput(f"{name} must be non-empty")
             if not all(math.isfinite(v) for v in values):
                 raise BadInput(f"{name} entries must be finite")
+            object.__setattr__(self, name, values)
 
     def cells(self, modality: Modality) -> list:
         """Balanced factor grid; detector distance applies to 2D imaging only."""
@@ -288,15 +290,10 @@ class StudyConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "StudyConfig":
+        """Inverse of to_dict; a missing key takes its default."""
         d = dict(d)
-        if "modality" in d:
-            d["modality"] = Modality(d["modality"])
         if "noise" in d:
-            d["noise"] = NoiseModel.from_dict(d["noise"])
-        for key in ("user_groups", "tool_angles_deg", "tracker_distances_mm",
-                    "detector_distances_mm"):
-            if key in d:
-                d[key] = tuple(d[key])
+            d["noise"] = NoiseModel(**d["noise"])
         return StudyConfig(**d)
 
 

@@ -118,17 +118,14 @@ class Event:
     achieved: ScrewPlan | None = None
 
     def __post_init__(self):
-        if isinstance(self.views, str):
-            raise BadInput(f"views must be a collection of view names, "
-                           f"not the string {self.views!r}")
-        views = tuple(self.views)
-        if not all(isinstance(v, str) for v in views):
-            raise BadInput(f"views must be view names (strings), got {views!r}")
+        views = self.views  # not a string (one exposure per character) nor a set (hash order)
+        if not isinstance(views, (list, tuple)) or not all(isinstance(v, str) for v in views):
+            raise BadInput(f"views must be a list or tuple of strings, got {views!r}")
         for name in ("scope", "level"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise BadInput(f"{name} must be a string or None, got {value!r}")
-        object.__setattr__(self, "views", views)
+        object.__setattr__(self, "views", tuple(views))
 
 
 @dataclass(frozen=True)
@@ -459,16 +456,10 @@ def _event_to_dict(e: Event) -> dict:
 
 
 def _event_from_dict(d: dict) -> Event:
-    """Inverse of _event_to_dict; keys it does not write are ignored. Raises
-    BadInput, KeyError, TypeError or ValueError for a malformed event: a flag
-    that is not a JSON boolean, views that are not a list of strings, or a
-    scope or level that is not a string."""
-    if not isinstance(d, dict):
-        raise BadInput(f"an event must be a JSON object, got {d!r}")
-    views = d.get("views", [])
-    if not isinstance(views, list):  # Event checks each view is a string
-        raise BadInput(f"views must be a list of strings, got {views!r}")
-    return Event(EventKind(d["kind"]), d.get("scope"), tuple(views), d.get("level"),
+    """Inverse of _event_to_dict; keys it does not write are ignored. A
+    malformed event raises KeyError, TypeError or ValueError (BadInput among
+    them), from a lookup or from a constructor's own checks."""
+    return Event(EventKind(d["kind"]), d.get("scope"), d.get("views", ()), d.get("level"),
                  **{name: cls.from_dict(d[name]) for name, cls in _PAYLOADS.items()
                     if name in d})
 
@@ -509,11 +500,9 @@ def load_session(path) -> SessionState:
             f"expected schema {SCHEMA_VERSION}, found {header.get('schema_version')!r}")
     if set(header) != {"mode", "modality", "registration_threshold_mm", "schema_version"}:
         raise SchemaVersionMismatch(f"malformed session header: keys {sorted(header)}")
-    threshold = header["registration_threshold_mm"]
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise SchemaVersionMismatch("malformed session header: threshold")
     try:
-        session = new_session(Mode(header["mode"]), Modality(header["modality"]), threshold)
+        session = new_session(Mode(header["mode"]), Modality(header["modality"]),
+                              header["registration_threshold_mm"])
     except (TypeError, ValueError) as err:
         raise SchemaVersionMismatch(f"malformed session header: {err!r}") from err
     for i, record in enumerate(events):

@@ -3,7 +3,8 @@ import pytest
 
 import _study_reference as reference
 from spinenav import simharness
-from spinenav.errors import DegenerateGeometry, DegenerateSpec, ParallelRays, SpineNavError
+from spinenav.errors import (BadInput, DegenerateGeometry, DegenerateSpec, ParallelRays,
+                             SpineNavError)
 from spinenav.geom import axis_basis
 from spinenav.simharness import (
     DEFAULT_METHODS,
@@ -69,6 +70,17 @@ def test_study_config_round_trip():
                       noise=NoiseModel(tracker_sigma0=0.4, seed=5))
     back = StudyConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+def test_study_config_stores_its_modality_and_factor_lists():
+    # the constructor converts, so a partial document is a key map
+    cfg = StudyConfig(modality="IntraOp2D_AutoFiducial", user_groups=[1.0, 2.0])
+    assert cfg.modality is Modality.INTRAOP_2D_AUTO_FIDUCIAL
+    assert cfg.user_groups == (1.0, 2.0)
+    assert StudyConfig.from_dict({"modality": "IntraOp2D_AutoFiducial",
+                                  "user_groups": [1.0, 2.0]}) == cfg
+    with pytest.raises(BadInput, match="modality"):
+        StudyConfig(modality="nope")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

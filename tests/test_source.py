@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in spinenav's modules is used,
-and every module-level private name is read somewhere in the package."""
+every module-level private name is read somewhere in the package, and every
+wire reader leaves value checks to the constructors."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,31 @@ def test_the_check_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_module_level_private_name_is_read(path):
     assert _unread_private_names(path.read_text(encoding="utf-8"), PACKAGE_SOURCES) == []
+
+
+_READERS = ("from_dict", "_event_from_dict")
+
+
+def _checking_readers(source: str) -> list:
+    """The wire readers (from_dict, _event_from_dict) of source that hold a
+    raise or an isinstance call: a value rule there is one the constructor
+    does not own, so the same value built in process would pass."""
+    readers = [f for f in ast.walk(ast.parse(source))
+               if isinstance(f, ast.FunctionDef) and f.name in _READERS]
+    return [f"line {n.lineno}: {f.name}" for f in readers
+            for n in sorted(ast.walk(f), key=lambda n: getattr(n, "lineno", 0))
+            if isinstance(n, ast.Raise)
+            or (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "isinstance")]
+
+
+def test_the_check_finds_a_reader_that_checks():
+    module = ("class A:\n    def from_dict(d):\n        if not isinstance(d, dict):\n"
+              "            raise ValueError\n        return A()\n"
+              "def _event_from_dict(d):\n    return A.from_dict(d)\n")
+    assert _checking_readers(module) == ["line 3: from_dict", "line 4: from_dict"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_readers_leave_value_checks_to_the_constructors(path):
+    assert _checking_readers(path.read_text(encoding="utf-8")) == []

@@ -1,9 +1,13 @@
 """The value-type idiom shared by every array-carrying dataclass: each array
 field is a read-only copy that rejects non-finite entries, and == and hash
 compare array fields by value. Float scalar fields of the value types reject
-non-finite values too."""
+non-finite values, bools and strings too, and the guarded flags take only
+bools. The constructors own these rules, so each from_dict is a key map, and
+the value-type files in demos/data read back and write the same document."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +19,13 @@ from spinenav.calibration import (
     SyntheticProjectionImage,
 )
 from spinenav.errors import BadInput, NegativeBreach
-from spinenav.geom import ArrayValue, RigidTransform
+from spinenav.geom import ArrayValue, RigidTransform, transform_from_dict, transform_to_dict
 from spinenav.kinematics import Capsule, JointVector, RobotModel, Trajectory, default_robot
 from spinenav.planning import (Grade, PedicleModel, PlanDeviation, PlanValidation, ScrewPlan,
                                grade_gertzbein)
 from spinenav.registration import FiducialSet, RegistrationResult, SurfaceModel, TrePrediction
-from spinenav.workflow import Modality, Mode, SessionState
+from spinenav.simharness import StudyConfig
+from spinenav.workflow import Event, EventKind, Modality, Mode, SessionState
 
 _ROBOT = default_robot()
 
@@ -161,19 +166,82 @@ SCALAR_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite"),
+    # a bool is not taken as 0 or 1 mm, nor a string as its number
+    (True, "must be a number"), ("2.0", "must be a number"),
+], ids=["nan", "inf", "-inf", "bool", "str"])
 @pytest.mark.parametrize("cls, name", SCALAR_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, name in SCALAR_FIELDS])
-def test_float_scalar_fields_reject_non_finite(cls, name, bad):
+def test_float_scalar_fields_reject_non_finite(cls, name, bad, message):
     cls(**SCALAR_VALID[cls])
     args = {**SCALAR_VALID[cls], name: bad}
     if cls is RegistrationResult:
-        # residuals that match the FRE: only the finiteness check can fail
+        # residuals that match the FRE: only the scalar check can fail
         args["per_point_residuals"] = (bad,)
-    with pytest.raises(BadInput, match="finite"):
+    with pytest.raises(BadInput, match=f"{name} {message}"):
         cls(**args)
+
+
+# the flags the workflow guards read (a truthy string must not pass a guard),
+# and the flag every study report's config carries
+FLAG_FIELDS = [(Trajectory, "collision_checked"), (PlanValidation, "accepted"),
+               (RegistrationResult, "converged"), (StudyConfig, "robot_assisted")]
+
+
+@pytest.mark.parametrize("cls, name", FLAG_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLAG_FIELDS])
+def test_flag_fields_take_only_bools(cls, name):
+    valid = {**VALID, **SCALAR_VALID}.get(cls, {})
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(BadInput, match=f"{name} must be a bool"):
+            cls(**{**valid, name: bad})
+    flag = getattr(cls(**{**valid, name: np.True_}), name)
+    assert flag is True
 
 
 def test_shape_mismatch_is_bad_input():
     with pytest.raises(BadInput, match="translation"):
         RigidTransform(np.eye(3), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("views", [{"AP", "LP"}, {"AP": 1, "LP": 2}], ids=["set", "dict"])
+def test_event_views_are_a_list_or_tuple(views):
+    # a set would log its views in hash-seed order, a dict would log its keys
+    with pytest.raises(BadInput, match="views"):
+        Event(EventKind.ACQUIRE_REGISTRATION_IMAGES, scope="L1", views=views)
+
+
+# -- the value-type files in demos/data ----------------------------------------------
+
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+
+@pytest.mark.parametrize("name", ["fiducials_fixed.json", "fiducials_moving.json"])
+def test_fiducial_files_round_trip_to_their_bytes(name):
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert json.dumps(FiducialSet.from_dict(json.loads(text)).to_dict()) == text
+
+
+@pytest.mark.parametrize("name, cls", [("pedicles.json", PedicleModel),
+                                       ("achieved_screws.json", ScrewPlan)])
+def test_value_list_files_round_trip_to_their_bytes(name, cls):
+    text = (DATA / name).read_text(encoding="utf-8")
+    values = [cls.from_dict(d) for d in json.loads(text)]
+    assert json.dumps([v.to_dict() for v in values], indent=1) == text
+
+
+def test_pivot_poses_round_trip_to_their_bytes():
+    text = (DATA / "pivot_poses.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    poses = [transform_from_dict(d) for d in doc["poses"]]
+    assert json.dumps({**doc, "poses": [transform_to_dict(t) for t in poses]},
+                      indent=1) == text
+
+
+def test_study_config_file_round_trips():
+    doc = json.loads((DATA / "study_config.json").read_text(encoding="utf-8"))
+    config = StudyConfig.from_dict(doc)
+    assert config.modality is Modality.PREOP_CT_POINT_BASED
+    assert isinstance(config.user_groups, tuple)
+    assert json.loads(json.dumps(config.to_dict())) == doc

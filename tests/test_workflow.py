@@ -771,6 +771,8 @@ def test_load_session_reads_an_event_trace_and_types_a_bad_mode(tmp_path):
     {"mode": "NavigationOnly", "modality": "PreOpCT_PointBased",
      "registration_threshold_mm": 2.0, "schema_version": 1, "events": []},
     ["NavigationOnly"],
+    {"mode": "NavigationOnly", "modality": "PreOpCT_PointBased",
+     "registration_threshold_mm": True, "schema_version": 1},
 ])
 def test_load_rejects_a_malformed_header(tmp_path, header):
     path = tmp_path / "session.jsonl"
