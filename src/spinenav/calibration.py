@@ -266,7 +266,7 @@ def dlt_calibrate(world, image: Detection2D) -> ProjectionModel:
     """
     world = list(world)
     labels = [w[0] for w in world]
-    if set(labels) & set(image.labels) != set(labels) or set(labels) != set(image.labels):
+    if set(labels) != set(image.labels):
         raise LabelMismatch("world and image correspondences carry different labels")
     if len(world) < 6:
         raise TooFewPoints("DLT needs at least 6 correspondences")

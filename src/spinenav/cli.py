@@ -245,7 +245,9 @@ def cmd_simulate(args) -> int:
         screws = raw.get("screws", 2)
         if isinstance(screws, bool) or not isinstance(screws, int):
             raise err.BadInput(f"screws must be an integer, got {screws!r}")
-        multiplier = float(raw.get("noise_multiplier", 1.0))
+        multiplier = raw.get("noise_multiplier", 1.0)
+        if isinstance(multiplier, bool) or not isinstance(multiplier, (int, float)):
+            raise err.BadInput(f"noise_multiplier must be a number, got {multiplier!r}")
         config = _study_config(raw.get("study", {}), args)
     levels = max((screws + 1) // 2, 1)
     phantom = generate_phantom(PhantomSpec(levels=levels), seed=args.phantom_seed)

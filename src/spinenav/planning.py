@@ -34,6 +34,7 @@ class ScrewPlan(ArrayValue):
         d = frozen_array(self, "direction", self.direction, 3)
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise BadInput("screw direction must be a unit vector")
+        finite_scalars(self, "diameter", "length")
         if not 2.0 <= self.diameter <= 10.0:
             raise BadInput("screw diameter out of range [2, 10] mm")
         if not 20.0 <= self.length <= 100.0:

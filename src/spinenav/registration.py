@@ -257,8 +257,6 @@ class VerificationDecision:
     """Accept/reject outcome of a registration accuracy check."""
 
     accepted: bool
-    fre_rms: float
-    threshold_mm: float
     reason: str | None = None
 
 
@@ -385,13 +383,11 @@ def verify_registration(result: RegistrationResult,
     """Accept iff the fit converged and fre_rms <= threshold (closed bound:
     equality accepts)."""
     if not result.converged:
-        return VerificationDecision(False, result.fre_rms, threshold_mm,
-                                    "registration did not converge")
+        return VerificationDecision(False, "registration did not converge")
     if result.fre_rms <= threshold_mm:
-        return VerificationDecision(True, result.fre_rms, threshold_mm)
-    return VerificationDecision(False, result.fre_rms, threshold_mm,
-                                f"fre_rms {result.fre_rms:.3f} mm exceeds "
-                                f"threshold {threshold_mm:.3f} mm")
+        return VerificationDecision(True)
+    return VerificationDecision(False, f"fre_rms {result.fre_rms:.3f} mm exceeds "
+                                       f"threshold {threshold_mm:.3f} mm")
 
 
 # -- surface registration ----------------------------------------------------

@@ -1,11 +1,14 @@
 """Phantom generation, measurement-noise models, and the Monte Carlo studies
 that verify the full measurement chains.
 
-The accuracy study runs three registration methods (point-based pre-op CT
-under navigation, automatic intra-op 2D under navigation, point-based pre-op
-CT with robot assistance) over balanced factor cells and reports mean/SD/CI
-statistics per method. The placement study drives complete workflow sessions
-per screw and grades the simulated outcomes, tallying C-arm exposures.
+A phantom holds registration fiducials, pedicle corridors and held-out
+verification targets. The accuracy study runs three registration methods
+(point-based pre-op CT under navigation, automatic intra-op 2D under
+navigation, point-based pre-op CT with robot assistance) over balanced
+factor cells, trial k in cell k mod C of the C cells, and reports
+mean/SD/CI statistics per method. The placement study drives complete
+workflow sessions per screw and grades the simulated outcomes, tallying
+C-arm exposures.
 
 Every operation is a pure function of (inputs, seed): trials draw from
 independent generators spawned per (stream key, trial) so results are
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
+from itertools import cycle
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,7 +42,6 @@ from .geom import (RigidTransform, axis_basis, booleans, check_rigid, compose, c
                    finite_scalars, invert, quaternion_rotations, rigid_apply,
                    rigid_invert, row_dot)
 from .kinematics import Trajectory
-from .meshes import bumpy_ellipsoid
 from .planning import (
     PedicleModel,
     ScrewPlan,
@@ -49,7 +53,6 @@ from .planning import (
 from .registration import (
     FiducialSet,
     RegistrationResult,
-    SurfaceModel,
     check_fiducial_points,
     register_points_batch,
 )
@@ -98,6 +101,8 @@ class NoiseModel:
     def __post_init__(self):
         finite_scalars(self, "tracker_sigma0", "depth_anisotropy", "distance_ref",
                        "distance_growth", "detector_sigma", "kinematic_sigma")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise BadInput(f"NoiseModel seed must be an integer, got {self.seed!r}")
         for name in ("tracker_sigma0", "depth_anisotropy", "detector_sigma",
                      "kinematic_sigma", "seed"):
             if getattr(self, name) < 0.0:
@@ -132,11 +137,10 @@ class PhantomSpec:
 
 @dataclass(frozen=True)
 class Phantom:
-    """Synthetic spine phantom: registration fiducials, a probeable surface,
-    pedicle corridors, and held-out verification targets."""
+    """Synthetic spine phantom: registration fiducials, pedicle corridors,
+    and held-out verification targets."""
 
     fiducials: FiducialSet
-    surface: SurfaceModel
     pedicles: tuple  # PedicleModel, ordered L1-left, L1-right, L2-left, ...
     targets: FiducialSet
 
@@ -202,9 +206,7 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     idx = rng.integers(0, len(entries), size=n_targets)
     tpts = entries[idx] + rng.normal(scale=4.0, size=(n_targets, 3))
     targets = FiducialSet("Patient", tuple(f"T{i + 1}" for i in range(n_targets)), tpts)
-
-    surface = bumpy_ellipsoid(rng, center=(0.0, 10.0, spine_length / 2.0))
-    return Phantom(fiducials, surface, tuple(pedicles), targets)
+    return Phantom(fiducials, tuple(pedicles), targets)
 
 
 # -- study configuration ------------------------------------------------------------
@@ -271,6 +273,8 @@ class StudyConfig:
             values = tuple(getattr(self, name))
             if not values:
                 raise BadInput(f"{name} must be non-empty")
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+                raise BadInput(f"{name} entries must be numbers, got {values!r}")
             if not all(math.isfinite(v) for v in values):
                 raise BadInput(f"{name} entries must be finite")
             object.__setattr__(self, name, values)
@@ -299,13 +303,13 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    method: str
-    modality: Modality
-    robot_assisted: bool
     factors: dict
     rmse_mm: float | None
-    ok: bool = True
-    error: str | None = None
+    error: str | None = None  # "ErrorClass: message" of a failed trial
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
 
 
 @dataclass(frozen=True)
@@ -435,10 +439,11 @@ class _Running:
         return keep
 
 
-def _registration_chains(phantom: Phantom, modality: Modality, factors: list,
+def _registration_chains(phantom: Phantom, modality: Modality, cells: list,
                          noise: NoiseModel, rngs: list, jitter_deg: float) -> _Chains:
-    """Run the registration chains of trials (factors[k], rngs[k]) of one
-    modality as stacked passes.
+    """Run the registration chains of trials (cells[k mod C], rngs[k]) of
+    one modality as stacked passes, C = len(cells): trials cycle through the
+    factor cells.
 
     The draw pass takes every draw of each trial's chain from its own
     generator, in the chain's order, and leaves the generator where the
@@ -477,10 +482,10 @@ def _registration_chains(phantom: Phantom, modality: Modality, factors: list,
     running = _Running(count)
     if point_based:
         fixed = world
-        moving = fid.points + _tracker_noise_stack(phantom, factors, noise, g)
+        moving = fid.points + _tracker_noise_stack(phantom, cells, noise, g)
         check_fiducial_points(moving)
     else:
-        fixed = _triangulated_jigs(world, factors, jitter, detector, running)
+        fixed = _triangulated_jigs(world, cells, jitter, detector, running)
         moving = np.repeat(fid.points[None], count, axis=0)
     rows = running.rows
     r, t, failed = register_points_batch(fixed[rows], moving[rows])
@@ -491,28 +496,25 @@ def _registration_chains(phantom: Phantom, modality: Modality, factors: list,
     return _Chains(gt_r, gt_t, rotations, translations, running.errors)
 
 
-def _tracker_noise_stack(phantom: Phantom, factors: list, noise: NoiseModel,
+def _tracker_noise_stack(phantom: Phantom, cells: list, noise: NoiseModel,
                          g: np.ndarray) -> np.ndarray:
     """The point-based chain's tracker noise from standard normal draws g
-    (T, N, 3): sigma and viewing basis come from each trial's factor cell,
-    computed once per cell by the per-trial code."""
+    (T, N, 3): sigma and viewing basis come from trial k's factor cell
+    cells[k mod C], computed once for each cell the T trials reach."""
     roi = phantom.fiducials.points.mean(axis=0)
-    per_cell = {}
-    for f in factors:
-        cell = (f["user_group"], f["tool_angle_deg"], f["tracker_distance_mm"])
-        if cell not in per_cell:
-            view_axis = roi - np.array([0.0, -f["tracker_distance_mm"], 400.0])
-            multiplier = f["user_group"] * _angle_multiplier(f["tool_angle_deg"])
-            sigma = noise.tracker_sigma_at(f["tracker_distance_mm"]) * multiplier
-            per_cell[cell] = np.concatenate([[sigma], *axis_basis(view_axis)])
+    per_cell = []
+    for f in cells[:len(g)]:
+        view_axis = roi - np.array([0.0, -f["tracker_distance_mm"], 400.0])
+        multiplier = f["user_group"] * _angle_multiplier(f["tool_angle_deg"])
+        sigma = noise.tracker_sigma_at(f["tracker_distance_mm"]) * multiplier
+        per_cell.append(np.concatenate([[sigma], *axis_basis(view_axis)]))
     # per trial: sigma, then the basis vectors u, v and axis
-    cells = np.array([per_cell[f["user_group"], f["tool_angle_deg"],
-                               f["tracker_distance_mm"]] for f in factors])[:, None]
-    return _anisotropic(noise, cells[..., :1], (cells[..., 1:4], cells[..., 4:7],
-                                                cells[..., 7:]), g)
+    trials = np.array(per_cell)[np.arange(len(g)) % len(per_cell), None]
+    return _anisotropic(noise, trials[..., :1], (trials[..., 1:4], trials[..., 4:7],
+                                                 trials[..., 7:]), g)
 
 
-def _triangulated_jigs(world: np.ndarray, factors: list, jitter: np.ndarray,
+def _triangulated_jigs(world: np.ndarray, cells: list, jitter: np.ndarray,
                        detector: list, running: _Running) -> np.ndarray:
     """The 2D chain up to its jig triangulation, over the running trials:
     per view, the calibrator projection, its detection, the DLT
@@ -521,8 +523,8 @@ def _triangulated_jigs(world: np.ndarray, factors: list, jitter: np.ndarray,
     estimated views. Returns the triangulated jigs, NaN for stopped trials."""
     count, n = world.shape[:2]
     roi = world.mean(axis=1)
-    true = _carm_pairs(roi, np.array([f["detector_distance_mm"] for f in factors],
-                                     dtype=float), jitter)
+    distances = [cells[k % len(cells)]["detector_distance_mm"] for k in range(count)]
+    true = _carm_pairs(roi, np.array(distances, dtype=float), jitter)
     cal_pts = roi[:, None, :] + _CALIBRATOR_OFFSETS
     estimated = np.full((2, count, 3, 4), np.nan)
     detected = np.full((2, count, n, 2), np.nan)
@@ -550,14 +552,14 @@ def _triangulated_jigs(world: np.ndarray, factors: list, jitter: np.ndarray,
     return jigs
 
 
-def _run_trials(phantom: Phantom, methods: list, factors: list, config: StudyConfig,
+def _run_trials(phantom: Phantom, methods: list, cells: list, config: StudyConfig,
                 rngs: list) -> list:
-    """Trials (factors[k], rngs[k]) of methods that share one stream key,
-    one list of TrialResults per method: one stacked pass of the chains
+    """Trials (cells[k mod C], rngs[k]) of methods that share one stream
+    key, one list of TrialResults per method: one stacked pass of the chains
     they share, then each method's RMSE at the held-out targets over the
     stack. A robot method adds kinematic noise, drawn from the trial's
     generator after its chain's draws, to trials whose chain succeeded."""
-    chains = _registration_chains(phantom, methods[0].modality, factors, config.noise,
+    chains = _registration_chains(phantom, methods[0].modality, cells, config.noise,
                                   rngs, config.view_jitter_deg)
     ok = np.array([e is None for e in chains.errors], dtype=bool)
     est = chains.rotations[ok], chains.translations[ok]
@@ -576,11 +578,10 @@ def _run_trials(phantom: Phantom, methods: list, factors: list, config: StudyCon
         moved = mapped + kinematic if method.robot_assisted else mapped
         err = np.linalg.norm(moved - truth, axis=2)
         rmse = iter(np.sqrt(np.mean(err ** 2, axis=1)).tolist())
-        head = (method.label, method.modality, method.robot_assisted)
         results.append([
-            TrialResult(*head, f, next(rmse)) if e is None
-            else TrialResult(*head, f, None, ok=False, error=f"{type(e).__name__}: {e}")
-            for f, e in zip(factors, chains.errors)])
+            TrialResult(f, next(rmse)) if e is None
+            else TrialResult(f, None, f"{type(e).__name__}: {e}")
+            for f, e in zip(cycle(cells), chains.errors)])
     return results
 
 
@@ -640,9 +641,7 @@ def run_study(config: StudyConfig, phantom: Phantom,
     n = config.samples_per_method
     for key in dict.fromkeys(keys):
         group = [i for i, k in enumerate(keys) if k == key]
-        key_cells = cells[group[0]]
-        results = _run_trials(phantom, [methods[i] for i in group],
-                              [key_cells[t % len(key_cells)] for t in range(n)], config,
+        results = _run_trials(phantom, [methods[i] for i in group], cells[group[0]], config,
                               [_trial_rng(config.noise.seed, key, t) for t in range(n)])
         for i, method_trials in zip(group, results):
             trials[i] = method_trials
@@ -650,8 +649,8 @@ def run_study(config: StudyConfig, phantom: Phantom,
     for method, method_cells, method_trials in zip(methods, cells, trials):
         ok = [t for t in method_trials if t.ok]
         cell_stats = []
-        for cell in method_cells:
-            vals = [t.rmse_mm for t in ok if t.factors == cell]
+        for c, cell in enumerate(method_cells):
+            vals = [t.rmse_mm for t in method_trials[c::len(method_cells)] if t.ok]
             if vals:
                 cell_stats.append((cell, StudyStats.from_values(vals)))
         pooled = StudyStats.from_values([t.rmse_mm for t in ok]) if ok \
@@ -725,9 +724,8 @@ def _apply_error_to_plan(plan: ScrewPlan, t_est: RigidTransform,
     return ScrewPlan(plan.level, entry, direction, plan.diameter, plan.length)
 
 
-def _checked_trajectory() -> Trajectory:
-    return Trajectory([0.0, 1.0], np.zeros((2, 6)) + [[0.0] * 6, [0.04] * 6],
-                      collision_checked=True)
+# the robot arm's path to each screw, collision-checked for POSITION_ROBOT's guard
+_CHECKED_TRAJECTORY = Trajectory([0.0, 1.0], [[0.0] * 6, [0.04] * 6], collision_checked=True)
 
 
 def run_placement_study(config: StudyConfig, phantom: Phantom,
@@ -753,12 +751,11 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
     scaled = replace(config, noise=noise)
     pedicles = phantom.pedicles[:screws_per_arm]
     levels = sorted({p.level.rsplit("-", 1)[0] for p in pedicles})
-    approvals, plans = [], {}
+    approvals = []
     for pedicle in pedicles:
         plan = _centered_plan(pedicle)
         validation = validate_plan(plan, pedicle, safety_margin_mm=0.5)
         approvals.append(Event(EventKind.APPROVE_PLAN, plan=plan, validation=validation))
-        plans[pedicle.level] = plan
     cells = scaled.cells(scaled.modality)
     arms = []
     for arm_idx, (arm_name, mode, robot) in enumerate(
@@ -783,14 +780,11 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
 
         rngs = [_trial_rng(scaled.noise.seed + 7919 * (arm_idx + 1), 0, k)
                 for k in range(screws_per_arm)]
-        chains = _registration_chains(
-            phantom, scaled.modality, [cells[k % len(cells)] for k in range(screws_per_arm)],
-            scaled.noise, rngs, scaled.view_jitter_deg)
-        grades = []
-        registered = False
-        for s_idx, (pedicle, rng) in enumerate(zip(pedicles, rngs)):
+        chains = _registration_chains(phantom, scaled.modality, cells, scaled.noise, rngs,
+                                      scaled.view_jitter_deg)
+        for s_idx, (pedicle, approval, rng) in enumerate(zip(pedicles, approvals, rngs)):
             t_est, t_gt = chains.transforms(s_idx)
-            if not registered:
+            if s_idx == 0:
                 # submit for verification; a rejected registration loops back
                 # and is re-acquired, exactly as the workflow enforces
                 for _ in range(50):
@@ -807,20 +801,18 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
                     except GuardFailed:
                         session = advance(session, Event(EventKind.RE_REGISTER))
                         t_est, t_gt = _registration_chains(
-                            phantom, scaled.modality, [cells[0]], scaled.noise, [rng],
+                            phantom, scaled.modality, cells, scaled.noise, [rng],
                             scaled.view_jitter_deg).transforms(0)
                 else:
                     raise DegenerateSpec(
                         "registration never passed verification at this noise level")
-                registered = True
             else:
                 session = advance(session, Event(EventKind.NEXT_SCREW))
             if robot:
                 session = advance(session, Event(EventKind.POSITION_ROBOT,
-                                                 trajectory=_checked_trajectory()))
-            plan = plans[pedicle.level]
+                                                 trajectory=_CHECKED_TRAJECTORY))
             achieved = _apply_error_to_plan(
-                plan, t_est, t_gt,
+                approval.plan, t_est, t_gt,
                 scaled.noise.kinematic_sigma if robot else 0.0, rng)
             session = advance(session, Event(EventKind.BEGIN_PLACEMENT,
                                              level=pedicle.level))
@@ -830,11 +822,12 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
                                              achieved=achieved))
             session = advance(session, Event(EventKind.ACQUIRE_VERIFICATION_IMAGES,
                                              scope=screw_id, views=("AP", "LP")))
-            breach = breach_depth(achieved, pedicle)
-            grades.append((pedicle.level, breach, grade_gertzbein(breach).value))
         session = advance(session, Event(EventKind.COMPLETE_SESSION))
 
-        report = radiation_report(session.acquisition_log, session.placed_screws)
+        placed = session.placed_screws
+        breaches = [breach_depth(s.achieved, p) for s, p in zip(placed, pedicles)]
+        grades = [(p.level, b, grade_gertzbein(b).value) for p, b in zip(pedicles, breaches)]
+        report = radiation_report(session.acquisition_log, placed)
         percent = grade_percent(g for _, _, g in grades)
         arms.append(ArmResult(arm_name, mode, tuple(grades), percent,
                               report.mean_per_screw, report.to_csv()))

@@ -27,6 +27,7 @@ from spinenav.errors import (
 from spinenav.registration import RegistrationResult, fit_rigid
 from spinenav.simharness import (
     _CALIBRATOR_OFFSETS,
+    _CHECKED_TRAJECTORY,
     SOURCE_DETECTOR_DISTANCE_MM,
     ArmResult,
     PlacementStudyResult,
@@ -34,7 +35,6 @@ from spinenav.simharness import (
     _angle_multiplier,
     _apply_error_to_plan,
     _centered_plan,
-    _checked_trajectory,
     _trial_rng,
 )
 from spinenav.geom import RigidTransform, axis_basis, cross3
@@ -287,15 +287,13 @@ def run_trial(phantom, method, factors, config, rng):
         (r_est, t_est), (r_gt, t_gt) = registration_transform(
             phantom, method.modality, factors, config.noise, rng, config.view_jitter_deg)
     except SpineNavError as e:
-        return TrialResult(method.label, method.modality, method.robot_assisted,
-                           factors, None, ok=False, error=f"{type(e).__name__}: {e}")
+        return TrialResult(factors, None, f"{type(e).__name__}: {e}")
     mapped = apply(r_est, t_est, phantom.targets.points)
     truth = apply(r_gt, t_gt, phantom.targets.points)
     if method.robot_assisted:
         mapped = mapped + rng.normal(scale=config.noise.kinematic_sigma, size=mapped.shape)
     err = np.linalg.norm(mapped - truth, axis=1)
-    return TrialResult(method.label, method.modality, method.robot_assisted, factors,
-                       float(np.sqrt(np.mean(err ** 2))))
+    return TrialResult(factors, float(np.sqrt(np.mean(err ** 2))))
 
 
 # -- placement study ----------------------------------------------------------------
@@ -381,7 +379,7 @@ def run_placement_study(config, phantom, screws_per_arm, noise_multiplier=1.0):
                 session = advance(session, Event(EventKind.NEXT_SCREW))
             if robot:
                 session = advance(session, Event(EventKind.POSITION_ROBOT,
-                                                 trajectory=_checked_trajectory()))
+                                                 trajectory=_CHECKED_TRAJECTORY))
             plan = plans[pedicle.level]
             achieved = _apply_error_to_plan(
                 plan, t_est, t_gt,

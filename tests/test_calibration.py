@@ -18,6 +18,7 @@ from spinenav.calibration import _hartley_normalization
 from spinenav.errors import (
     CoplanarPoints,
     InsufficientRotation,
+    LabelMismatch,
     ParallelRays,
     PatternAmbiguous,
     PointAtInfinity,
@@ -138,6 +139,20 @@ def test_dlt_too_few_points():
     model = _camera()
     world, det = _world_image_pairs(model, pts)
     with pytest.raises(TooFewPoints):
+        dlt_calibrate(world, det)
+
+
+@pytest.mark.parametrize("extra", ["world", "image"])
+def test_dlt_label_mismatch(extra):
+    # one label only one side carries, on either side, is refused
+    rng = np.random.default_rng(32)
+    pts = rng.uniform(-60, 60, size=(8, 3))
+    world, det = _world_image_pairs(_camera(), pts)
+    if extra == "world":
+        world = world + [("X", np.zeros(3))]
+    else:
+        world = world[:-1]
+    with pytest.raises(LabelMismatch, match="different labels"):
         dlt_calibrate(world, det)
 
 

@@ -281,6 +281,13 @@ def test_screw_plan_rejects_non_finite(field, bad):
         ScrewPlan("L3-left", values["entry"], values["direction"], 6.0, AXIS_LEN)
 
 
+@pytest.mark.parametrize("field", ["diameter", "length"])
+def test_screw_plan_rejects_a_string_size(field):
+    # a numeric string is not compared with the range bounds
+    with pytest.raises(BadInput, match=f"ScrewPlan {field} must be a number"):
+        _screw(**{field: "6"})
+
+
 @pytest.mark.parametrize("field", ["p0", "p1"])
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 def test_pedicle_model_rejects_non_finite(field, bad):

