@@ -4,13 +4,15 @@ capsule-based collision checking.
 The robot is described by standard Denavit-Hartenberg rows; forward
 kinematics is the product of the six link transforms, for one joint row or a
 stack of rows. The arm is PUMA-type with a spherical wrist, so inverse
-kinematics is exact and in closed form: up to 8 branches from one stacked
-pass, of which ik returns the in-limit branch nearest its seed, so ik depends
-only on (target, seed) and every plan is reproducible. Tool-axis targets are
-5-DOF tasks (roll about the tool axis is free), and the planner exploits that
-free roll to steer around obstacles. Collision checking fills one clearance
-table (rows x link capsules x obstacles) per planning phase; one-configuration
-queries are one-row views of it.
+kinematics is exact and in closed form: one stacked pass gives up to 8
+branches for each of any number of targets, and each takes the in-limit
+branch nearest its seed, so ik (one target) depends only on (target, seed)
+and every plan is reproducible. Tool-axis targets are 5-DOF tasks (roll
+about the tool axis is free), and the planner exploits that free roll to
+steer around obstacles; one pass solves all its rolls' approach poses, and
+one pass per round all steps of a descent. Collision checking fills one
+clearance table (rows x link capsules x obstacles) per planning phase;
+one-configuration queries are one-row views of it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInput, LimitViolation, NoSafePath, Unreachable
-from .geom import (ArrayValue, RigidTransform, axis_basis, booleans, cross3, frozen_array,
-                   row_dot, snap_rotation)
+from .geom import (ArrayValue, RigidTransform, axis_basis, booleans, check_rigid, cross3,
+                   frozen_array, row_dot, snap_rotation)
 
 MAX_JOINT_STEP_RAD = 0.05
 
@@ -197,10 +199,12 @@ def jacobian(model: RobotModel, q) -> np.ndarray:
     return np.vstack([cross3(z.T, (frames[-1][:3, 3] - p).T), z.T])
 
 
-def _ik_branches(model: RobotModel, target: RigidTransform, seed: np.ndarray) -> np.ndarray:
-    """The 8 closed-form joint rows (8, 6) that reach target, before any
-    whole-turn shift, decoupled at the wrist centre w = p - d6 z (Pieper
-    1968; Craig, Introduction to Robotics, ch. 4).
+def _ik_branches(model: RobotModel, rotation, positions, seeds) -> tuple:
+    """The 8 closed-form joint rows (N, 8, 6) reaching each of N targets,
+    before any whole-turn shift, and whether each is in reach (N,), decoupled
+    at the wrist centre w = p - d6 z (Pieper 1968; Craig, Introduction to
+    Robotics, ch. 4). Rotations are (3, 3) or (N, 3, 3), positions (N, 3) and
+    seeds (N, 6); a single row serves every target.
 
     In one stacked pass: q1 takes 2 shoulder branches from the offset d2,
     q3 2 elbow branches from the law of cosines on a2 and d4, and q2 the
@@ -213,65 +217,86 @@ def _ik_branches(model: RobotModel, target: RigidTransform, seed: np.ndarray) ->
     taken, each moved by half the roll between them. A pose within rounding
     (1e-13, relative) of a boundary, the wrist centre on the shoulder
     cylinder of radius d2 or the elbow straight or folded, is solved on it;
-    one beyond raises Unreachable."""
+    one beyond is out of reach, and its row is solved on the boundary, so
+    no square root sees a negative."""
     dh, off = model.dh_rows, model.dh_rows[:, 3]
     d1, a2, d2, d4, d6 = dh[0, 2], dh[1, 0], dh[1, 2], dh[3, 2], dh[5, 2]
-    r = target.rotation
-    w = target.translation - d6 * r[:, 2]
-    u2 = w[0] ** 2 + w[1] ** 2 - d2 ** 2  # squared radial reach in the arm plane
-    v = d1 - w[2]
+    r = np.reshape(rotation, (-1, 1, 3, 3))
+    w = positions - d6 * r[:, 0, :, 2]
+    u2 = w[:, 0] ** 2 + w[:, 1] ** 2 - d2 ** 2  # squared radial reach in the arm plane
+    v = d1 - w[:, 2]
     s3 = (a2 ** 2 + d4 ** 2 - u2 - v ** 2) / (2.0 * a2 * d4)
-    if u2 < -1e-13 * d2 ** 2 or abs(s3) > 1.0 + 1e-13:
-        raise Unreachable("the wrist centre lies outside the arm's workspace")
+    reach = ~((u2 < -1e-13 * d2 ** 2) | (np.abs(s3) > 1.0 + 1e-13))
     # within rounding of a boundary is on it: there the position fixes q1
     # or q3 only to about 1e-8 rad, which would unsettle a singular wrist
-    u2 = u2 if u2 > 1e-13 * d2 ** 2 else 0.0
-    s3 = s3 if abs(s3) < 1.0 - 1e-13 else np.sign(s3)
-    u = np.array([1.0, 1.0, -1.0, -1.0]) * np.sqrt(u2)
+    u2 = np.where(u2 > 1e-13 * d2 ** 2, u2, 0.0)
+    s3 = np.where(np.abs(s3) < 1.0 - 1e-13, s3, np.sign(s3))[:, None]
+    u = np.array([1.0, 1.0, -1.0, -1.0]) * np.sqrt(u2)[:, None]
     c3 = np.array([1.0, -1.0, 1.0, -1.0]) * np.sqrt(1.0 - s3 * s3)
-    theta = np.zeros((4, 6))
-    theta[:, 0] = np.arctan2(w[1], w[0]) - np.arctan2(d2, u)
-    theta[:, 1] = np.arctan2(v, u) - np.arctan2(d4 * c3, a2 - d4 * s3)
-    theta[:, 2] = np.arctan2(s3, c3)
-    r36 = np.swapaxes(fk_frames(model, theta - off)[:, 3, :3, :3], 1, 2) @ r
-    singular = np.hypot(r36[:, 0, 2], r36[:, 1, 2]) <= 1e-12
-    t4 = np.where(singular, seed[3] + off[3], np.arctan2(-r36[:, 1, 2], -r36[:, 0, 2]))
-    t4, r36, theta = np.concatenate([t4, t4 + np.pi]), np.tile(r36, (2, 1, 1)), np.tile(theta, (2, 1))
-    c4, s4 = np.cos(t4)[:, None], np.sin(t4)[:, None]
-    row0 = c4 * r36[:, 0] + s4 * r36[:, 1]  # rows 0 and 1 of Ry(-q5) Rz(q6)
-    row1 = c4 * r36[:, 1] - s4 * r36[:, 0]
-    t6 = np.arctan2(row1[:, 0], row1[:, 1])
+    theta = np.zeros((len(w), 4, 6))
+    theta[..., 0] = np.arctan2(w[:, 1], w[:, 0])[:, None] - np.arctan2(d2, u)
+    theta[..., 1] = np.arctan2(v[:, None], u) - np.arctan2(d4 * c3, a2 - d4 * s3)
+    theta[..., 2] = np.arctan2(s3, c3)
+    r36 = np.swapaxes(fk_frames(model, theta - off)[..., 3, :3, :3], -1, -2) @ r
+    singular = np.hypot(r36[..., 0, 2], r36[..., 1, 2]) <= 1e-12
+    t4 = np.where(singular, seeds[:, 3:4] + off[3],
+                  np.arctan2(-r36[..., 1, 2], -r36[..., 0, 2]))
+    t4, r36, theta = (np.concatenate([t4, t4 + np.pi], axis=1), np.tile(r36, (1, 2, 1, 1)),
+                      np.tile(theta, (1, 2, 1)))
+    c4, s4 = np.cos(t4)[..., None], np.sin(t4)[..., None]
+    row0 = c4 * r36[..., 0, :] + s4 * r36[..., 1, :]  # rows 0 and 1 of Ry(-q5) Rz(q6)
+    row1 = c4 * r36[..., 1, :] - s4 * r36[..., 0, :]
+    t6 = np.arctan2(row1[..., 0], row1[..., 1])
     # a singular wrist turns by q4 + q6 (q5 = 0) or q6 - q4 (q5 = pi)
     half = np.where(np.tile(singular, 2),
-                    0.5 * (np.mod(t6 - seed[5] - off[5] + np.pi, 2.0 * np.pi) - np.pi), 0.0)
-    theta[:, 3] = t4 + np.sign(r36[:, 2, 2]) * half
-    theta[:, 4] = np.arctan2(-row0[:, 2], r36[:, 2, 2])
-    theta[:, 5] = t6 - half
-    return theta - off
+                    0.5 * (np.mod(t6 - seeds[:, 5:6] - off[5] + np.pi, 2.0 * np.pi) - np.pi),
+                    0.0)
+    theta[..., 3] = t4 + np.sign(r36[..., 2, 2]) * half
+    theta[..., 4] = np.arctan2(-row0[..., 2], r36[..., 2, 2])
+    theta[..., 5] = t6 - half
+    return theta - off, reach
+
+
+def _ik_pick(model: RobotModel, branches: np.ndarray, seeds: np.ndarray) -> tuple:
+    """ik's pick (N, 6) from each row's branches (N, 8, 6): each joint moved
+    by whole turns to its value nearest the row's seed (N, 6) within its
+    limits (1e-9 rad slack), then the in-limit branch nearest the seed; and
+    whether each row has an in-limit branch (N,)."""
+    # per joint: the lowest whole-turn shift at or above the lower limit,
+    # then as many further turns as bring it nearest the seed within limits
+    seeds = seeds[:, None]
+    lo, hi = model.joint_limits[:, 0] - 1e-9, model.joint_limits[:, 1] + 1e-9
+    low = lo + np.mod(branches - lo, 2.0 * np.pi)
+    turns = np.clip(np.round((seeds - low) / (2.0 * np.pi)), 0.0,
+                    np.floor((hi - low) / (2.0 * np.pi)))
+    q = low + 2.0 * np.pi * turns
+    in_limits = np.all(low <= hi, axis=2)
+    dist = np.where(in_limits, np.linalg.norm(q - seeds, axis=2), np.inf)
+    return q[np.arange(len(q)), np.argmin(dist, axis=1)], in_limits.any(axis=1)
+
+
+def _ik_error(reach, in_limits):
+    """The error ik raises for a target, or None where it solves."""
+    if not reach:
+        return Unreachable("the wrist centre lies outside the arm's workspace")
+    if not in_limits:
+        return LimitViolation("target reachable only outside joint limits")
 
 
 def ik(model: RobotModel, target: RigidTransform, seed: JointVector) -> JointVector:
-    """Exact inverse kinematics: of the closed form's 8 branches
-    (_ik_branches), the one nearest the seed within the joint limits.
-
-    Each joint of each branch is moved by whole turns to its value nearest
-    the seed within its limits (1e-9 rad slack). The result depends only on
-    (target, seed). Raises Unreachable when no branch exists, LimitViolation
-    when branches exist but none lies within the joint limits.
+    """Exact inverse kinematics, the one-target case of _ik_branches and
+    _ik_pick: of the closed form's 8 branches, the one nearest the seed
+    within the joint limits. The result depends only on (target, seed).
+    Raises Unreachable when no branch exists, LimitViolation when branches
+    exist but none lies within the joint limits.
     """
-    q = _ik_branches(model, target, seed.q)
-    # per joint: the lowest whole-turn shift at or above the lower limit,
-    # then as many further turns as bring it nearest the seed within limits
-    lo, hi = model.joint_limits[:, 0] - 1e-9, model.joint_limits[:, 1] + 1e-9
-    low = lo + np.mod(q - lo, 2.0 * np.pi)
-    turns = np.clip(np.round((seed.q - low) / (2.0 * np.pi)), 0.0,
-                    np.floor((hi - low) / (2.0 * np.pi)))
-    q = low + 2.0 * np.pi * turns
-    in_limits = np.all(low <= hi, axis=1)
-    if not in_limits.any():
-        raise LimitViolation("target reachable only outside joint limits")
-    dist = np.where(in_limits, np.linalg.norm(q - seed.q, axis=1), np.inf)
-    return JointVector(q[np.argmin(dist)])
+    seeds = seed.q[None]
+    branches, reach = _ik_branches(model, target.rotation, target.translation[None], seeds)
+    q, in_limits = _ik_pick(model, branches, seeds)
+    error = _ik_error(reach[0], in_limits[0])
+    if error:
+        raise error
+    return JointVector(q[0])
 
 
 # -- trajectory planning ----------------------------------------------------------
@@ -319,35 +344,56 @@ class _Approach:
     knots: Trajectory
 
 
-def _approach(model: RobotModel, start: JointVector, entry, direction,
-              standoff_mm: float, roll) -> _Approach:
-    """Phase 1 of a plan at one roll: one ik call, then the quintic knots."""
-    r_tool = _axis_frame(direction, roll)
-    q_approach = ik(model, RigidTransform(r_tool, entry - standoff_mm * direction),
-                    start).q
-    dq = q_approach - start.q
-    t1 = max(float(np.max(np.abs(dq))) / JOINT_SPEED_RAD_S, 0.5)
+def _approaches(model: RobotModel, start: JointVector, entry, direction,
+                standoff_mm: float, rolls):
+    """Phase 1 of a plan at each roll, from one stacked ik pass seeded from
+    start: yields, roll by roll, its _Approach or the error ik raises there."""
+    tip = entry - standoff_mm * direction
+    r_tools = np.array([_axis_frame(direction, roll) for roll in rolls])
+    check_rigid(r_tools, tip)  # RigidTransform's guard, once per roll
+    branches, reach = _ik_branches(model, r_tools, tip[None], start.q[None])
+    q, in_limits = _ik_pick(model, branches, start.q[None])
     tau = np.linspace(0.0, 1.0, 25)
-    knots = Trajectory(t1 * tau, start.q + _quintic_s(tau)[:, None] * dq)
-    return _Approach(r_tool, q_approach, knots)
+    for r_tool, q_approach, error in zip(r_tools, q, map(_ik_error, reach, in_limits)):
+        if error:
+            yield error
+            continue
+        dq = q_approach - start.q
+        t1 = max(float(np.max(np.abs(dq))) / JOINT_SPEED_RAD_S, 0.5)
+        yield _Approach(r_tool, q_approach,
+                        Trajectory(t1 * tau, start.q + _quintic_s(tau)[:, None] * dq))
 
 
 def _descent(model: RobotModel, approach: _Approach, entry, direction,
              standoff_mm: float) -> Trajectory:
-    """Phase 2 of a plan: the straight-line descent along the axis onto the
-    entry point, one ik per step of at most 1 mm (at least two steps; none
-    for a zero standoff), densified. Its first row is the approach's last
-    knot."""
-    n_steps = max(int(np.ceil(standoff_mm / 1.0)), 2) if standoff_mm > 0.0 else 0
-    approach_tip = entry - standoff_mm * direction
-    times, joints = [approach.knots.times[-1]], [approach.knots.joints[-1]]
-    q_prev = JointVector(approach.q)
-    for k in range(1, n_steps + 1):
-        tip = approach_tip + (k / n_steps) * standoff_mm * direction
-        q_prev = ik(model, RigidTransform(approach.r_tool, tip), q_prev)
-        times.append(times[-1] + (standoff_mm / n_steps) / DESCENT_SPEED_MM_S)
-        joints.append(q_prev.q)
-    return densify(Trajectory(times, joints))
+    """Phase 2 of a plan, before densify: the straight-line descent along
+    the axis onto the entry point in steps of at most 1 mm (at least two;
+    none for a zero standoff), from the approach's last knot. Step k is ik
+    seeded with step k - 1, solved for all steps at once as that chain's
+    fixed point: seeds start at the approach pose, and each stacked pass
+    reseeds step k with step k - 1 until the seeds up to the first failing
+    step (whose error is raised) stop changing; pass k settles steps < k."""
+    knots = approach.knots
+    if standoff_mm == 0.0:
+        return Trajectory(knots.times[-1:], knots.joints[-1:])
+    n_steps = max(int(np.ceil(standoff_mm / 1.0)), 2)
+    tips = (entry - standoff_mm * direction
+            + (np.arange(1, n_steps + 1) / n_steps)[:, None] * standoff_mm * direction)
+    seeds = np.tile(approach.q, (n_steps, 1))
+    while True:
+        branches, reach = _ik_branches(model, approach.r_tool, tips, seeds)
+        q, in_limits = _ik_pick(model, branches, seeds)
+        # the first failing step, or n_steps: no step after it matters
+        first = np.argmax(np.append(~(reach & in_limits), True))
+        chained = np.concatenate([approach.q[None], q[:-1]])
+        if np.array_equal(chained[:first + 1], seeds[:first + 1]):
+            break
+        seeds = chained
+    if first < n_steps:
+        raise _ik_error(reach[first], in_limits[first])
+    times = np.cumsum(np.concatenate([knots.times[-1:], np.full(
+        n_steps, (standoff_mm / n_steps) / DESCENT_SPEED_MM_S)]))
+    return Trajectory(times, np.concatenate([knots.joints[-1:], q]))
 
 
 def _joined(approach_rows: Trajectory, descent_rows: Trajectory) -> Trajectory:
@@ -366,12 +412,15 @@ def plan_trajectory(model: RobotModel, start: JointVector, tool_axis_target,
     The flange z axis is the tool axis and the flange origin the tool tip.
     A zero standoff collapses to the single approach phase ending on the
     entry point. Raises BadInput for an invalid target or standoff (see
-    _axis_target), Unreachable / LimitViolation from ik.
+    _axis_target), Unreachable / LimitViolation from ik, of the first step
+    that fails.
     """
     entry, direction = _axis_target(tool_axis_target, standoff_mm)
-    approach = _approach(model, start, entry, direction, standoff_mm, roll)
+    approach = next(_approaches(model, start, entry, direction, standoff_mm, (roll,)))
+    if isinstance(approach, Exception):
+        raise approach
     return _joined(densify(approach.knots),
-                   _descent(model, approach, entry, direction, standoff_mm))
+                   densify(_descent(model, approach, entry, direction, standoff_mm)))
 
 
 def densify(traj: Trajectory) -> Trajectory:
@@ -471,11 +520,12 @@ def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
     """plan_trajectory, densified, with every row's clearance at least the
     safety margin, tried at up to 8 rolls about the free tool axis.
 
-    Each roll checks its densified approach rows first, in one clearance
-    table, and runs the descent's ik steps only when they are clear; then
-    one table checks the rows the descent added. The densified approach is
-    a prefix of the densified plan, so the first clear roll is the one a
-    check of whole plans finds.
+    One stacked ik pass solves the approach poses of all 8 rolls. Each
+    roll then checks its densified approach rows, in one clearance table,
+    and solves its descent only when they are clear; then one table checks
+    the rows the descent added. The densified approach is a prefix of the
+    densified plan, so the first clear roll is the one a check of whole
+    plans finds.
 
     Raises BadInput for an invalid target or standoff, NoSafePath when
     every orientation collides (or is unreachable after at least one
@@ -483,17 +533,16 @@ def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
     entry, direction = _axis_target(tool_axis_target, standoff_mm)
 
     def descent(approach: _Approach):
-        """The approach's densified descent, or None where ik fails."""
+        """The approach's descent rows, or None where ik fails."""
         try:
             return _descent(model, approach, entry, direction, standoff_mm)
         except (Unreachable, LimitViolation):
             return None
 
     any_planned, skipped = False, []
-    for roll in np.arange(8) * (2.0 * np.pi / 8.0):
-        try:
-            approach = _approach(model, start, entry, direction, standoff_mm, roll)
-        except (Unreachable, LimitViolation):
+    for approach in _approaches(model, start, entry, direction, standoff_mm,
+                                np.arange(8) * (2.0 * np.pi / 8.0)):
+        if isinstance(approach, Exception):
             continue
         rows = densify(approach.knots)
         if not _clear(model, scene, rows.joints):
@@ -503,6 +552,7 @@ def plan_safe(model: RobotModel, scene: CollisionScene, start: JointVector,
         if descent_rows is None:
             continue
         any_planned = True
+        descent_rows = densify(descent_rows)
         if _clear(model, scene, descent_rows.joints[1:]):
             return _joined(rows, descent_rows).with_collision_checked()
     # a roll skipped at its approach counts as planned when its descent

@@ -740,10 +740,15 @@ def run_placement_study(config: StudyConfig, phantom: Phantom,
     Each arm runs its screws' chains as one stacked pass, raising screw k's
     error on reaching it; screw 0's re-registrations run one stack at a time.
     """
+    if isinstance(screws_per_arm, bool) or not isinstance(screws_per_arm, int):
+        raise BadInput(f"screws_per_arm must be an integer, got {screws_per_arm!r}")
     if screws_per_arm < 1:
         raise BadInput("screws_per_arm must be >= 1")
     if screws_per_arm > len(phantom.pedicles):
         raise BadInput(f"phantom has only {len(phantom.pedicles)} pedicles")
+    if (isinstance(noise_multiplier, bool) or not isinstance(noise_multiplier, numbers.Real)
+            or not (math.isfinite(noise_multiplier) and noise_multiplier >= 0.0)):
+        raise BadInput(f"noise_multiplier must be a finite number >= 0, got {noise_multiplier!r}")
     noise = replace(config.noise,
                     tracker_sigma0=config.noise.tracker_sigma0 * noise_multiplier,
                     detector_sigma=config.noise.detector_sigma * noise_multiplier,

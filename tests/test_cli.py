@@ -392,6 +392,18 @@ def test_simulate_session_non_number_noise_multiplier_is_bad_input(tmp_path, cap
     assert not (tmp_path / "session_report.json").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "NaN", "-Infinity"])
+def test_simulate_session_negative_or_non_finite_noise_multiplier_is_named(tmp_path, capsys,
+                                                                           value):
+    code = main(["simulate", "session", "--out", str(tmp_path),
+                 "--set", f"noise_multiplier={value}"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadInput"
+    assert "noise_multiplier" in err["message"] and "tracker_sigma0" not in err["message"]
+    assert not (tmp_path / "session_report.json").exists()
+
+
 def test_simulate_seed_echoed_in_outputs(tmp_path):
     code = main(["simulate", "study", "--out", str(tmp_path), "--seed", "777",
                  "--set", "samples_per_method=6"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.spatial.transform import Rotation
 
 from spinenav import kinematics
 from spinenav.errors import BadInput, LimitViolation, NoSafePath, Unreachable
-from spinenav.geom import RigidTransform
+from spinenav.geom import RigidTransform, axis_basis
 from spinenav.kinematics import (
     Capsule,
     CollisionScene,
@@ -251,8 +253,10 @@ _IN_LIMITS_Q = st.tuples(*[st.floats(float(lo), float(hi)) for lo, hi in MODEL.j
 def test_every_closed_form_branch_round_trips_and_q_is_one(q):
     q = np.array(q)
     target = fk(MODEL, q)
-    branches = kinematics._ik_branches(MODEL, target, q)
-    assert branches.shape == (8, 6)
+    branches, reach = kinematics._ik_branches(MODEL, target.rotation,
+                                              target.translation[None], q[None])
+    assert branches.shape == (1, 8, 6) and reach.tolist() == [True]
+    branches = branches[0]
     pos_err, rot_err = _round_trip_errors(MODEL, branches, target)
     assert pos_err <= 1e-9 and rot_err <= 1e-9
     if abs(np.sin(q[4])) > 1e-6:
@@ -274,6 +278,95 @@ def test_ik_shifts_joints_by_whole_turns_to_the_limits_and_the_seed():
     # a seed beyond the upper limit: the highest in-limit value
     sol = ik(wide, target, JointVector(q + 4.0 * np.pi))
     assert np.allclose(sol.q, q + 2.0 * np.pi, atol=1e-9)
+
+
+# -- the stacked kernels equal their one-target calls ------------------------------
+
+
+def _one_target_at_a_time(model, rotations, positions, seeds):
+    """_ik_branches and _ik_pick called target by target on C-contiguous
+    copies: branches (N, 8, 6), reach (N,), picks (N, 6), in-limits (N,)."""
+    rows = []
+    for r, p, s in zip(rotations, positions, seeds):
+        s = np.ascontiguousarray(s)[None]
+        branches, reach = kinematics._ik_branches(model, np.ascontiguousarray(r),
+                                                  np.ascontiguousarray(p)[None], s)
+        rows.append((branches, reach) + kinematics._ik_pick(model, branches, s))
+    return [np.concatenate(column) for column in zip(*rows)]
+
+
+def _stacked(model, rotation, positions, seeds):
+    branches, reach = kinematics._ik_branches(model, rotation, positions, seeds)
+    return [branches, reach, *kinematics._ik_pick(model, branches, seeds)]
+
+
+def _descent_stack(n):
+    """n descent steps along DIRECTION onto ENTRY at one tool rotation,
+    every seed the approach pose's ik."""
+    r_tool = _axis_frame(DIRECTION, 1.0)
+    positions = ENTRY - 30.0 * DIRECTION + (np.arange(1, n + 1) / n)[:, None] * 30.0 * DIRECTION
+    q0 = ik(MODEL, RigidTransform(r_tool, ENTRY - 30.0 * DIRECTION), HOME).q
+    return r_tool, positions, np.tile(q0, (n, 1))
+
+
+def _kernel_stack(kind):
+    """(rotation (3, 3) or (N, 3, 3), positions, seeds) of a test stack."""
+    if kind == "descent":
+        return _descent_stack(30)
+    if kind == "rolls":  # plan_safe's approach poses at its 8 rolls: one tip, one seed
+        rolls = np.arange(8) * (2.0 * np.pi / 8.0)
+        return (np.array([_axis_frame(DIRECTION, roll) for roll in rolls]),
+                (ENTRY - 30.0 * DIRECTION)[None], HOME.q[None])
+    # 200 poses on or next to the singular wrist and the arm's boundaries,
+    # each seeded once with its own joints and once nearby
+    rng = np.random.default_rng(10)
+    qs = np.array([q for _, q in _boundary_poses()] * 2)
+    seeds = qs + np.repeat([0.0, 1.0], 200)[:, None] * rng.uniform(-0.2, 0.2, qs.shape)
+    frames = fk_frames(MODEL, qs)[:, -1]
+    rotations, positions = frames[:, :3, :3], frames[:, :3, 3]
+    if kind == "one":
+        return rotations[:1], positions[:1], seeds[:1]
+    if kind == "boundary":
+        return np.ascontiguousarray(rotations), np.ascontiguousarray(positions), seeds
+    # the same values in other memory layouts
+    rotations = np.ascontiguousarray(rotations.transpose(0, 2, 1)).transpose(0, 2, 1)
+    seeds = np.repeat(seeds, 2, axis=0)[::2]
+    return rotations, np.asfortranarray(positions), seeds
+
+
+@pytest.mark.parametrize("kind", ["one", "rolls", "descent", "boundary", "non_contiguous"])
+def test_stacked_ik_kernels_equal_their_one_target_calls(kind):
+    rotation, positions, seeds = _kernel_stack(kind)
+    if kind == "non_contiguous":
+        assert not any(a.flags.c_contiguous for a in (rotation, positions, seeds))
+    got = _stacked(MODEL, rotation, positions, seeds)
+    n = len(got[0])
+    want = _one_target_at_a_time(MODEL, np.broadcast_to(rotation, (n, 3, 3)),
+                                 np.broadcast_to(positions, (n, 3)),
+                                 np.broadcast_to(seeds, (n, 6)))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    branches, reach, picks, in_limits = got
+    assert n == {"one": 1, "rolls": 8, "descent": 30}.get(kind, 400)
+    assert reach.all() and in_limits.all()
+    if kind in ("boundary", "non_contiguous"):
+        assert np.sum(np.abs(np.sin(picks[:, 4])) <= 1e-12) >= 80  # singular wrists
+
+
+def test_a_stack_with_unreachable_rows_raises_no_warning():
+    # row 8 is beyond the arm's reach (the elbow would have to stretch), row
+    # 16 puts the wrist centre on the base axis, inside the shoulder cylinder
+    r_tool, positions, seeds = _descent_stack(25)
+    positions[8] = [2000.0, 0.0, 0.0]
+    positions[16] = np.array([0.0, 0.0, 600.0]) + 90.0 * r_tool[:, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _stacked(MODEL, r_tool, positions, seeds)
+        want = _one_target_at_a_time(MODEL, np.broadcast_to(r_tool, (25, 3, 3)),
+                                     positions, seeds)
+    assert np.flatnonzero(~got[1]).tolist() == [8, 16]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("index, value", [
@@ -762,34 +855,112 @@ def test_plan_trajectory_matches_whole_reference(standoff):
             _whole_plan_trajectory(MODEL, HOME, (ENTRY, DIRECTION), standoff, roll=roll))
 
 
-def _counting_ik(monkeypatch):
-    calls = []
+def _sequential_descent(model, start, tool_axis_target, standoff_mm, roll=0.0):
+    """plan_trajectory's ik chain step by step: the approach and the descent
+    rows solved before the first failing step, that step's index and its
+    error class (None, None when every step solves) (test reference)."""
+    entry, direction = tool_axis_target
+    r_tool = _axis_frame(direction, roll)
+    rows = [ik(model, RigidTransform(r_tool, entry - standoff_mm * direction), start).q]
+    n_steps = int(np.ceil(standoff_mm))
+    for k in range(1, n_steps + 1):
+        tip = entry - standoff_mm * direction + (k / n_steps) * standoff_mm * direction
+        try:
+            rows.append(ik(model, RigidTransform(r_tool, tip), JointVector(rows[-1])).q)
+        except (Unreachable, LimitViolation) as e:
+            return np.array(rows), k, type(e)
+    return np.array(rows), None, None
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].translation)
-        return ik(*args, **kwargs)
-    monkeypatch.setattr(kinematics, "ik", counted)
+
+def _hugging(rows, joint=None, row=None):
+    """MODEL with joint limits 0.05 rad outside the range of joint rows;
+    joint `joint`, if given, is cut at its value in row `row`, on the side
+    the rows move to."""
+    limits = np.column_stack([rows.min(axis=0) - 0.05, rows.max(axis=0) + 0.05])
+    if joint is not None:
+        limits[joint, int(rows[-1, joint] > rows[0, joint])] = rows[row, joint]
+    return RobotModel(MODEL.dh_rows, limits, MODEL.link_capsules)
+
+
+def test_plan_trajectory_raises_a_limit_violation_before_the_workspace_edge():
+    # the descent to an entry 930 mm out from joint 2 leaves the workspace
+    # at step k; a joint limit cut half way there fails an earlier step
+    u = (ENTRY - _BASE) / np.linalg.norm(ENTRY - _BASE)
+    target = (_BASE + 930.0 * u, u)
+    rows, k, error = _sequential_descent(MODEL, HOME, target, 30.0)
+    assert error is Unreachable and k >= 10
+    tight = _hugging(rows, int(np.argmax(np.abs(rows[-1] - rows[0]))), k // 2)
+    _, k_tight, error = _sequential_descent(tight, HOME, target, 30.0)
+    assert error is LimitViolation and 1 < k_tight < k
+    for plan in (plan_trajectory, _whole_plan_trajectory):
+        with pytest.raises(LimitViolation):
+            plan(tight, HOME, target, 30.0)
+
+
+def test_plan_trajectory_raises_unreachable_before_a_limit_violation():
+    # a level descent whose wrist centre line crosses the shoulder cylinder
+    # (radius d2 about the base axis): the middle steps are out of reach,
+    # the last is in reach again, but only outside joint limits that hug
+    # the steps before the crossing
+    direction = np.array([0.0, 1.0, 0.0])
+    target = (np.array([40.0, 290.0, 700.0]), direction)
+    rows, k, error = _sequential_descent(MODEL, HOME, target, 400.0)
+    assert error is Unreachable and 1 < k < 400
+    tight = _hugging(rows)
+    assert _sequential_descent(tight, HOME, target, 400.0)[1:] == (k, Unreachable)
+    with pytest.raises(LimitViolation):
+        ik(tight, RigidTransform(_axis_frame(direction, 0.0), target[0]), JointVector(rows[-1]))
+    for plan in (plan_trajectory, _whole_plan_trajectory):
+        with pytest.raises(Unreachable):
+            plan(tight, HOME, target, 400.0)
+
+def test_a_descent_through_a_singular_wrist_is_the_sequential_chain():
+    # step 12 of a 25 mm descent is a pose with q5 = 0, where ik takes q4
+    # and q6 from its seed, so each step must be seeded with the one before
+    q_singular = np.array([0.1, -0.5, 0.7, 0.3, 0.0, 0.2])
+    pose = fk(MODEL, q_singular)
+    direction = pose.rotation[:, 2]
+    x, y, _ = axis_basis(direction)
+    roll = np.arctan2(pose.rotation[:, 0] @ y, pose.rotation[:, 0] @ x)
+    target = (pose.translation + 13.0 * direction, direction)
+    rows, k, _ = _sequential_descent(MODEL, HOME, target, 25.0, roll)
+    assert k is None and np.abs(np.sin(rows[12, 4])) <= 1e-12
+    assert _same_outcome(plan_trajectory(MODEL, HOME, target, 25.0, roll=roll),
+                         _whole_plan_trajectory(MODEL, HOME, target, 25.0, roll=roll))
+
+
+def _counting(monkeypatch, name):
+    """The argument tuples of each call of kinematics.<name>, as it runs."""
+    calls = []
+    original = getattr(kinematics, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(kinematics, name, counted)
     return calls
 
 
-def test_roll_whose_approach_collides_costs_one_ik_call(monkeypatch):
+def test_roll_whose_approach_collides_never_runs_its_descent(monkeypatch):
     # an obstacle on the wrist bracket at the roll-0 approach pose: the
     # approach rows of the rolls before the first clear one collide there,
     # so their 30 descent steps never run
     rolls = np.arange(8) * (2.0 * np.pi / 8.0)
-    knots = kinematics._approach(MODEL, HOME, ENTRY, DIRECTION, 30.0, 0.0).knots
-    flange = fk_frames(MODEL, knots.joints[-1])[6]
+    approach_tip = ENTRY - 30.0 * DIRECTION
+    q_approach = ik(MODEL, RigidTransform(_axis_frame(DIRECTION, 0.0), approach_tip), HOME).q
+    flange = fk_frames(MODEL, q_approach)[6]
     bracket_tip = flange[:3, :3] @ [70.0, 0.0, -40.0] + flange[:3, 3]
     scene = CollisionScene((("block", sphere(bracket_tip, 20.0)),), safety_margin=2.0)
-    assert check_collision(MODEL, scene, knots.joints[-1])
+    assert check_collision(MODEL, scene, q_approach)
     first_clear = next(k for k, roll in enumerate(rolls) if min(
         min_clearance(MODEL, scene, q) for q in plan_trajectory(
             MODEL, HOME, (ENTRY, DIRECTION), 30.0, roll=roll).joints) >= 2.0)
     assert first_clear >= 2
-    calls = _counting_ik(monkeypatch)
+    descents = _counting(monkeypatch, "_descent")
     safe = plan_safe(MODEL, scene, HOME, (ENTRY, DIRECTION), 30.0)
-    # one call for each colliding approach, 1 + 30 for the roll that plans
-    assert len(calls) == first_clear + 31
+    # one descent, the first clear roll's
+    assert [np.array_equal(args[1].r_tool, _axis_frame(DIRECTION, rolls[first_clear]))
+            for args in descents] == [True]
     assert _same_outcome(safe, _whole_roll_plan_safe(MODEL, scene, HOME,
                                                      (ENTRY, DIRECTION), 30.0))
 
@@ -802,10 +973,10 @@ def _home_blocker():
 
 def test_every_approach_colliding_is_no_safe_path_after_one_descent(monkeypatch):
     scene = _home_blocker()
-    calls = _counting_ik(monkeypatch)
+    descents = _counting(monkeypatch, "_descent")
     with pytest.raises(NoSafePath):
         plan_safe(MODEL, scene, HOME, (ENTRY, DIRECTION), 30.0)
-    assert len(calls) == 8 + 30  # eight approaches, then one descent completes
+    assert len(descents) == 1  # the tie-break: the first skipped roll's completes
     assert _outcome(_whole_roll_plan_safe, MODEL, scene, HOME, (ENTRY, DIRECTION),
                     30.0) is NoSafePath
 
@@ -823,11 +994,11 @@ def test_every_approach_colliding_and_descent_unreachable_is_unreachable():
 
 
 def test_every_roll_unreachable_is_unreachable(monkeypatch):
-    calls = _counting_ik(monkeypatch)
+    descents = _counting(monkeypatch, "_descent")
     with pytest.raises(Unreachable):
         plan_safe(MODEL, _home_blocker(), HOME, (np.array([2000.0, 0.0, 0.0]),
                                                  DIRECTION), 25.0)
-    assert len(calls) == 8  # no approach is reachable: no descent runs
+    assert descents == []  # no approach is reachable: no descent runs
 
 
 @pytest.mark.parametrize("entry, direction, standoff", [
@@ -843,7 +1014,7 @@ def test_every_roll_unreachable_is_unreachable(monkeypatch):
         "standoff-negative", "standoff-nan", "standoff-inf"])
 def test_invalid_axis_target_or_standoff_raises_before_any_ik(monkeypatch, entry,
                                                                direction, standoff):
-    calls = _counting_ik(monkeypatch)
+    calls = _counting(monkeypatch, "_ik_branches")
     scene = CollisionScene((), safety_margin=2.0)
     with pytest.raises(ValueError, match="entry|direction|standoff"):
         plan_trajectory(MODEL, HOME, (entry, direction), standoff)

@@ -489,6 +489,18 @@ def test_placement_rejects_bad_screw_counts():
         run_placement_study(cfg, PH5, 99)
 
 
+@pytest.mark.parametrize("screws", [2.5, 2.0, True, "2", None])
+def test_placement_refuses_a_screw_count_that_is_not_an_int(screws):
+    with pytest.raises(BadInput, match="screws_per_arm must be an integer"):
+        run_placement_study(StudyConfig(noise=ZERO_NOISE), PH5, screws)
+
+
+@pytest.mark.parametrize("multiplier", [-1.0, float("nan"), float("inf"), True, "2", None])
+def test_placement_refuses_a_bad_noise_multiplier_by_name(multiplier):
+    with pytest.raises(BadInput, match="noise_multiplier must be a finite number >= 0"):
+        run_placement_study(StudyConfig(), PH5, 2, noise_multiplier=multiplier)
+
+
 @pytest.mark.parametrize("field", ["tracker_sigma0", "depth_anisotropy", "distance_ref",
                                    "distance_growth", "detector_sigma", "kinematic_sigma"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
